@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from vcgen.configs import LocalConfiguration
 from vcgen.graphs import Graph, Instance
+from vcgen.measure import Measure
+
+# n-mode beta3 = 1/5: the randomized reference measure
+MU_N20 = Measure(0, 0, 0, Fraction("0.2"), "n")
 
 
 def brute_force_vc(g: Graph) -> int:
@@ -79,3 +84,15 @@ def config_corpus(seed: int, count: int, max_n: int, require_site_free: bool = F
         seen.add(key)
         out.append(l)
     return out
+
+
+def build_tables(m, mode: str) -> dict:
+    """The 19 reference tables of one measure, at the default limits."""
+    from vcgen.rulegen import gensa
+    from vcgen.subspaces import assertions_for, root_config
+
+    return {
+        sid: gensa(root_config(sid), m, rule_mode=mode,
+                   assertions=assertions_for(sid), subspace_id=sid)
+        for sid in range(1, 20)
+    }

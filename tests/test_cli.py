@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +79,7 @@ def test_solve_randomized_with_trace(tmp_path, capsys):
     assert rc == 0
     assert "YES" in captured and "mu =" in captured and "trials =" in captured
     assert "trial 0: P" in captured
+    assert captured == (Path(__file__).parent / "golden" / "solve_trace.txt").read_text()
 
 
 def test_solve_refuses_tampered_table(tmp_path, capsys, k4_instance):

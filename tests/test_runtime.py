@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import is_cover, random_subcubic
+from corpus import MU_N20, build_tables, is_cover, random_subcubic
 from vcgen.configs import instance_as_config
 from vcgen.errors import ContractError, InputDomainError
 from vcgen.graphs import (
@@ -26,26 +26,6 @@ from vcgen.runtime import (
     solve_randomized,
 )
 from vcgen.subspaces import assertions_for, root_config
-
-MU_N20 = Measure(0, 0, 0, Fraction("0.2"), "n")
-
-
-def build_tables(m, mode):
-    return {
-        sid: gensa(root_config(sid), m, rule_mode=mode,
-                   assertions=assertions_for(sid), subspace_id=sid)
-        for sid in range(1, 20)
-    }
-
-
-@pytest.fixture(scope="module")
-def det_engine():
-    return TableEngine(build_tables(pure_k(), "deterministic"), pure_k())
-
-
-@pytest.fixture(scope="module")
-def rand_engine():
-    return TableEngine(build_tables(MU_N20, "randomized"), MU_N20)
 
 
 def test_trial_plan():
