@@ -2,7 +2,7 @@
 vertex cover on bounded-degree graphs."""
 
 from .configs import LocalConfiguration, boundary, canonical_key, expand, is_expansion, true_degree
-from .graphs import Graph, Instance, delete_vertices, enumerate_cycles, vc_cover, vc_oracle
+from .graphs import Graph, Instance, enumerate_cycles, vc_cover, vc_oracle
 from .measure import (
     MU1,
     MU2,
@@ -16,9 +16,9 @@ from .measure import (
 )
 from .requirements import crucial_set, eb
 from .rulegen import GenLimits, RuleTable, gensa, table_from_json, table_to_json, verify_table
-from .runtime import TableEngine, TrialPlan, rsearch, solve_deterministic, solve_randomized
+from .runtime import TableEngine, TrialPlan
 from .simplify import apply, config_site, find_site, simplify_fixpoint
-from .subspaces import classify, contains_forbidden, root_config
+from .subspaces import classify, forbidden_by, root_config
 from .tree import find_anchor, match_instance
 
 __all__ = [
@@ -41,24 +41,20 @@ __all__ = [
     "classify",
     "combine_bound",
     "config_site",
-    "contains_forbidden",
     "crucial_set",
-    "delete_vertices",
     "eb",
     "enumerate_cycles",
     "evaluate",
     "expand",
     "find_anchor",
     "find_site",
+    "forbidden_by",
     "gensa",
     "is_expansion",
     "match_instance",
     "pure_k",
     "root_config",
-    "rsearch",
     "simplify_fixpoint",
-    "solve_deterministic",
-    "solve_randomized",
     "table_from_json",
     "table_to_json",
     "true_degree",

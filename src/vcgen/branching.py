@@ -207,25 +207,3 @@ def prune_dominated_indexed(
         if not dominated:
             survivors.append(i)
     return survivors
-
-
-def prune_dominated(
-    l: LocalConfiguration,
-    branches: Sequence[Branch],
-    crucial: Sequence[frozenset[int]],
-    m: Measure,
-    assertions: SubspaceAssertions = NO_ASSERTIONS,
-) -> list[Branch]:
-    from .requirements import RequirementContext
-
-    ctx = RequirementContext(l)
-    exponents = [cost_bound(l, b, m, assertions).exponent for b in branches]
-    masks = []
-    for b in branches:
-        mask = 0
-        for idx, r in enumerate(crucial):
-            if ctx.satisfies(b, r):
-                mask |= 1 << idx
-        masks.append(mask)
-    keep = prune_dominated_indexed(branches, exponents, masks)
-    return [branches[i] for i in keep]

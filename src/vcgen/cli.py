@@ -13,6 +13,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 from .errors import VcgenError
 from .graphs import Instance, parse_graph, parse_instance, vc_oracle
@@ -21,7 +22,6 @@ from .measure import (
     branching_number,
     check_feasibility,
     combine_bound,
-    evaluate,
     format_measure,
     generation_admissible,
     parse_measure_tokens,
@@ -144,30 +144,17 @@ def cmd_solve(args) -> int:
         if answer and args.show_cover:
             print("cover:", sorted(cover))
         return EXIT_OK if answer else EXIT_NO
-    mu = evaluate(measure, inst)
     plan = TrialPlan.for_instance(measure, inst, safety=args.safety, base_seed=args.seed)
-    if args.trace:
-        witness = None
-        successes = 0
-        for i in range(plan.trials):
-            trace: list[TraceStep] = []
-            from .runtime import _trial_seed
-
-            cover = engine.rsearch_cover(inst, _trial_seed(plan.base_seed, i), trace)
-            for step in trace:
-                print(f"trial {i}: {step.format()}")
-            if cover is not None:
-                successes += 1
-                witness = witness or cover
-        answer = witness is not None
-    else:
-        result = engine.solve_randomized(inst, plan)
-        answer, successes, witness = result.answer, result.successes, result.cover
-    print(f"mu = {float(mu):.6f}, trials = {plan.trials}, successes = {successes}")
-    print("YES" if answer else "NO")
-    if answer and args.show_cover:
-        print("cover:", sorted(witness))
-    return EXIT_OK if answer else EXIT_NO
+    traces: Optional[list[list[TraceStep]]] = [] if args.trace else None
+    result = engine.solve_randomized(inst, plan, traces)
+    for i, steps in enumerate(traces or ()):
+        for step in steps:
+            print(f"trial {i}: {step.format()}")
+    print(f"mu = {float(result.mu):.6f}, trials = {plan.trials}, successes = {result.successes}")
+    print("YES" if result.answer else "NO")
+    if result.answer and args.show_cover:
+        print("cover:", sorted(result.cover))
+    return EXIT_OK if result.answer else EXIT_NO
 
 
 def cmd_classify(args) -> int:

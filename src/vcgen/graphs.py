@@ -83,9 +83,6 @@ class Graph:
             raise InputDomainError(f"self-loop at vertex {u}")
         return Graph(self._vertices | {u, v}, itertools.chain(self.edges(), [(u, v)]))
 
-    def with_vertex(self, v: int) -> "Graph":
-        return Graph(self._vertices | {v}, self.edges())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
 
@@ -105,11 +102,6 @@ class Instance:
 
     def __repr__(self) -> str:
         return f"Instance(n={len(self.graph)}, m={self.graph.edge_count()}, k={self.budget})"
-
-
-def delete_vertices(g: Graph, s: Iterable[int]) -> Graph:
-    """Induced subgraph on V(g) minus s."""
-    return g.without(s)
 
 
 class VertexCoverSolver:
@@ -270,6 +262,13 @@ def parse_instance(text: str) -> Instance:
     return Instance(g, budget)
 
 
+def _int_field(field: str, lineno: int, line: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise InputDomainError(f"line {lineno}: {field!r} is not an integer in {line!r}") from None
+
+
 def _parse(text: str, want_budget: bool) -> tuple[Graph, int | None]:
     n = None
     edges: list[tuple[int, int]] = []
@@ -282,13 +281,15 @@ def _parse(text: str, want_budget: bool) -> tuple[Graph, int | None]:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "vc":
                 raise InputDomainError(f"line {lineno}: bad problem line {line!r}")
-            n = int(parts[2])
+            n = _int_field(parts[2], lineno, line)
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise InputDomainError(f"line {lineno}: bad edge line {line!r}")
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((_int_field(parts[1], lineno, line), _int_field(parts[2], lineno, line)))
         elif parts[0] == "k":
-            budget = int(parts[1])
+            if len(parts) != 2:
+                raise InputDomainError(f"line {lineno}: bad budget line {line!r}")
+            budget = _int_field(parts[1], lineno, line)
         else:
             raise InputDomainError(f"line {lineno}: unknown directive {line!r}")
     if n is None:

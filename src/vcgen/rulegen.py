@@ -41,6 +41,7 @@ from .lp import solve_cover_ilp, solve_cover_lp
 from .measure import Measure, generation_admissible
 from .requirements import Requirement, RequirementContext
 from .simplify import config_site
+from .subspaces import assertions_for, forbidden_by
 from .tree import ChildRef, ExpansionTree, Leaf, RuleEntry, TreeNode
 
 
@@ -81,47 +82,6 @@ class _LimitHit(Exception):
     def __init__(self, reason: str, chain: list[LocalConfiguration]):
         self.reason = reason
         self.chain = chain
-
-
-def solve_lp(
-    branches: Sequence[Branch],
-    costs: Sequence[Fraction],
-    crucial: Sequence[Requirement],
-    eb_sets: Sequence[Sequence[Requirement]],
-) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
-    """Minimize total weighted cost subject to unit coverage of every
-    crucial requirement; weights in [0, 1].  None when uncoverable."""
-    index = {r: i for i, r in enumerate(crucial)}
-    masks = []
-    for sats in eb_sets:
-        mask = 0
-        for r in sats:
-            mask |= 1 << index[r]
-        masks.append(mask)
-    sol = solve_cover_lp(list(costs), masks, len(crucial))
-    if sol is None:
-        return None
-    return sol.weights, sol.objective
-
-
-def solve_ilp(
-    branches: Sequence[Branch],
-    costs: Sequence[Fraction],
-    crucial: Sequence[Requirement],
-    eb_sets: Sequence[Sequence[Requirement]],
-) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
-    """The deterministic variant: weights restricted to {0, 1}."""
-    index = {r: i for i, r in enumerate(crucial)}
-    masks = []
-    for sats in eb_sets:
-        mask = 0
-        for r in sats:
-            mask |= 1 << index[r]
-        masks.append(mask)
-    sol = solve_cover_ilp(list(costs), masks, len(crucial))
-    if sol is None:
-        return None
-    return sol.weights, sol.objective
 
 
 def _verify_solution(
@@ -265,7 +225,7 @@ def gensa(
         selected = select_expansion_vertex(config)
         refs: list[ChildRef] = []
         for label, child in expand(config, delta):
-            forbidden = _forbidden_by(child, assertions)
+            forbidden = forbidden_by(child, assertions)
             if forbidden is not None:
                 counters["pruned_children"] += 1
                 refs.append(ChildRef(label, None, pruned_by=forbidden))
@@ -279,16 +239,6 @@ def gensa(
         if key is not None:
             memo[key] = node_id
         return node_id
-
-    def _forbidden_by(child: LocalConfiguration, a: SubspaceAssertions) -> Optional[int]:
-        """Smallest excluded subspace whose structure is certain in child."""
-        from .subspaces import _Structures, _detector
-
-        s = _Structures(child.h, child.true_degree)
-        for sid in a.excluded_subspaces:
-            if _detector(sid)(s):
-                return sid
-        return None
 
     def _expansion_edge(parent: LocalConfiguration, child: LocalConfiguration) -> tuple[int, int]:
         (edge,) = set(child.h.edges()) - set(parent.h.edges())
@@ -322,7 +272,6 @@ class Certificate:
     ok: bool
     failures: tuple[str, ...]
     leaf_objectives: dict[int, Fraction]
-    measure_ok: bool = True
 
 
 def _iso_valid(a: LocalConfiguration, b: LocalConfiguration, iso: dict[int, int]) -> bool:
@@ -349,21 +298,14 @@ def verify_table(t: RuleTable) -> Certificate:
 
     if t.failure is not None:
         fail(f"table carries a failure report ({t.failure.reason})")
-        return Certificate(False, tuple(failures), objectives, measure_ok=False)
+        return Certificate(False, tuple(failures), objectives)
     adm = generation_admissible(t.measure)
-    measure_ok = adm.ok
     if not adm.ok:
         fail("measure inadmissible: " + "; ".join(adm.violations))
     if t.tree.root < 0 or t.tree.root >= len(t.tree.nodes):
         fail("missing root node")
-        return Certificate(False, tuple(failures), objectives, measure_ok)
-    assertions = NO_ASSERTIONS
-    if t.subspace_id is not None:
-        from .subspaces import assertions_for
-
-        assertions = assertions_for(t.subspace_id)
-
-    from .subspaces import _Structures, _detector
+        return Certificate(False, tuple(failures), objectives)
+    assertions = NO_ASSERTIONS if t.subspace_id is None else assertions_for(t.subspace_id)
 
     for node in t.tree.nodes:
         nid = node.node_id
@@ -408,17 +350,15 @@ def verify_table(t: RuleTable) -> Certificate:
             for label, child_cfg in expected:
                 ref = got[label]
                 if ref.node is None:
-                    s = _Structures(child_cfg.h, child_cfg.true_degree)
-                    allowed = ref.pruned_by in assertions.excluded_subspaces
-                    if not allowed or not _detector(ref.pruned_by)(s):
+                    if ref.pruned_by is None or forbidden_by(child_cfg, assertions) != ref.pruned_by:
                         fail(f"node {nid}: child {label} pruned without justification")
-                else:
-                    child = t.tree.nodes[ref.node]
-                    if child.config != child_cfg:
-                        fail(f"node {nid}: child {label} configuration mismatch")
+                elif not 0 <= ref.node < len(t.tree.nodes):
+                    fail(f"node {nid}: child {label} refers to missing node {ref.node}")
+                elif t.tree.nodes[ref.node].config != child_cfg:
+                    fail(f"node {nid}: child {label} configuration mismatch")
         else:
             fail(f"node {nid}: unknown kind {node.kind!r}")
-    return Certificate(not failures, tuple(failures), objectives, measure_ok)
+    return Certificate(not failures, tuple(failures), objectives)
 
 
 def _verify_rule_leaf(
@@ -557,7 +497,14 @@ def table_to_json(t: RuleTable) -> str:
 
 
 def table_from_json(text: str) -> RuleTable:
-    doc = json.loads(text)
+    """Parse a table file; a malformed document raises InputDomainError."""
+    try:
+        return _table_from_doc(json.loads(text))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputDomainError(f"malformed rule table: {type(exc).__name__}: {exc}") from None
+
+
+def _table_from_doc(doc) -> RuleTable:
     if doc.get("format") != FORMAT_NAME or doc.get("version") != FORMAT_VERSION:
         raise InputDomainError("not a rule-table file")
     measure = Measure(

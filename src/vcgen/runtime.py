@@ -124,7 +124,7 @@ class TableEngine:
         except KeyError:
             raise ContractError(f"no rule table loaded for subspace P{sid}") from None
 
-    # -- shared per-step machinery ------------------------------------------
+    # -- the solve step shared by both modes ----------------------------------
 
     def _match_leaf(self, inst: Instance):
         sid = classify(inst.graph)
@@ -141,7 +141,37 @@ class TableEngine:
             raise CertificateViolation(
                 "matched a simplification leaf on a simplification-free instance"
             )
-        return sid, table, leaf, phi
+        return sid, leaf, phi
+
+    def _advance(self, inst: Instance, events: list):
+        """Simplify, fall back and apply constant leaves until the instance
+        is decided or a rule leaf matches, appending to the event log.
+
+        Returns True when the log now holds a cover, False when no cover
+        within budget exists, else (instance, subspace, leaf node, anchor
+        map) for the rule leaf to branch on.
+        """
+        while True:
+            inst, simplifications = simplify_fixpoint(inst)
+            events.extend(("simplify", site, g) for site, g in simplifications)
+            if inst.budget < 0:
+                return False
+            if inst.graph.edge_count() == 0:
+                return True
+            if evaluate(self.measure, inst) <= 0:
+                self.fallbacks += 1
+                cover = _budget_cover(inst)
+                if cover is None:
+                    return False
+                events.append(("take", cover))
+                return True
+            sid, leaf, phi = self._match_leaf(inst)
+            if leaf.leaf.kind != "constant":
+                return inst, sid, leaf, phi
+            comp = frozenset(phi.values())
+            comp_cover = _component_cover(inst.graph, comp)
+            events.append(("take", comp_cover))
+            inst = Instance(inst.graph.without(comp), inst.budget - len(comp_cover))
 
     # -- deterministic mode --------------------------------------------------
 
@@ -151,37 +181,27 @@ class TableEngine:
                 raise ContractError(
                     f"table P{sid} is randomized; deterministic search needs ILP tables"
                 )
-        cover = self._det_search(inst)
-        if cover is None:
+        events: list = []
+        if not self._det_search(inst, events):
             return None
+        cover = _unwind(events)
         if not is_vertex_cover(inst.graph, cover) or len(cover) > inst.budget:
             raise CertificateViolation("constructed set is not a budget cover")
         return cover
 
-    def _det_search(self, inst: Instance) -> Optional[frozenset[int]]:
-        inst, events = simplify_fixpoint(inst)
-        if inst.budget < 0:
-            return None
-        if inst.graph.edge_count() == 0:
-            return _unwind(events, frozenset())
-        if evaluate(self.measure, inst) <= 0:
-            self.fallbacks += 1
-            cover = _budget_cover(inst)
-            return None if cover is None else _unwind(events, cover)
-        sid, table, leaf, phi = self._match_leaf(inst)
-        if leaf.leaf.kind == "constant":
-            comp = frozenset(phi.values())
-            comp_cover = _component_cover(inst.graph, comp)
-            rest = Instance(inst.graph.without(comp), inst.budget - len(comp_cover))
-            sub = self._det_search(rest)
-            return None if sub is None else _unwind(events, sub | comp_cover)
-        for entry in leaf.leaf.entries:
-            take = frozenset(phi[v] for v in entry.take)
-            child = Instance(inst.graph.without(take), inst.budget - len(take))
-            sub = self._det_search(child)
-            if sub is not None:
-                return _unwind(events, sub | take)
-        return None
+    def _det_search(self, inst: Instance, events: list) -> bool:
+        """Try every branch of each rule leaf; on success the log holds a cover."""
+        step = self._advance(inst, events)
+        if isinstance(step, bool):
+            return step
+        inst, _, leaf, phi = step
+        mark = len(events)
+        for _, take, child in _branches(inst, leaf, phi):
+            events.append(("take", take))
+            if self._det_search(child, events):
+                return True
+            del events[mark:]
+        return False
 
     # -- randomized mode -----------------------------------------------------
 
@@ -193,33 +213,17 @@ class TableEngine:
         original = inst
         events: list = []
         while True:
-            inst, simplifications = simplify_fixpoint(inst)
-            events.extend(("simplify", site, g) for site, g in simplifications)
-            if inst.budget < 0:
+            step = self._advance(inst, events)
+            if step is False:
                 return None
-            if inst.graph.edge_count() == 0:
+            if step is True:
                 break
-            if evaluate(self.measure, inst) <= 0:
-                self.fallbacks += 1
-                cover = _budget_cover(inst)
-                if cover is None:
-                    return None
-                events.append(("take", cover))
-                break
-            sid, table, leaf, phi = self._match_leaf(inst)
-            if leaf.leaf.kind == "constant":
-                comp = frozenset(phi.values())
-                comp_cover = _component_cover(inst.graph, comp)
-                events.append(("take", comp_cover))
-                inst = Instance(inst.graph.without(comp), inst.budget - len(comp_cover))
-                continue
+            inst, sid, leaf, phi = step
             # weighted random branch choice per the measure shrinkage
-            children = []
-            for entry in leaf.leaf.entries:
-                take = frozenset(phi[v] for v in entry.take)
-                child = Instance(inst.graph.without(take), inst.budget - len(take))
-                share = float(entry.weight) * 2.0 ** float(evaluate(self.measure, child))
-                children.append((take, child, share))
+            children = [
+                (take, child, float(entry.weight) * 2.0 ** float(evaluate(self.measure, child)))
+                for entry, take, child in _branches(inst, leaf, phi)
+            ]
             total = sum(share for _, _, share in children)
             assert total > 0
             probs = [share / total for _, _, share in children]
@@ -237,17 +241,27 @@ class TableEngine:
                 trace.append(TraceStep(sid, leaf.node_id, tuple(sorted(take)), probs[pick]))
             events.append(("take", take))
             inst = child
-        cover = _unwind_events(events)
+        cover = _unwind(events)
         if not is_vertex_cover(original.graph, cover) or len(cover) > original.budget:
             return None
         return cover
 
-    def solve_randomized(self, inst: Instance, plan: TrialPlan) -> RandomizedResult:
+    def solve_randomized(
+        self,
+        inst: Instance,
+        plan: TrialPlan,
+        trace: Optional[list[list[TraceStep]]] = None,
+    ) -> RandomizedResult:
+        """Run every trial of the plan.  When trace is a list, each trial's
+        steps are appended to it as one list, in trial order."""
         mu = evaluate(self.measure, inst)
         successes = 0
         witness: Optional[frozenset[int]] = None
         for i in range(plan.trials):
-            cover = self.rsearch_cover(inst, _trial_seed(plan.base_seed, i))
+            steps: Optional[list[TraceStep]] = None if trace is None else []
+            cover = self.rsearch_cover(inst, _trial_seed(plan.base_seed, i), steps)
+            if trace is not None:
+                trace.append(steps)
             if cover is not None:
                 successes += 1
                 if witness is None:
@@ -255,13 +269,18 @@ class TableEngine:
         return RandomizedResult(witness is not None, plan.trials, successes, mu, witness)
 
 
-def _unwind(events, cover: frozenset[int]) -> frozenset[int]:
-    for site, g_before in reversed(events):
-        cover = lift_cover(g_before, site, cover)
-    return cover
+def _branches(inst: Instance, leaf, phi: dict[int, int]):
+    """Each entry of a rule leaf, with the vertices it takes in the instance
+    and the instance that remains.  Lazy: a search that stops at one branch
+    builds no graph for the next."""
+    for entry in leaf.leaf.entries:
+        take = frozenset(phi[v] for v in entry.take)
+        yield entry, take, Instance(inst.graph.without(take), inst.budget - len(take))
 
 
-def _unwind_events(events) -> frozenset[int]:
+def _unwind(events) -> frozenset[int]:
+    """The cover the event log describes: takes are added and simplifications
+    lifted, last event first."""
     cover: frozenset[int] = frozenset()
     for ev in reversed(events):
         if ev[0] == "take":
@@ -269,25 +288,3 @@ def _unwind_events(events) -> frozenset[int]:
         else:
             cover = lift_cover(ev[2], ev[1], cover)
     return cover
-
-
-# -- module-level entry points (build, certify, solve) -----------------------
-
-
-def rsearch(
-    inst: Instance, tables: dict[int, RuleTable], m: Measure, seed: int
-) -> bool:
-    """One randomized trial; YES only with a verified cover in hand."""
-    return TableEngine(tables, m).rsearch_cover(inst, seed) is not None
-
-
-def solve_randomized(
-    inst: Instance, tables: dict[int, RuleTable], m: Measure, plan: TrialPlan
-) -> bool:
-    return TableEngine(tables, m).solve_randomized(inst, plan).answer
-
-
-def solve_deterministic(
-    inst: Instance, tables: dict[int, RuleTable], m: Measure
-) -> bool:
-    return TableEngine(tables, m).deterministic_cover(inst) is not None

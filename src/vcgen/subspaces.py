@@ -9,8 +9,7 @@ it is certain in every host graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .branching import SubspaceAssertions
 from .configs import LocalConfiguration
@@ -118,6 +117,16 @@ def classify(g: Graph) -> int:
     return 19
 
 
+def forbidden_by(l: LocalConfiguration, a: SubspaceAssertions) -> Optional[int]:
+    """Smallest subspace excluded by the assertions whose structure is
+    certain in l; None when there is none."""
+    s = _Structures(l.h, l.true_degree)
+    for sid in a.excluded_subspaces:
+        if _detector(sid)(s):
+            return sid
+    return None
+
+
 def subspace_name(sid: int) -> str:
     return f"P{sid}"
 
@@ -131,12 +140,6 @@ def parse_subspace(name: str) -> int:
     if sid not in SUBSPACE_IDS:
         raise InputDomainError(f"subspace id {sid} outside 1..19")
     return sid
-
-
-def contains_forbidden(l: LocalConfiguration, sid: int) -> bool:
-    """True iff some earlier subspace's structure is certain inside l."""
-    s = _Structures(l.h, l.true_degree)
-    return any(_detector(j)(s) for j in range(1, sid))
 
 
 def _shared_cycles_config(lens: tuple[int, int], shared_path: int) -> LocalConfiguration:
@@ -201,31 +204,3 @@ def assertions_for(sid: int) -> SubspaceAssertions:
         no_degree_2=sid >= 7,
         excluded_subspaces=tuple(range(1, sid)),
     )
-
-
-def cost_lemma_for(sid: int) -> int:
-    if sid >= 7:
-        return 14
-    if sid >= 3:
-        return 13
-    return 12
-
-
-@dataclass(frozen=True)
-class SubspaceDescriptor:
-    sid: int
-    name: str
-    assertions: SubspaceAssertions
-    cost_lemma: int
-
-    @property
-    def root(self) -> LocalConfiguration:
-        return root_config(self.sid)
-
-    def detect(self, g: Graph) -> bool:
-        s = _Structures(g, g.degree)
-        return _detector(self.sid)(s) if self.sid < 19 else classify(g) == 19
-
-
-def descriptor(sid: int) -> SubspaceDescriptor:
-    return SubspaceDescriptor(sid, subspace_name(sid), assertions_for(sid), cost_lemma_for(sid))

@@ -11,14 +11,14 @@ from vcgen.branching import (
     cost_bound,
     cost_value,
     extend_branches,
-    prune_dominated,
+    prune_dominated_indexed,
     seed_branches,
 )
 from vcgen.configs import LocalConfiguration, instance_as_config
 from vcgen.errors import CapacityError
 from vcgen.graphs import Graph, complete_graph, cycle_graph
 from vcgen.measure import MU1, MU2, pure_k
-from vcgen.requirements import crucial_set
+from vcgen.requirements import RequirementContext, crucial_set
 
 
 def lone(d):
@@ -140,6 +140,18 @@ def test_cost_value_rounds_upward():
     assert cost_value(Fraction(0)) > 1
 
 
+def prune_dominated(l, branches, crucial, m):
+    """The branches that survive pruning, with costs and satisfier masks as
+    the generator computes them."""
+    ctx = RequirementContext(l)
+    exponents = [cost_bound(l, b, m).exponent for b in branches]
+    masks = [
+        sum(1 << i for i, r in enumerate(crucial) if ctx.satisfies(b, r))
+        for b in branches
+    ]
+    return [branches[i] for i in prune_dominated_indexed(branches, exponents, masks)]
+
+
 def test_prune_removes_duplicate():
     l = edge22()
     crucial = crucial_set(l)
@@ -166,8 +178,6 @@ def test_prune_keeps_incomparable():
 
 def test_prune_preserves_requirement_coverage():
     corpus = config_corpus(seed=13, count=30, max_n=5, require_site_free=True)
-    from vcgen.requirements import RequirementContext
-
     for l in corpus:
         ctx = RequirementContext(l)
         crucial = ctx.crucial_set()

@@ -12,6 +12,9 @@ from vcgen.graphs import (
     format_instance,
     petersen_graph,
 )
+from vcgen.measure import pure_k
+from vcgen.rulegen import gensa, table_to_json
+from vcgen.subspaces import assertions_for, root_config
 
 
 @pytest.fixture()
@@ -94,6 +97,62 @@ def test_solve_refuses_tampered_table(tmp_path, capsys, k4_instance):
                "--mode", "det"])
     assert rc == 3
     assert "refusing" in capsys.readouterr().out
+
+
+def _p19_table_doc() -> dict:
+    t = gensa(root_config(19), pure_k(), rule_mode="deterministic",
+              assertions=assertions_for(19), subspace_id=19)
+    return json.loads(table_to_json(t))
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+K4 = format_instance(Instance(complete_graph(4), 3))
+MALFORMED_INSTANCES = {
+    "non-integer edge end": "p vc 3 1\ne 0 x\nk 1\n",
+    "budget line without a value": "p vc 3 1\ne 0 1\nk\n",
+    "non-integer budget": "p vc 3 1\ne 0 1\nk one\n",
+    "non-integer vertex count": "p vc x 3\ne 0 1\nk 1\n",
+}
+MALFORMED_TABLES = {
+    "table without measure": lambda doc: json.dumps(_without(doc, "measure")),
+    "measure with a non-rational coefficient": lambda doc: json.dumps(
+        {**doc, "measure": {**doc["measure"], "alpha": "one"}}),
+    "table without nodes": lambda doc: json.dumps(_without(doc, "nodes")),
+    "node without configuration": lambda doc: json.dumps(
+        {**doc, "nodes": [_without(doc["nodes"][0], "config")] + doc["nodes"][1:]}),
+    "table with nodes not a list": lambda doc: json.dumps({**doc, "nodes": 7}),
+    "table that is a list": lambda doc: "[]",
+    "truncated table": lambda doc: json.dumps(doc)[:-20],
+}
+
+
+@pytest.mark.parametrize("case", [
+    *[("instance", name, cmd) for name in MALFORMED_INSTANCES
+      for cmd in ("solve", "classify", "oracle")],
+    *[("table", name, cmd) for name in MALFORMED_TABLES for cmd in ("solve", "verify")],
+])
+def test_malformed_input_exits_3_with_one_line(tmp_path, capsys, case):
+    kind, name, cmd = case
+    inst, table = tmp_path / "in.vc", tmp_path / "P19.json"
+    doc = _p19_table_doc()
+    if kind == "instance":
+        inst.write_text(MALFORMED_INSTANCES[name])
+        table.write_text(json.dumps(doc))
+    else:
+        inst.write_text(K4)
+        table.write_text(MALFORMED_TABLES[name](doc))
+    argv = {
+        "solve": ["solve", "--instance", str(inst), "--tables", str(table), "--mode", "det"],
+        "classify": ["classify", "--instance", str(inst)],
+        "oracle": ["oracle", "--instance", str(inst)],
+        "verify": ["verify", "--table", str(table)],
+    }[cmd]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_command(tmp_path, capsys, k4_instance):

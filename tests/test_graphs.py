@@ -10,7 +10,6 @@ from vcgen.graphs import (
     VertexCoverSolver,
     complete_graph,
     cycle_graph,
-    delete_vertices,
     enumerate_cycles,
     format_graph,
     format_instance,
@@ -25,27 +24,27 @@ from vcgen.graphs import (
 
 def test_delete_identity_on_empty():
     g = Graph()
-    assert delete_vertices(g, set()) == g
+    assert g.without(set()) == g
 
 
 def test_delete_vertex_from_clique():
     g = complete_graph(4)
-    assert delete_vertices(g, {0}) == complete_graph(4).without({0})
-    assert sorted(delete_vertices(g, {0}).vertices) == [1, 2, 3]
-    assert delete_vertices(g, {0}).edge_count() == 3
+    assert g.without({0}) == Graph([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
+    assert sorted(g.without({0}).vertices) == [1, 2, 3]
+    assert g.without({0}).edge_count() == 3
 
 
 def test_delete_two_from_c5_leaves_path():
     # C5 a-b-c-d-e as 0-1-2-3-4; removing {1, 2} leaves the path 3-4-0
     g = cycle_graph(5)
-    h = delete_vertices(g, {1, 2})
+    h = g.without({1, 2})
     assert sorted(h.vertices) == [0, 3, 4]
     assert sorted(h.edges()) == [(0, 4), (3, 4)]
 
 
 def test_delete_unknown_vertex_rejected():
     with pytest.raises(InputDomainError):
-        delete_vertices(cycle_graph(3), {7})
+        cycle_graph(3).without({7})
 
 
 def test_delete_composes_over_disjoint_sets():
@@ -54,7 +53,7 @@ def test_delete_composes_over_disjoint_sets():
         g = random_subcubic(rng, 9)
         a = set(rng.sample(sorted(g.vertices), 2))
         b = set(rng.sample(sorted(g.vertices - a), 2))
-        assert delete_vertices(delete_vertices(g, a), b) == delete_vertices(g, a | b)
+        assert g.without(a).without(b) == g.without(a | b)
 
 
 def test_no_self_loops_or_parallel_edges():
@@ -176,3 +175,15 @@ def test_parse_errors():
         parse_graph("p vc 2 1\ne 0 5\n")
     with pytest.raises(InputDomainError):
         parse_instance(format_graph(cycle_graph(3)))
+
+
+@pytest.mark.parametrize("text", [
+    "p vc 3 1\ne 0 x\nk 1\n",
+    "p vc 3 1\ne 0 1\nk\n",
+    "p vc 3 1\ne 0 1\nk 1 2\n",
+    "p vc 3 1\ne 0 1\nk one\n",
+    "p vc x 3\ne 0 1\nk 1\n",
+])
+def test_parse_rejects_malformed_fields(text):
+    with pytest.raises(InputDomainError):
+        parse_instance(text)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,12 +8,11 @@ from corpus import random_subcubic
 from vcgen.configs import instance_as_config
 from vcgen.errors import InputDomainError
 from vcgen.graphs import Graph, Instance, complete_graph
+from vcgen.lp import solve_cover_ilp, solve_cover_lp
 from vcgen.measure import Measure, pure_k
 from vcgen.rulegen import (
     GenLimits,
     gensa,
-    solve_ilp,
-    solve_lp,
     table_from_json,
     table_to_json,
     verify_table,
@@ -34,29 +34,24 @@ def p19_pure_k(**kw):
 
 
 def test_solve_lp_edge_example():
-    # crucial {{u},{v}} with costs 1/2 each and disjoint satisfier sets
-    branches = [frozenset({0}), frozenset({1})]
-    crucial = [frozenset({0}), frozenset({1})]
+    # crucial {{u},{v}} with costs 1/2 each and disjoint satisfier sets:
+    # branch i satisfies requirement i alone
     costs = [Fraction(1, 2), Fraction(1, 2)]
-    eb_sets = [[crucial[0]], [crucial[1]]]
-    out = solve_lp(branches, costs, crucial, eb_sets)
+    out = solve_cover_lp(costs, [0b01, 0b10], 2)
     assert out is not None
-    weights, objective = out
-    assert weights == (1, 1) and objective == 1
+    assert out.weights == (1, 1) and out.objective == 1
 
 
 def test_solve_lp_infeasible_signals_none():
-    out = solve_lp([frozenset({0})], [Fraction(1, 2)], [frozenset({1})], [[]])
-    assert out is None
+    # the only branch satisfies nothing, the one requirement stays uncovered
+    assert solve_cover_lp([Fraction(1, 2)], [0], 1) is None
 
 
 def test_solve_ilp_matches_lp_when_integral():
-    branches = [frozenset({0})]
-    crucial = [frozenset()]
-    out_lp = solve_lp(branches, [Fraction(1, 4)], crucial, [[frozenset()]])
-    out_ilp = solve_ilp(branches, [Fraction(1, 4)], crucial, [[frozenset()]])
+    out_lp = solve_cover_lp([Fraction(1, 4)], [0b1], 1)
+    out_ilp = solve_cover_ilp([Fraction(1, 4)], [0b1], 1)
     assert out_lp == out_ilp
-    assert out_ilp[1] == Fraction(1, 4)
+    assert out_ilp.objective == Fraction(1, 4)
 
 
 def test_gensa_p19_pure_k_structure():
@@ -144,8 +139,9 @@ def test_failure_table_roundtrip_and_rejection():
     assert table_to_json(back) == text
     assert back.failure.reason == t.failure.reason
     assert back.failure.chain == t.failure.chain
-    assert not verify_table(back).ok
-    assert not verify_table(back).measure_ok
+    cert = verify_table(back)
+    assert not cert.ok
+    assert cert.failures == (f"table carries a failure report ({t.failure.reason})",)
 
 
 def test_from_json_rejects_other_formats():
@@ -209,6 +205,35 @@ def test_verify_detects_missing_child():
     cert = verify_table(t)
     assert not cert.ok
     assert any("expansion cover" in f for f in cert.failures)
+
+
+def _with_child(t, node_id, pos, **changes):
+    node = t.tree.nodes[node_id]
+    children = list(node.children)
+    children[pos] = dataclasses.replace(children[pos], **changes)
+    t.tree.nodes[node_id] = dataclasses.replace(node, children=tuple(children))
+
+
+def test_verify_reports_out_of_range_child():
+    # nodes 1 and 2 of the P19 table each expand into one kept child (the
+    # last) and two pruned ones
+    t = p19_pure_k()
+    _with_child(t, 1, 2, node=999)
+    _with_child(t, 2, 2, node=-1)
+    cert = verify_table(t)
+    assert not cert.ok
+    assert "node 1: child ('new', 3) refers to missing node 999" in cert.failures
+    assert "node 2: child ('new', 3) refers to missing node -1" in cert.failures
+
+
+@pytest.mark.parametrize("pruned_by", [None, 6, 19])
+def test_verify_requires_the_smallest_forbidden_subspace(pruned_by):
+    # the first child of node 1 gets a vertex of true degree 1: P1's structure
+    t = p19_pure_k()
+    assert t.tree.nodes[1].children[0].pruned_by == 1
+    _with_child(t, 1, 0, pruned_by=pruned_by)
+    cert = verify_table(t)
+    assert cert.failures == ("node 1: child ('new', 1) pruned without justification",)
 
 
 def test_verify_detects_objective_violation():

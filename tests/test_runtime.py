@@ -17,14 +17,7 @@ from vcgen.graphs import (
 )
 from vcgen.measure import MU2, Measure, evaluate, pure_k
 from vcgen.rulegen import gensa
-from vcgen.runtime import (
-    TableEngine,
-    TraceStep,
-    TrialPlan,
-    rsearch,
-    solve_deterministic,
-    solve_randomized,
-)
+from vcgen.runtime import TableEngine, TraceStep, TrialPlan
 from vcgen.subspaces import assertions_for, root_config
 
 
@@ -145,11 +138,18 @@ def test_engine_refuses_measure_mismatch(det_engine):
         TableEngine({19: table}, MU_N20)
 
 
-def test_module_level_wrappers(det_engine, rand_engine):
-    inst = Instance(complete_graph(4), 3)
-    assert solve_deterministic(inst, det_engine.tables, pure_k())
-    assert solve_randomized(inst, rand_engine.tables, MU_N20, TrialPlan(40, 7))
-    assert isinstance(rsearch(inst, rand_engine.tables, MU_N20, 3), bool)
+def test_solve_randomized_hands_out_each_trials_trace(rand_engine):
+    inst = Instance(petersen_graph(), 6)
+    plan = TrialPlan(12, 7)
+    traces: list[list[TraceStep]] = []
+    res = rand_engine.solve_randomized(inst, plan, traces)
+    assert len(traces) == plan.trials and all(traces)
+    assert all(0 < step.probability <= 1 for steps in traces for step in steps)
+    # tracing changes nothing, and the same plan replays the same walks
+    assert res == rand_engine.solve_randomized(inst, plan)
+    again: list[list[TraceStep]] = []
+    rand_engine.solve_randomized(inst, plan, again)
+    assert again == traces
 
 
 def test_engines_agree_across_measures(det_engine, rand_engine):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from corpus import random_subcubic
+from vcgen.branching import cost_bound
 from vcgen.configs import LocalConfiguration, instance_as_config, is_expansion
 from vcgen.errors import InputDomainError
 from vcgen.graphs import (
@@ -12,14 +13,13 @@ from vcgen.graphs import (
     cycle_graph,
     petersen_graph,
 )
+from vcgen.measure import MU2
 from vcgen.simplify import simplify_fixpoint
 from vcgen.subspaces import (
     SUBSPACE_IDS,
     assertions_for,
     classify,
-    contains_forbidden,
-    cost_lemma_for,
-    descriptor,
+    forbidden_by,
     parse_subspace,
     root_config,
     subspace_name,
@@ -71,13 +71,10 @@ def test_classify_stable_under_relabeling():
 def test_roots_fire_their_own_detector_not_earlier():
     for sid in SUBSPACE_IDS:
         root = root_config(sid)
-        assert not contains_forbidden(root, sid), sid
+        assert forbidden_by(root, assertions_for(sid)) is None, sid
         # the root's own structure is certain in the configuration
         if sid < 19:
-            from vcgen.subspaces import _Structures, _detector
-
-            s = _Structures(root.h, root.true_degree)
-            assert _detector(sid)(s), sid
+            assert forbidden_by(root, assertions_for(sid + 1)) == sid, sid
 
 
 def test_root_examples():
@@ -99,12 +96,16 @@ def test_root_true_degrees_three_for_regular_subspaces():
 
 
 def test_contains_forbidden_examples():
-    assert not contains_forbidden(root_config(7), 7)
+    assert forbidden_by(root_config(7), assertions_for(7)) is None
     tri = LocalConfiguration(cycle_graph(3), {v: 1 for v in range(3)})
-    assert contains_forbidden(tri, 8)  # triangle is P7 structure
+    assert forbidden_by(tri, assertions_for(8)) == 7  # triangle is P7 structure
     deg2 = LocalConfiguration(Graph([0]), {0: 2})
-    assert contains_forbidden(deg2, 7)  # true degree 2 is P6 structure
-    assert not contains_forbidden(deg2, 6)
+    assert forbidden_by(deg2, assertions_for(7)) == 6  # true degree 2 is P6 structure
+    assert forbidden_by(deg2, assertions_for(6)) is None
+    # a true-degree-2 triangle shows both: the smallest excluded id counts
+    tri2 = LocalConfiguration(cycle_graph(3), {0: 0, 1: 1, 2: 1})
+    assert forbidden_by(tri2, assertions_for(19)) == 6
+    assert forbidden_by(tri2, assertions_for(6)) is None
 
 
 def test_assertions_and_cost_lemmas():
@@ -114,20 +115,22 @@ def test_assertions_and_cost_lemmas():
         assert a.no_deg3_with_two_deg2 == (sid >= 3)
         assert a.no_degree_2 == (sid >= 7)
         assert a.excluded_subspaces == tuple(range(1, sid))
-    assert cost_lemma_for(2) == 12
-    assert cost_lemma_for(3) == 13
-    assert cost_lemma_for(6) == 13
-    assert cost_lemma_for(7) == 14
-    assert cost_lemma_for(19) == 14
+    # a subspace's assertions pick its cost lemma
+    for sid, lemma in ((2, 12), (3, 13), (6, 13), (7, 14), (19, 14)):
+        root = root_config(sid)
+        take = {min(root.h.vertices)}
+        assert cost_bound(root, take, MU2, assertions_for(sid)).lemma_used == lemma, sid
 
 
 def test_descriptor_bundles():
-    d = descriptor(7)
-    assert d.name == "P7" and d.cost_lemma == 14
-    assert d.root == root_config(7)
-    assert d.assertions == assertions_for(7)
-    assert d.detect(complete_graph(4))
-    assert not descriptor(3).detect(complete_graph(4))
+    # what a subspace bundles: name, root, assertions and detector
+    k4 = instance_as_config(complete_graph(4))
+    assert subspace_name(7) == "P7" and parse_subspace("P7") == 7
+    assert root_config(7).h == cycle_graph(3)
+    assert assertions_for(7).excluded_subspaces == tuple(range(1, 7))
+    assert forbidden_by(k4, assertions_for(8)) == 7
+    assert forbidden_by(k4, assertions_for(3)) is None
+    assert forbidden_by(k4, assertions_for(1)) is None
 
 
 def test_names_roundtrip():
