@@ -41,7 +41,7 @@ from .lp import solve_cover_ilp, solve_cover_lp
 from .measure import Measure, generation_admissible
 from .requirements import Requirement, RequirementContext
 from .simplify import config_site
-from .subspaces import assertions_for, forbidden_by
+from .subspaces import assertions_for, forbidden_by, root_config, subspace_name
 from .tree import ChildRef, ExpansionTree, Leaf, RuleEntry, TreeNode
 
 
@@ -191,7 +191,7 @@ def gensa(
         counters["lp_calls"] += 1
         lp_sol = solve_cover_lp(pruned_costs, pruned_masks, len(crucial))
         if rule_mode == "deterministic":
-            sol = solve_cover_ilp(pruned_costs, pruned_masks, len(crucial))
+            sol = solve_cover_ilp(pruned_costs, pruned_masks, len(crucial), lp_sol)
         else:
             sol = lp_sol
         if audit is not None:
@@ -287,6 +287,21 @@ def _iso_valid(a: LocalConfiguration, b: LocalConfiguration, iso: dict[int, int]
     return all(a.d[v] == b.d[iso[v]] for v in iso)
 
 
+def _is_root_of(config: LocalConfiguration, sid: int) -> bool:
+    """Whether config is root_config(sid) up to isomorphism.
+
+    Generated tables carry root_config(sid) itself; testing equality first
+    spares them canonical_key, which is slow on symmetric roots such as
+    P18's 8-cycle."""
+    expected = root_config(sid)
+    if config == expected:
+        return True
+    try:
+        return isomorphism(config, expected) is not None
+    except CapacityError:
+        return False
+
+
 def verify_table(t: RuleTable) -> Certificate:
     """Recompute everything a leaf claims and every node's cover; pass iff
     all checks pass.  Failure tables never certify."""
@@ -306,6 +321,10 @@ def verify_table(t: RuleTable) -> Certificate:
         fail("missing root node")
         return Certificate(False, tuple(failures), objectives)
     assertions = NO_ASSERTIONS if t.subspace_id is None else assertions_for(t.subspace_id)
+    if t.subspace_id is not None and not _is_root_of(
+        t.tree.nodes[t.tree.root].config, t.subspace_id
+    ):
+        fail(f"root configuration is not the root of {subspace_name(t.subspace_id)}")
 
     for node in t.tree.nodes:
         nid = node.node_id
@@ -433,8 +452,8 @@ def _config_obj(l: LocalConfiguration) -> dict:
 
 def _config_from_obj(obj: dict) -> LocalConfiguration:
     g = Graph(obj["vertices"], [tuple(e) for e in obj["edges"]])
-    d = {int(v): c for v, c in obj["d"].items()}
-    return LocalConfiguration(g, d, obj["delta"])
+    d = {int(v): _int(c, "d value") for v, c in obj["d"].items()}
+    return LocalConfiguration(g, d, _int(obj["delta"], "delta"))
 
 
 def table_to_json(t: RuleTable) -> str:
@@ -500,8 +519,15 @@ def table_from_json(text: str) -> RuleTable:
     """Parse a table file; a malformed document raises InputDomainError."""
     try:
         return _table_from_doc(json.loads(text))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise InputDomainError(f"malformed rule table: {type(exc).__name__}: {exc}") from None
+
+
+def _int(x, field: str) -> int:
+    """x itself when it is a JSON integer; InputDomainError otherwise."""
+    if type(x) is not int:
+        raise InputDomainError(f"malformed rule table: {field} {x!r} is not an integer")
+    return x
 
 
 def _table_from_doc(doc) -> RuleTable:
@@ -516,24 +542,26 @@ def _table_from_doc(doc) -> RuleTable:
     )
     nodes = []
     for obj in doc["nodes"]:
+        node_id = _int(obj["id"], "node id")
         config = _config_from_obj(obj["config"])
         kind = obj["kind"]
         if kind == "expanded":
             children = tuple(
                 ChildRef(
                     (ref["label"][0], ref["label"][1]),
-                    ref["node"],
+                    None if ref["node"] is None else _int(ref["node"], "child node"),
                     ref.get("pruned_by"),
                 )
                 for ref in obj["children"]
             )
-            nodes.append(TreeNode(obj["id"], config, kind,
+            nodes.append(TreeNode(node_id, config, kind,
                                   selected=obj["selected"], children=children))
         elif kind == "leaf":
             lobj = obj["leaf"]
             if lobj["kind"] == "rule":
                 entries = tuple(
-                    RuleEntry(frozenset(e["take"]), Fraction(e["weight"]))
+                    RuleEntry(frozenset(_int(v, "branch vertex") for v in e["take"]),
+                              Fraction(e["weight"]))
                     for e in lobj["entries"]
                 )
                 leaf = Leaf("rule", entries=entries)
@@ -541,15 +569,16 @@ def _table_from_doc(doc) -> RuleTable:
                 leaf = Leaf("simplification", rule_id=lobj["rule"])
             else:
                 leaf = Leaf("constant")
-            nodes.append(TreeNode(obj["id"], config, kind, leaf=leaf))
+            nodes.append(TreeNode(node_id, config, kind, leaf=leaf))
         elif kind == "alias":
             nodes.append(
                 TreeNode(
-                    obj["id"],
+                    node_id,
                     config,
                     kind,
-                    alias_target=obj["alias"]["target"],
-                    alias_iso={int(k): v for k, v in obj["alias"]["iso"].items()},
+                    alias_target=_int(obj["alias"]["target"], "alias target"),
+                    alias_iso={int(k): _int(v, "alias image")
+                               for k, v in obj["alias"]["iso"].items()},
                 )
             )
         else:
@@ -558,11 +587,11 @@ def _table_from_doc(doc) -> RuleTable:
     if doc["failure"] is not None:
         failure = FailureReport(doc["failure"]["reason"], tuple(doc["failure"]["chain"]))
     return RuleTable(
-        doc["subspace"],
+        None if doc["subspace"] is None else _int(doc["subspace"], "subspace"),
         measure,
         doc["mode"],
-        doc["delta"],
-        ExpansionTree(nodes, doc["root"]),
+        _int(doc["delta"], "delta"),
+        ExpansionTree(nodes, _int(doc["root"], "root")),
         doc["meta"],
         failure,
     )

@@ -109,6 +109,13 @@ def _without(doc: dict, key: str) -> dict:
     return {k: v for k, v in doc.items() if k != key}
 
 
+def _with_first(doc: dict, kind: str, edit) -> dict:
+    """A copy of doc whose first node of the given kind is edited in place."""
+    doc = json.loads(json.dumps(doc))
+    edit(next(node for node in doc["nodes"] if node["kind"] == kind))
+    return doc
+
+
 K4 = format_instance(Instance(complete_graph(4), 3))
 MALFORMED_INSTANCES = {
     "non-integer edge end": "p vc 3 1\ne 0 x\nk 1\n",
@@ -126,6 +133,10 @@ MALFORMED_TABLES = {
     "table with nodes not a list": lambda doc: json.dumps({**doc, "nodes": 7}),
     "table that is a list": lambda doc: "[]",
     "truncated table": lambda doc: json.dumps(doc)[:-20],
+    "child node index as a string": lambda doc: json.dumps(_with_first(
+        doc, "expanded", lambda node: node["children"][-1].update(node="0"))),
+    "branch vertex as a string": lambda doc: json.dumps(_with_first(
+        doc, "leaf", lambda node: node["leaf"]["entries"][0].update(take=[0, "x"]))),
 }
 
 
@@ -172,6 +183,18 @@ def test_verify_command(tmp_path, capsys, k4_instance):
     captured = capsys.readouterr().out
     assert rc == 2
     assert "FAIL" in captured
+
+
+def test_verify_fails_a_table_relabelled_to_another_subspace(tmp_path, capsys):
+    t = gensa(root_config(1), pure_k(), rule_mode="deterministic",
+              assertions=assertions_for(1), subspace_id=1)
+    doc = json.loads(table_to_json(t))
+    path = tmp_path / "P1.json"
+    for sid, rc in ((1, 0), (19, 2)):
+        path.write_text(json.dumps({**doc, "subspace": sid}))
+        assert main(["verify", "--table", str(path)]) == rc
+    out = capsys.readouterr().out
+    assert "(P19): FAIL" in out and "root configuration is not the root of P19" in out
 
 
 def test_classify_and_oracle_commands(tmp_path, capsys):

@@ -58,7 +58,7 @@ def test_degenerate_equal_cover_returns_basic_solution():
 
 def test_infeasible_returns_none():
     assert solve_cover_lp([Fraction(1)], [0b01], 2) is None
-    assert solve_cover_ilp([Fraction(1)], [0b01], 2) is None
+    assert solve_cover_ilp([Fraction(1)], [0b01], 2, None) is None
 
 
 def test_three_cycle_fractional_gap():
@@ -68,7 +68,7 @@ def test_three_cycle_fractional_gap():
     costs = [c, c, c]
     masks = [0b011, 0b110, 0b101]
     lp = solve_cover_lp(costs, masks, 3)
-    ilp = solve_cover_ilp(costs, masks, 3)
+    ilp = solve_cover_ilp(costs, masks, 3, lp)
     assert lp.objective == Fraction(3, 2) * c
     assert ilp.objective == 2 * c
     assert sorted(ilp.weights) == [0, 1, 1]
@@ -77,7 +77,7 @@ def test_three_cycle_fractional_gap():
 def test_ilp_integral_lp_passthrough():
     costs = [Fraction(1, 2), Fraction(1, 2)]
     masks = [0b01, 0b10]
-    ilp = solve_cover_ilp(costs, masks, 2)
+    ilp = solve_cover_ilp(costs, masks, 2, solve_cover_lp(costs, masks, 2))
     assert ilp.weights == (1, 1)
     assert ilp.objective == 1
 
@@ -90,7 +90,7 @@ def test_lp_never_exceeds_ilp_randomized():
         costs = [Fraction(rng.randint(1, 16), 16) for _ in range(n)]
         masks = [rng.getrandbits(n_reqs) for _ in range(n)]
         lp = solve_cover_lp(costs, masks, n_reqs)
-        ilp = solve_cover_ilp(costs, masks, n_reqs)
+        ilp = solve_cover_ilp(costs, masks, n_reqs, lp)
         assert (lp is None) == (ilp is None)
         if lp is None:
             continue
@@ -117,7 +117,7 @@ def test_ilp_branch_and_bound_path():
         n_reqs = 6
         costs = [Fraction(rng.randint(1, 32), 32) for _ in range(n)]
         masks = [rng.getrandbits(n_reqs) | (1 << (i % n_reqs)) for i in range(n)]
-        ilp = solve_cover_ilp(costs, masks, n_reqs)
+        ilp = solve_cover_ilp(costs, masks, n_reqs, solve_cover_lp(costs, masks, n_reqs))
         assert ilp is not None
         _, ref_cost = _exhaustive_cover(costs, masks, n_reqs)
         assert ilp.objective == ref_cost

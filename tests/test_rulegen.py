@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import random_subcubic
-from vcgen.configs import instance_as_config
+from vcgen.configs import instance_as_config, relabel
 from vcgen.errors import InputDomainError
 from vcgen.graphs import Graph, Instance, complete_graph
 from vcgen.lp import solve_cover_ilp, solve_cover_lp
@@ -49,7 +49,7 @@ def test_solve_lp_infeasible_signals_none():
 
 def test_solve_ilp_matches_lp_when_integral():
     out_lp = solve_cover_lp([Fraction(1, 4)], [0b1], 1)
-    out_ilp = solve_cover_ilp([Fraction(1, 4)], [0b1], 1)
+    out_ilp = solve_cover_ilp([Fraction(1, 4)], [0b1], 1, out_lp)
     assert out_lp == out_ilp
     assert out_ilp.objective == Fraction(1, 4)
 
@@ -234,6 +234,30 @@ def test_verify_requires_the_smallest_forbidden_subspace(pruned_by):
     _with_child(t, 1, 0, pruned_by=pruned_by)
     cert = verify_table(t)
     assert cert.failures == ("node 1: child ('new', 1) pruned without justification",)
+
+
+def p1_pure_k():
+    return gensa(root_config(1), pure_k(), rule_mode="deterministic",
+                 assertions=assertions_for(1), subspace_id=1)
+
+
+def test_verify_ties_the_root_to_its_subspace():
+    # P1's table is certified for P1; relabelled as P19 its root is not P19's
+    t = p1_pure_k()
+    assert verify_table(t).ok
+    t.subspace_id = 19
+    assert verify_table(t).failures == ("root configuration is not the root of P19",)
+
+
+def test_verify_accepts_an_isomorphic_root():
+    # the tie is up to isomorphism: P1's one-node table with its root vertex
+    # renamed still certifies
+    t = p1_pure_k()
+    root = t.tree.nodes[t.tree.root]
+    t.tree.nodes[t.tree.root] = dataclasses.replace(
+        root, config=relabel(root.config, {0: 7}))
+    assert t.tree.nodes[t.tree.root].config != root_config(1)
+    assert verify_table(t).ok
 
 
 def test_verify_detects_objective_violation():
