@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .errors import VcgenError
+from .errors import ContractError, InputDomainError, VcgenError
 from .graphs import Instance, parse_graph, parse_instance, vc_oracle
 from .measure import (
     BranchVector,
@@ -25,6 +25,7 @@ from .measure import (
     format_measure,
     generation_admissible,
     parse_measure_tokens,
+    parse_rational,
 )
 from .rulegen import GenLimits, gensa, table_from_json, table_to_json, verify_table
 from .runtime import TableEngine, TraceStep, TrialPlan
@@ -126,17 +127,11 @@ def cmd_solve(args) -> int:
         print("no tables found")
         return EXIT_INPUT
     measure = next(iter(tables.values())).measure
-    for t in tables.values():
-        if t.failure is not None:
-            print(f"refusing: table P{t.subspace_id} carries a failure report")
-            return EXIT_INPUT
-        cert = verify_table(t)
-        if not cert.ok:
-            print(f"refusing: table P{t.subspace_id} failed verification:")
-            for f in cert.failures[:5]:
-                print("  " + f)
-            return EXIT_INPUT
-    engine = TableEngine(tables, measure, verify=False)  # verified just above
+    try:
+        engine = TableEngine(tables, measure)
+    except ContractError as exc:
+        print(f"refusing: {exc}")
+        return EXIT_INPUT
     if args.mode == "det":
         cover = engine.deterministic_cover(inst)
         answer = cover is not None
@@ -189,11 +184,18 @@ def cmd_bound(args) -> int:
         values = {}
         for tok in args.combine:
             key, _, val = tok.partition("=")
-            values[key] = float(val)
+            try:
+                values[key] = float(val)
+            except ValueError:
+                raise InputDomainError(f"{key} must be a number, got {val!r}") from None
+            if not math.isfinite(values[key]):
+                raise InputDomainError(f"{key} must be finite, got {val!r}")
         missing = {"a", "b", "base_n"} - set(values)
         if missing:
             print(f"missing combine fields: {sorted(missing)}")
             return EXIT_INPUT
+        if values["base_n"] <= 0:
+            raise InputDomainError(f"base_n must be positive, got {values['base_n']}")
         c = math.log(values["base_n"])
         d = combine_bound(values["a"], values["b"], c)
         print(f"d = {d:.6f}")
@@ -202,8 +204,10 @@ def cmd_bound(args) -> int:
     if args.vector:
         entries = []
         for part in args.vector.split(","):
-            w, _, d = part.partition(":")
-            entries.append((Fraction(w), Fraction(d)))
+            w, sep, d = part.partition(":")
+            if not sep:
+                raise InputDomainError(f"expected weight:decrease, got {part!r}")
+            entries.append((parse_rational(w, "weight"), parse_rational(d, "decrease")))
         x = branching_number(BranchVector(tuple(entries)))
         print(f"branching number = {x:.6f}")
         return EXIT_OK

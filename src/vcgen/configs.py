@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import CapacityError, ContractError, InputDomainError
-from .graphs import Graph, parse_graph
+from .graphs import Graph, format_graph
 
 CANONICAL_CAP = 16
 _PERM_BUDGET = 100_000  # covers a fully symmetric 8-cycle; larger classes skip merging
@@ -251,37 +251,15 @@ def isomorphism(a: LocalConfiguration, b: LocalConfiguration) -> Optional[dict[i
     return {va: vb for va, vb in zip(pa, pb)}
 
 
-def relabel(l: LocalConfiguration, mapping: Mapping[int, int]) -> LocalConfiguration:
-    g = Graph(
-        (mapping[v] for v in l.h.vertices),
-        ((mapping[u], mapping[v]) for u, v in l.h.edges()),
-    )
-    return LocalConfiguration(g, {mapping[v]: dv for v, dv in l.d.items()}, l.delta)
-
-
-# -- debug text form ---------------------------------------------------------
+# -- text form, for failure reports and the generation audit ----------------
 #
 # The graph format of graphs.py plus one "d <v> <count>" line per vertex with
 # incomplete edges.
 
 
 def format_config(l: LocalConfiguration) -> str:
-    from .graphs import format_graph
-
     order = sorted(l.h.vertices)
     pos = {v: i for i, v in enumerate(order)}
     lines = [format_graph(l.h).rstrip("\n")]
     lines.extend(f"d {pos[v]} {l.d[v]}" for v in order if l.d[v])
     return "\n".join(lines) + "\n"
-
-
-def parse_config(text: str, delta: int = 3) -> LocalConfiguration:
-    graph_lines = []
-    d: dict[int, int] = {}
-    for line in text.splitlines():
-        if line.startswith("d "):
-            _, v, count = line.split()
-            d[int(v)] = int(count)
-        else:
-            graph_lines.append(line)
-    return LocalConfiguration(parse_graph("\n".join(graph_lines)), d, delta)

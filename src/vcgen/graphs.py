@@ -236,14 +236,14 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[tuple[int, ...]]:
 # k <budget>         (instances only)
 #
 # Vertices are written densely 0..n-1; graphs with identifier gaps are
-# relabeled in sorted order on output.
+# renumbered in sorted order on output.
 
 
 def format_graph(g: Graph) -> str:
     order = sorted(g.vertices)
-    relabel = {v: i for i, v in enumerate(order)}
+    pos = {v: i for i, v in enumerate(order)}
     lines = [f"p vc {len(order)} {g.edge_count()}"]
-    lines.extend(f"e {relabel[u]} {relabel[v]}" for u, v in g.edges())
+    lines.extend(f"e {pos[u]} {pos[v]}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
 

@@ -19,12 +19,13 @@ the ~90-bit cost denominators at every pivot as Fractions did: the 25 LPs
 of the pure-k generation take 0.14 s instead of 4.65 s, and the 111 of
 the beta3 = 1/5 one 0.11 s instead of 3.28 s (CPython 3.11.7, 2-CPU VM).
 
-The integral variant is a depth-first branch and bound on fractional
-variables bounded by LP relaxations, with plain exhaustive set-cover search
-when few branches remain.  Costs are strictly positive, which makes the
-upper bounds w_i <= 1 vacuous at optimality: any optimal solution exceeding
-1 could be capped and improved, so the bounds are asserted rather than
-modeled.
+The integral variant is the one ILP path: a depth-first branch and bound
+that fixes the first fractional variable to 1, then to 0, and drops a
+subproblem whose LP relaxation is no better than the best cover found so
+far.  An integral relaxation is returned as it is.  Costs are strictly
+positive, which makes the upper bounds w_i <= 1 vacuous at optimality: any
+optimal solution exceeding 1 could be capped and improved, so the bounds
+are asserted rather than modeled.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-EXHAUSTIVE_CAP = 20
-
 
 @dataclass(frozen=True)
 class CoverSolution:
@@ -174,46 +172,6 @@ def solve_cover_lp(
     return CoverSolution(tuple(weights), objective)
 
 
-def _exhaustive_cover(
-    costs: Sequence[Fraction], cover_masks: Sequence[int], n_reqs: int
-) -> tuple[tuple[int, ...], Fraction]:
-    """Optimal 0/1 selection by set-cover DFS with cost pruning."""
-    full = (1 << n_reqs) - 1
-    coverers: list[list[int]] = [[] for _ in range(n_reqs)]
-    for i, mask in enumerate(cover_masks):
-        for r in range(n_reqs):
-            if mask >> r & 1:
-                coverers[r].append(i)
-    best_cost: list[Fraction | None] = [None]
-    best_pick: list[tuple[int, ...]] = [()]
-
-    def rec(uncovered: int, banned: int, picked: tuple[int, ...], cost: Fraction):
-        if best_cost[0] is not None and cost >= best_cost[0]:
-            return
-        if uncovered == 0:
-            best_cost[0] = cost
-            best_pick[0] = picked
-            return
-        r = (uncovered & -uncovered).bit_length() - 1
-        for i in coverers[r]:
-            if banned >> i & 1:
-                continue
-            rec(
-                uncovered & ~cover_masks[i],
-                banned | (1 << i),
-                picked + (i,),
-                cost + costs[i],
-            )
-            # once branch i is skipped for requirement r it stays excluded in
-            # later alternatives of this frame, avoiding duplicate covers
-            banned |= 1 << i
-
-    rec(full, 0, (), Fraction(0))
-    if best_cost[0] is None:
-        return (), Fraction(-1)
-    return best_pick[0], best_cost[0]
-
-
 def solve_cover_ilp(
     costs: Sequence[Fraction],
     cover_masks: Sequence[int],
@@ -230,13 +188,6 @@ def solve_cover_ilp(
         return None
     if all(w in (0, 1) for w in lp.weights):
         return lp
-    if n <= EXHAUSTIVE_CAP:
-        pick, cost = _exhaustive_cover(costs, cover_masks, n_reqs)
-        weights = [Fraction(0)] * n
-        for i in pick:
-            weights[i] = Fraction(1)
-        return CoverSolution(tuple(weights), cost)
-
     best: list[Optional[CoverSolution]] = [None]
 
     def rec(fixed_one: frozenset[int], fixed_zero: frozenset[int]):

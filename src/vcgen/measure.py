@@ -16,8 +16,6 @@ from typing import Sequence
 from .errors import InputDomainError
 from .graphs import Instance
 
-Rational = Fraction
-
 BISECTION_TOL = 1e-9
 
 
@@ -205,8 +203,17 @@ def parse_measure_tokens(tokens: Sequence[str]) -> Measure:
         name = alias.get(key.lower())
         if name is None:
             raise InputDomainError(f"unknown measure field {key!r}")
-        values[name] = Fraction(val)
+        values[name] = parse_rational(val, f"measure field {key!r}")
     return Measure(values["alpha"], values["b1"], values["b2"], values["b3"], mode)
+
+
+def parse_rational(text: str, what: str) -> Fraction:
+    """text as an exact rational such as 3, 0.2 or 1/5; InputDomainError,
+    naming what, when it is not one."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputDomainError(f"{what} must be a rational, got {text!r}") from None
 
 
 def parse_measure(text: str) -> Measure:

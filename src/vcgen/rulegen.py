@@ -44,6 +44,8 @@ from .simplify import config_site
 from .subspaces import assertions_for, forbidden_by, root_config, subspace_name
 from .tree import ChildRef, ExpansionTree, Leaf, RuleEntry, TreeNode
 
+RULE_MODES = ("randomized", "deterministic")
+
 
 @dataclass(frozen=True)
 class GenLimits:
@@ -67,7 +69,7 @@ class FailureReport:
 class RuleTable:
     subspace_id: Optional[int]
     measure: Measure
-    rule_mode: str  # "randomized" | "deterministic"
+    rule_mode: str  # one of RULE_MODES
     delta: int
     tree: ExpansionTree
     meta: dict = field(default_factory=dict)
@@ -117,7 +119,7 @@ def gensa(
     configurations, not an exception; the table is then partial and carries
     no certificate.
     """
-    if rule_mode not in ("randomized", "deterministic"):
+    if rule_mode not in RULE_MODES:
         raise InputDomainError(f"unknown rule mode {rule_mode!r}")
     adm = generation_admissible(m)
     if not adm.ok:
@@ -533,6 +535,8 @@ def _int(x, field: str) -> int:
 def _table_from_doc(doc) -> RuleTable:
     if doc.get("format") != FORMAT_NAME or doc.get("version") != FORMAT_VERSION:
         raise InputDomainError("not a rule-table file")
+    if doc["mode"] not in RULE_MODES:
+        raise InputDomainError(f"malformed rule table: unknown mode {doc['mode']!r}")
     measure = Measure(
         Fraction(doc["measure"]["alpha"]),
         Fraction(doc["measure"]["b1"]),

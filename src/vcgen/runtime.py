@@ -102,21 +102,27 @@ def is_vertex_cover(g: Graph, cover: frozenset[int]) -> bool:
 
 
 class TableEngine:
-    """Loaded and certified tables, ready to solve instances."""
+    """Loaded and certified tables, ready to solve instances.
 
-    def __init__(self, tables: dict[int, RuleTable], m: Measure, verify: bool = True):
+    Building one verifies every table.  It raises ContractError for a table
+    that fails verification, was generated for another measure, or is keyed
+    by a subspace other than its own.
+    """
+
+    def __init__(self, tables: dict[int, RuleTable], m: Measure):
         self.measure = m
         self.tables = dict(tables)
         self.fallbacks = 0
         for sid, t in self.tables.items():
+            if t.subspace_id is not None and t.subspace_id != sid:
+                raise ContractError(f"table for P{t.subspace_id} loaded as P{sid}")
             if t.measure != m:
                 raise ContractError(f"table P{sid} was generated for another measure")
-            if verify:
-                cert = verify_table(t)
-                if not cert.ok:
-                    raise ContractError(
-                        f"table P{sid} is not certified: " + "; ".join(cert.failures[:3])
-                    )
+            cert = verify_table(t)
+            if not cert.ok:
+                raise ContractError(
+                    f"table P{sid} is not certified: " + "; ".join(cert.failures[:3])
+                )
 
     def _table_for(self, sid: int) -> RuleTable:
         try:

@@ -41,9 +41,11 @@ class SimplificationSite:
     witness: tuple[int, ...]
 
 
-def _rule3_sites(g: Graph, deg: Callable[[int], int], complete: Callable[[int], bool]):
+def _rule3_sites(g: Graph, deg: Callable[[int], int]):
+    # both of the apex's edges must lie in g; on an instance deg is
+    # g.degree, so the second test adds nothing there
     for v in sorted(g.vertices):
-        if deg(v) != 2 or not complete(v):
+        if deg(v) != 2 or g.degree(v) != 2:
             continue
         u, w = sorted(g.neighbors(v))
         if g.has_edge(u, w):
@@ -58,7 +60,7 @@ def _rule4_blocked(g: Graph, u: int, v: int) -> bool:
     return a != b and g.degree(a) == 2 and g.degree(b) == 2 and g.has_edge(a, b)
 
 
-def _rule4_sites(g: Graph, deg: Callable[[int], int], skip_blocked: bool = False):
+def _rule4_sites(g: Graph, deg: Callable[[int], int], skip_blocked: bool):
     for u, v in g.edges():
         if deg(u) == 2 and deg(v) == 2:
             if skip_blocked and _rule4_blocked(g, u, v):
@@ -87,24 +89,28 @@ def _first(sites: Iterable[SimplificationSite]) -> Optional[SimplificationSite]:
     return min(sites, key=lambda s: s.witness, default=None)
 
 
-def find_site(inst: Instance) -> Optional[SimplificationSite]:
-    """Lowest-numbered applicable rule, lexicographically smallest witness."""
-    g = inst.graph
-    deg = g.degree
-    for rule in (1, 2):
-        want = rule - 1  # rule 1 fires on degree 0, rule 2 on degree 1
-        hit = _first(
-            SimplificationSite(rule, (v,)) for v in sorted(g.vertices) if deg(v) == want
-        )
+def _site(
+    g: Graph, deg: Callable[[int], int], skip_blocked: bool
+) -> Optional[SimplificationSite]:
+    """Lowest-numbered rule with a site under the degree function deg,
+    lexicographically smallest witness; skip_blocked leaves out rule-4
+    pairs that close an isolated 4-cycle."""
+    for sites in (
+        (SimplificationSite(1, (v,)) for v in g.vertices if deg(v) == 0),
+        (SimplificationSite(2, (v,)) for v in g.vertices if deg(v) == 1),
+        _rule3_sites(g, deg),
+        _rule4_sites(g, deg, skip_blocked),
+        _rule5_sites(g, deg),
+    ):
+        hit = _first(sites)
         if hit:
             return hit
-    hit = _first(_rule3_sites(g, deg, lambda v: True))
-    if hit:
-        return hit
-    hit = _first(_rule4_sites(g, deg, skip_blocked=True))
-    if hit:
-        return hit
-    return _first(_rule5_sites(g, deg))
+    return None
+
+
+def find_site(inst: Instance) -> Optional[SimplificationSite]:
+    """Lowest-numbered applicable rule, lexicographically smallest witness."""
+    return _site(inst.graph, inst.graph.degree, skip_blocked=True)
 
 
 def config_site(l: LocalConfiguration) -> Optional[SimplificationSite]:
@@ -120,22 +126,7 @@ def config_site(l: LocalConfiguration) -> Optional[SimplificationSite]:
     cycle, rule 5 (or rule 3, for a shared neighbor) fires instead, so some
     simplification always applies.
     """
-    g = l.h
-    deg = l.true_degree
-    for rule in (1, 2):
-        want = rule - 1
-        hit = _first(
-            SimplificationSite(rule, (v,)) for v in sorted(g.vertices) if deg(v) == want
-        )
-        if hit:
-            return hit
-    hit = _first(_rule3_sites(g, deg, lambda v: g.degree(v) == 2))
-    if hit:
-        return hit
-    hit = _first(_rule4_sites(g, deg))
-    if hit:
-        return hit
-    return _first(_rule5_sites(g, deg))
+    return _site(l.h, l.true_degree, skip_blocked=False)
 
 
 def _validate(inst: Instance, site: SimplificationSite) -> None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .configs import ChildLabel, LocalConfiguration, instance_as_config, is_expansion
-from .errors import CertificateViolation, ContractError
+from .errors import CertificateViolation
 from .graphs import Instance
 
 
@@ -68,25 +68,10 @@ def find_anchor(inst: Instance, root: LocalConfiguration) -> Optional[dict[int, 
     return is_expansion(instance_as_config(inst.graph), root)
 
 
-def _check_embedding(config: LocalConfiguration, inst: Instance, phi: dict[int, int]) -> None:
-    if set(phi) != set(config.h.vertices):
-        raise ContractError("embedding domain mismatch")
-    if len(set(phi.values())) != len(phi):
-        raise ContractError("embedding is not injective")
-    g = inst.graph
-    for u, v in config.h.edges():
-        if not g.has_edge(phi[u], phi[v]):
-            raise ContractError(f"embedding drops edge ({u}, {v})")
-    for v in config.h.vertices:
-        if g.degree(phi[v]) != config.true_degree(v):
-            raise ContractError(f"true degree mismatch at {v}")
-
-
 def match_instance(
     tree: ExpansionTree,
     inst: Instance,
     anchor: dict[int, int],
-    debug: bool = False,
 ) -> tuple[int, dict[int, int]]:
     """Walk from the root to the leaf whose configuration the instance
     expands, resolving at each step the unmapped instance edge at the
@@ -97,16 +82,11 @@ def match_instance(
     """
     node = tree.node(tree.root)
     phi = dict(anchor)
-    if debug:
-        _check_embedding(node.config, inst, phi)
     while True:
         if node.kind == "alias":
             assert node.alias_iso is not None and node.alias_target is not None
-            target = tree.node(node.alias_target)
             phi = {tv: phi[sv] for tv, sv in node.alias_iso.items()}
-            node = target
-            if debug:
-                _check_embedding(node.config, inst, phi)
+            node = tree.node(node.alias_target)
             continue
         if node.kind == "leaf":
             return node.node_id, phi
@@ -138,5 +118,3 @@ def match_instance(
             (fresh,) = child.config.h.vertices - node.config.h.vertices
             phi[fresh] = w
         node = child
-        if debug:
-            _check_embedding(node.config, inst, phi)

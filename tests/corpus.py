@@ -66,6 +66,15 @@ def random_config(rng: random.Random, n: int, delta: int = 3) -> LocalConfigurat
     return LocalConfiguration(g, d, delta)
 
 
+def relabel(l: LocalConfiguration, mapping) -> LocalConfiguration:
+    """The configuration with each vertex v renamed mapping[v]."""
+    g = Graph(
+        (mapping[v] for v in l.h.vertices),
+        ((mapping[u], mapping[v]) for u, v in l.h.edges()),
+    )
+    return LocalConfiguration(g, {mapping[v]: dv for v, dv in l.d.items()}, l.delta)
+
+
 def config_corpus(seed: int, count: int, max_n: int, require_site_free: bool = False):
     """Deterministic corpus of small configurations."""
     from vcgen.simplify import config_site

@@ -1,9 +1,13 @@
-"""The exact Fraction simplex that vcgen.lp used before its integer-preserving
-tableau, kept unchanged as the oracle for tests/test_lp_differential.py.
+"""Reference solvers that vcgen.lp used before, kept unchanged as oracles
+for tests/test_lp_differential.py and tests/test_lp.py.
 
-A primal two-phase simplex with Bland's rule over fractions.Fraction; every
-pivot divides the pivot row by its pivot and subtracts multiples of it from
-the other rows.
+solve_cover_lp is the exact Fraction simplex that preceded the
+integer-preserving tableau: a primal two-phase simplex with Bland's rule
+over fractions.Fraction; every pivot divides the pivot row by its pivot and
+subtracts multiples of it from the other rows.
+
+_exhaustive_cover is the set-cover depth-first search that solved every ILP
+of up to 20 branches before branch and bound became the only ILP path.
 """
 
 from __future__ import annotations
@@ -120,3 +124,43 @@ def solve_cover_lp(
     assert all(0 <= w <= 1 for w in weights)
     assert objective == sum(c * w for c, w in zip(costs, weights))
     return CoverSolution(tuple(weights), objective)
+
+
+def _exhaustive_cover(
+    costs: Sequence[Fraction], cover_masks: Sequence[int], n_reqs: int
+) -> tuple[tuple[int, ...], Fraction]:
+    """Optimal 0/1 selection by set-cover DFS with cost pruning."""
+    full = (1 << n_reqs) - 1
+    coverers: list[list[int]] = [[] for _ in range(n_reqs)]
+    for i, mask in enumerate(cover_masks):
+        for r in range(n_reqs):
+            if mask >> r & 1:
+                coverers[r].append(i)
+    best_cost: list[Fraction | None] = [None]
+    best_pick: list[tuple[int, ...]] = [()]
+
+    def rec(uncovered: int, banned: int, picked: tuple[int, ...], cost: Fraction):
+        if best_cost[0] is not None and cost >= best_cost[0]:
+            return
+        if uncovered == 0:
+            best_cost[0] = cost
+            best_pick[0] = picked
+            return
+        r = (uncovered & -uncovered).bit_length() - 1
+        for i in coverers[r]:
+            if banned >> i & 1:
+                continue
+            rec(
+                uncovered & ~cover_masks[i],
+                banned | (1 << i),
+                picked + (i,),
+                cost + costs[i],
+            )
+            # once branch i is skipped for requirement r it stays excluded in
+            # later alternatives of this frame, avoiding duplicate covers
+            banned |= 1 << i
+
+    rec(full, 0, (), Fraction(0))
+    if best_cost[0] is None:
+        return (), Fraction(-1)
+    return best_pick[0], best_cost[0]

@@ -137,6 +137,17 @@ MALFORMED_TABLES = {
         doc, "expanded", lambda node: node["children"][-1].update(node="0"))),
     "branch vertex as a string": lambda doc: json.dumps(_with_first(
         doc, "leaf", lambda node: node["leaf"]["entries"][0].update(take=[0, "x"]))),
+    "unknown rule mode": lambda doc: json.dumps({**doc, "mode": "bogus"}),
+}
+MALFORMED_ARGUMENTS = {
+    "measure field not a number": ["feasibility", "--measure", "n", "b3=abc"],
+    "measure field divided by zero": ["feasibility", "--measure", "n", "b3=1/0"],
+    "generation measure field not a number": ["generate", "--measure", "n", "b3=abc"],
+    "combine field not a number": ["bound", "--combine", "a=x", "b=1", "base_n=2"],
+    "combine base of zero": ["bound", "--combine", "a=1", "b=1", "base_n=0"],
+    "branch decrease not a number": ["bound", "--vector", "1:x"],
+    "branch entry without a decrease": ["bound", "--vector", "1"],
+    "combine field beyond a float": ["bound", "--combine", "a=1e400", "b=1", "base_n=2"],
 }
 
 
@@ -144,18 +155,18 @@ MALFORMED_TABLES = {
     *[("instance", name, cmd) for name in MALFORMED_INSTANCES
       for cmd in ("solve", "classify", "oracle")],
     *[("table", name, cmd) for name in MALFORMED_TABLES for cmd in ("solve", "verify")],
+    *[("arguments", name, None) for name in MALFORMED_ARGUMENTS],
 ])
 def test_malformed_input_exits_3_with_one_line(tmp_path, capsys, case):
     kind, name, cmd = case
     inst, table = tmp_path / "in.vc", tmp_path / "P19.json"
-    doc = _p19_table_doc()
     if kind == "instance":
         inst.write_text(MALFORMED_INSTANCES[name])
-        table.write_text(json.dumps(doc))
-    else:
+        table.write_text(json.dumps(_p19_table_doc()))
+    elif kind == "table":
         inst.write_text(K4)
-        table.write_text(MALFORMED_TABLES[name](doc))
-    argv = {
+        table.write_text(MALFORMED_TABLES[name](_p19_table_doc()))
+    argv = MALFORMED_ARGUMENTS[name] if kind == "arguments" else {
         "solve": ["solve", "--instance", str(inst), "--tables", str(table), "--mode", "det"],
         "classify": ["classify", "--instance", str(inst)],
         "oracle": ["oracle", "--instance", str(inst)],

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corpus import random_config, random_subcubic
+from corpus import random_config, random_subcubic, relabel
 from vcgen.configs import (
     LocalConfiguration,
     boundary,
@@ -13,8 +13,6 @@ from vcgen.configs import (
     instance_as_config,
     is_expansion,
     isomorphism,
-    parse_config,
-    relabel,
     true_degree,
 )
 from vcgen.errors import CapacityError, ContractError, InputDomainError
@@ -232,4 +230,7 @@ def test_isomorphism_mapping_valid():
 
 def test_config_text_roundtrip():
     l = LocalConfiguration(path_graph(3), {0: 1, 2: 2})
-    assert parse_config(format_config(l)) == l
+    assert format_config(l) == "p vc 3 2\ne 0 1\ne 1 2\nd 0 1\nd 2 2\n"
+    # vertices are written as their positions in sorted order
+    l = LocalConfiguration(Graph([5, 9, 12], [(5, 12)]), {9: 2, 12: 1})
+    assert format_config(l) == "p vc 3 1\ne 0 2\nd 1 2\nd 2 1\n"

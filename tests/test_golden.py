@@ -5,17 +5,27 @@ reference tables, the deterministic covers of a seeded deck, and seeded
 randomized walks with their traces.  A refactor of generation or of the
 engines must leave every line unchanged; a deliberate change of behaviour
 rewrites the files and says why in CHANGES.md.
+
+To rewrite every file from the current sources, run from the checkout root:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import random
+import sys
+import tempfile
 from pathlib import Path
 
-from corpus import random_subcubic
+from corpus import MU_N20, build_tables, random_subcubic
+from vcgen.cli import main as cli_main
 from vcgen.errors import VcgenError
-from vcgen.graphs import Instance, vc_oracle
+from vcgen.graphs import Instance, format_instance, petersen_graph, vc_oracle
+from vcgen.measure import pure_k
 from vcgen.rulegen import table_to_json
-from vcgen.runtime import TraceStep
+from vcgen.runtime import TableEngine, TraceStep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,3 +104,30 @@ def test_deterministic_covers(det_engine):
 
 def test_randomized_walks(rand_engine):
     assert_golden("randomized_walks.txt", randomized_walks(rand_engine))
+
+
+def solve_trace() -> str:
+    """Stdout of `vcgen solve --trace` on the Petersen graph at k = 6, with
+    freshly generated n-mode beta3 = 1/4 tables; test_cli compares it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tables, inst = Path(tmp) / "tables", Path(tmp) / "pet.vc"
+        inst.write_text(format_instance(Instance(petersen_graph(), 6)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            generated = cli_main(["generate", "--measure", "n-mode", "b3=0.25",
+                                  "--mode", "rand", "--out", str(tables)])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            solved = cli_main(["solve", "--instance", str(inst), "--tables", str(tables),
+                               "--mode", "rand", "--seed", "7", "--trace"])
+    if (generated, solved) != (0, 0):
+        sys.exit(f"generate exited {generated}, solve exited {solved}")
+    return out.getvalue()
+
+
+if __name__ == "__main__":
+    det = TableEngine(build_tables(pure_k(), "deterministic"), pure_k())
+    rand = TableEngine(build_tables(MU_N20, "randomized"), MU_N20)
+    (GOLDEN / "table_digests.txt").write_text(table_digests(det, rand))
+    (GOLDEN / "deterministic_covers.txt").write_text(deterministic_results(det))
+    (GOLDEN / "randomized_walks.txt").write_text(randomized_walks(rand))
+    (GOLDEN / "solve_trace.txt").write_text(solve_trace())

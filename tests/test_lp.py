@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from reference_lp import _exhaustive_cover
 from vcgen.lp import solve_cover_ilp, solve_cover_lp
 
 
@@ -106,11 +107,8 @@ def test_lp_never_exceeds_ilp_randomized():
 
 
 def test_ilp_branch_and_bound_path():
-    # more than 20 branches forces the LP-guided branch and bound; the
-    # exhaustive set-cover DFS (itself checked against 2^n enumeration at
-    # small n above) serves as the reference
-    from vcgen.lp import _exhaustive_cover
-
+    # 24 branches, beyond 2^n enumeration; the exhaustive set-cover DFS
+    # serves as the reference
     rng = random.Random(67)
     for _ in range(5):
         n = 24

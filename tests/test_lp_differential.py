@@ -1,8 +1,10 @@
-"""The integer-preserving simplex against the Fraction simplex it replaced.
+"""The integer-preserving simplex against the Fraction simplex it replaced,
+and branch and bound against the exhaustive set-cover search.
 
-Both run Bland's rule on the same tableau up to a positive factor, so they
-must take the same pivots and return the same vertex: equal weights, not
-only an equal objective.
+Both simplexes run Bland's rule on the same tableau up to a positive
+factor, so they must take the same pivots and return the same vertex: equal
+weights, not only an equal objective.  Optimal 0/1 covers can tie, so the
+ILP is held to the oracle's objective and to covering every requirement.
 """
 
 import random
@@ -10,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+from reference_lp import _exhaustive_cover
 from reference_lp import solve_cover_lp as reference_lp
 from vcgen.branching import cost_value
-from vcgen.lp import solve_cover_lp
+from vcgen.lp import solve_cover_ilp, solve_cover_lp
 
 
 def dyadic_costs(rng, n):
@@ -82,10 +85,21 @@ def test_integer_simplex_matches_fraction_simplex(family):
         costs, masks, n_reqs = random_case(rng, family)
         got = solve_cover_lp(costs, masks, n_reqs)
         assert got == reference_lp(costs, masks, n_reqs), (costs, masks, n_reqs)
+        ilp = solve_cover_ilp(costs, masks, n_reqs, got)
+        _, ilp_objective = _exhaustive_cover(costs, masks, n_reqs)
         if family == "uncoverable":
-            assert got is None
-        elif family == "no-requirements":
+            assert got is None and ilp is None and ilp_objective == -1
+            continue
+        if family == "no-requirements":
             assert got.objective == 0 and set(got.weights) == {0}
+        assert ilp.objective == ilp_objective, (costs, masks, n_reqs)
+        assert set(ilp.weights) <= {0, 1}
+        assert ilp.objective == sum(c for c, w in zip(costs, ilp.weights) if w)
+        covered = 0
+        for w, m in zip(ilp.weights, masks):
+            if w:
+                covered |= m
+        assert covered == (1 << n_reqs) - 1
 
 
 def test_tie_families_reach_tied_and_fractional_vertices():

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import random_subcubic
-from vcgen.configs import instance_as_config, relabel
+from corpus import random_subcubic, relabel
+from vcgen.configs import instance_as_config
 from vcgen.errors import InputDomainError
 from vcgen.graphs import Graph, Instance, complete_graph
 from vcgen.lp import solve_cover_ilp, solve_cover_lp
@@ -31,6 +31,18 @@ def p19_pure_k(**kw):
         subspace_id=19,
         **kw,
     )
+
+
+def assert_embeds(config, inst, phi):
+    """phi embeds config in the instance: injective, every edge kept, every
+    true degree the instance degree.  For the leaf a walk returns, this
+    covers every node on the walk: expansion keeps edges and true degrees,
+    and aliases are isomorphisms."""
+    g = inst.graph
+    assert set(phi) == set(config.h.vertices)
+    assert len(set(phi.values())) == len(phi)
+    assert all(g.has_edge(phi[u], phi[v]) for u, v in config.h.edges())
+    assert all(g.degree(phi[v]) == config.true_degree(v) for v in config.h.vertices)
 
 
 def test_solve_lp_edge_example():
@@ -277,9 +289,10 @@ def test_match_instance_p19_walk():
     inst = Instance(g, 3)
     anchor = find_anchor(inst, t.tree.root_config)
     assert anchor == {0: 0}
-    leaf_id, phi = match_instance(t.tree, inst, anchor, debug=True)
+    leaf_id, phi = match_instance(t.tree, inst, anchor)
     leaf = t.tree.node(leaf_id)
     assert leaf.leaf.kind == "rule"
+    assert_embeds(leaf.config, inst, phi)
     # anchor vertex plus its two smallest neighbors got mapped
     assert phi[0] == 0 and set(phi.values()) == {0, 1, 2}
 
@@ -309,7 +322,7 @@ def test_match_depth_zero_rule_leaf():
 
 def test_match_walks_aliases_consistently():
     # the P2 table at this measure contains alias nodes; matching through
-    # them must keep the embedding valid (debug mode checks every step)
+    # them must keep the embedding valid
     m = Measure(0, 0, 0, Fraction("0.2"), "n")
     t = gensa(root_config(2), m, rule_mode="randomized",
               assertions=assertions_for(2), subspace_id=2)
@@ -327,7 +340,8 @@ def test_match_walks_aliases_consistently():
             continue
         anchor = find_anchor(reduced, t.tree.root_config)
         assert anchor is not None
-        leaf_id, phi = match_instance(t.tree, reduced, anchor, debug=True)
+        leaf_id, phi = match_instance(t.tree, reduced, anchor)
         assert t.tree.node(leaf_id).leaf is not None
+        assert_embeds(t.tree.node(leaf_id).config, reduced, phi)
         matched += 1
     assert matched == 8

@@ -139,6 +139,13 @@ def test_engine_refuses_measure_mismatch(det_engine):
         TableEngine({19: table}, MU_N20)
 
 
+def test_engine_refuses_a_table_under_another_key(det_engine):
+    # the P19 table's certificate assumes no P1-P18 structure, so it must
+    # not run on P3 instances
+    with pytest.raises(ContractError, match="table for P19 loaded as P3"):
+        TableEngine({3: det_engine.tables[19]}, pure_k())
+
+
 def test_solve_randomized_hands_out_each_trials_trace(rand_engine):
     inst = Instance(petersen_graph(), 6)
     plan = TrialPlan(12, 7)
