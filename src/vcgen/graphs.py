@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import CapacityError, InputDomainError
 
@@ -34,6 +34,14 @@ class Graph:
             adj[v].add(u)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._vertices = frozenset(self._adj)
+
+    @classmethod
+    def _from_adj(cls, adj: dict[int, frozenset[int]]) -> "Graph":
+        """The graph whose adjacency map is adj, taken as it is."""
+        g = cls.__new__(cls)
+        g._adj = adj
+        g._vertices = frozenset(adj)
+        return g
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -75,13 +83,15 @@ class Graph:
         unknown = s - self._vertices
         if unknown:
             raise InputDomainError(f"unknown vertices {sorted(unknown)}")
-        keep = self._vertices - s
-        return Graph(keep, ((u, v) for u, v in self.edges() if u in keep and v in keep))
+        return Graph._from_adj({v: ns - s for v, ns in self._adj.items() if v not in s})
 
     def with_edge(self, u: int, v: int) -> "Graph":
         if u == v:
             raise InputDomainError(f"self-loop at vertex {u}")
-        return Graph(self._vertices | {u, v}, itertools.chain(self.edges(), [(u, v)]))
+        adj = dict(self._adj)
+        adj[u] = adj.get(u, frozenset()) | {v}
+        adj[v] = adj.get(v, frozenset()) | {u}
+        return Graph._from_adj(adj)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
@@ -200,11 +210,15 @@ def vc_cover(g: Graph) -> frozenset[int]:
     return VertexCoverSolver(g).cover()
 
 
-def enumerate_cycles(g: Graph, max_len: int) -> list[tuple[int, ...]]:
+def enumerate_cycles(
+    g: Graph, max_len: int, keep: Optional[Callable[[list[int], int], bool]] = None
+) -> list[tuple[int, ...]]:
     """Every simple cycle of length 3..max_len, once, in canonical rotation.
 
     Canonical form: the sequence starts at the cycle's smallest vertex and
-    proceeds toward the smaller of its two cycle neighbors.
+    proceeds toward the smaller of its two cycle neighbors.  With keep, a
+    search path is extended by w only when keep(path, w) holds, so only the
+    cycles all of whose canonical prefixes keep admits are found.
     """
     assert max_len <= 8, "cycle search is capped at length 8"
     cycles: list[tuple[int, ...]] = []
@@ -217,6 +231,8 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[tuple[int, ...]]:
                 if path[1] < path[-1]:  # each cycle found once per direction
                     cycles.append(tuple(path))
             elif w > start and w not in on_path and len(path) < max_len:
+                if keep is not None and not keep(path, w):
+                    continue
                 path.append(w)
                 on_path.add(w)
                 extend(start, path, on_path)

@@ -9,6 +9,7 @@ simplification rule ever increases the measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -140,18 +141,25 @@ class BranchVector:
 
 
 def branching_number(v: BranchVector) -> float:
-    """Smallest x >= 1 with sum w_i * x^(-d_i) <= 1, by bisection."""
+    """Smallest x >= 1 with sum w_i * x^(-d_i) <= 1, by bisection;
+    InputDomainError when it is not a finite float."""
+    try:
+        entries = [(float(w), float(d)) for w, d in v.entries]
+    except OverflowError:
+        raise InputDomainError("branch vector entry too large for a float") from None
 
     def f(x: float) -> float:
-        return sum(float(w) * x ** (-float(d)) for w, d in v.entries)
+        return sum(w * x ** (-d) for w, d in entries)
 
     if f(1.0) <= 1.0:
         return 1.0
     lo, hi = 1.0, 2.0
     while f(hi) > 1.0:
         hi *= 2.0
-    while hi - lo > BISECTION_TOL:
-        mid = (lo + hi) / 2.0
+        if math.isinf(hi):
+            raise InputDomainError("branching number is not a finite float")
+    # lo and hi may become adjacent floats before they are BISECTION_TOL apart
+    while hi - lo > BISECTION_TOL and lo < (mid := (lo + hi) / 2.0) < hi:
         if f(mid) > 1.0:
             lo = mid
         else:

@@ -126,6 +126,8 @@ def gensa(
         raise InputDomainError(
             "measure not admissible for generation: " + "; ".join(adm.violations)
         )
+    if delta != root.delta:
+        raise InputDomainError(f"delta {delta} differs from the root's delta {root.delta}")
     start = time.monotonic()
     nodes: list[TreeNode] = []
     memo: dict[bytes, int] = {}
@@ -330,6 +332,8 @@ def verify_table(t: RuleTable) -> Certificate:
 
     for node in t.tree.nodes:
         nid = node.node_id
+        if node.config.delta != t.delta:
+            fail(f"node {nid}: delta {node.config.delta} is not the table's {t.delta}")
         if node.kind == "leaf":
             leaf = node.leaf
             if leaf is None:

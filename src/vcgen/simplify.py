@@ -69,7 +69,14 @@ def _rule4_sites(g: Graph, deg: Callable[[int], int], skip_blocked: bool):
 
 
 def _rule5_sites(g: Graph, deg: Callable[[int], int]):
-    for cyc in enumerate_cycles(g, CYCLE_SEARCH_CAP):
+    def fits(path: list[int], w: int) -> bool:
+        # a site's degrees alternate 2 / >2 or are all 2, so its first two
+        # vertices fix the class of every later one; this only prunes
+        if len(path) == 1:
+            return deg(path[0]) == 2 or deg(w) == 2
+        return (deg(w) == 2) == (deg(path[len(path) % 2]) == 2)
+
+    for cyc in enumerate_cycles(g, CYCLE_SEARCH_CAP, fits):
         if len(cyc) % 2:
             continue
         if all(deg(x) == 2 for x in cyc):

@@ -21,13 +21,6 @@ SUBSPACE_IDS = tuple(range(1, 20))
 DegreeFn = Callable[[int], int]
 
 
-def _cycles_by_length(g: Graph) -> dict[int, list[tuple[int, ...]]]:
-    by_len: dict[int, list[tuple[int, ...]]] = {}
-    for c in enumerate_cycles(g, 8):
-        by_len.setdefault(len(c), []).append(c)
-    return by_len
-
-
 def _cycle_edges(c: tuple[int, ...]) -> frozenset[frozenset[int]]:
     return frozenset(
         frozenset((c[i], c[(i + 1) % len(c)])) for i in range(len(c))
@@ -35,12 +28,21 @@ def _cycle_edges(c: tuple[int, ...]) -> frozenset[frozenset[int]]:
 
 
 class _Structures:
-    """Cycle inventory of one graph, shared by all detectors."""
+    """Cycle inventory of one graph, shared by all detectors and searched
+    only up to the longest length a detector has asked for."""
 
     def __init__(self, g: Graph, deg: DegreeFn):
         self.g = g
         self.deg = deg
-        self.cycles = _cycles_by_length(g)
+        self._searched = 0
+        self._cycles: dict[int, list[tuple[int, ...]]] = {}
+
+    def cycles(self, length: int) -> list[tuple[int, ...]]:
+        if length > self._searched:
+            self._searched, self._cycles = length, {}
+            for c in enumerate_cycles(self.g, length):
+                self._cycles.setdefault(len(c), []).append(c)
+        return self._cycles.get(length, [])
 
     def degree_le1(self) -> bool:
         return any(self.deg(v) <= 1 for v in self.g.vertices)
@@ -53,7 +55,9 @@ class _Structures:
         )
 
     def cycle_with_profile(self, length: int, n3: int, n2: int) -> bool:
-        for c in self.cycles.get(length, ()):  # exact degree multiset
+        if n2 and not self.degree2():
+            return False
+        for c in self.cycles(length):  # exact degree multiset
             d3 = sum(1 for v in c if self.deg(v) == 3)
             d2 = sum(1 for v in c if self.deg(v) == 2)
             if d3 == n3 and d2 == n2:
@@ -64,11 +68,11 @@ class _Structures:
         return any(self.deg(v) == 2 for v in self.g.vertices)
 
     def has_cycle(self, length: int) -> bool:
-        return bool(self.cycles.get(length))
+        return bool(self.cycles(length))
 
     def cycles_sharing(self, len_a: int, len_b: int, shared: int, exact: bool) -> bool:
-        a_list = self.cycles.get(len_a, ())
-        b_list = self.cycles.get(len_b, ())
+        a_list = self.cycles(len_a)
+        b_list = self.cycles(len_b)
         for i, ca in enumerate(a_list):
             ea = _cycle_edges(ca)
             if len_a == len_b:

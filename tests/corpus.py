@@ -50,6 +50,17 @@ def random_subcubic(rng: random.Random, n: int, target_edges: int | None = None)
     return Graph(range(n), chosen)
 
 
+def random_cubic(rng: random.Random, n: int) -> Graph:
+    """Random simple cubic graph on vertices 0..n-1 (n even), by the
+    pairing model with rejection."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2]) if u != v}
+        if len(edges) == 3 * n // 2:
+            return Graph(range(n), sorted(edges))
+
+
 def random_instance(rng: random.Random, n: int) -> Instance:
     g = random_subcubic(rng, n)
     k = rng.randint(0, max(1, n * 2 // 3))

@@ -177,6 +177,49 @@ def test_malformed_input_exits_3_with_one_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def run_cli(*argv: str, timeout: float = 60) -> "subprocess.CompletedProcess":
+    """vcgen as a child process with the same package as this one; a hang
+    fails the test at the timeout instead of stalling the suite."""
+    import subprocess
+    import sys
+
+    import vcgen
+
+    package_root = str(Path(vcgen.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "vcgen.cli", *argv],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        capture_output=True, text=True, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("vector", [
+    "1:1e-300,1:1e-300",  # every decrease rounds x^-d to 1: no finite root
+    "1e400:1",  # a weight beyond a float
+    "1e300:1e-300,1e300:1e-300",
+])
+def test_bound_without_a_finite_branching_number_exits_3(vector):
+    proc = run_cli("bound", "--vector", vector, timeout=20)
+    assert proc.returncode == 3, proc
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_bound_with_a_huge_branching_number_returns():
+    # bisection stops at adjacent floats instead of chasing a 1e-9 width
+    proc = run_cli("bound", "--vector", "1e100:1", timeout=20)
+    assert proc.returncode == 0, proc
+    assert float(proc.stdout.split("=")[1]) == pytest.approx(1e100)
+
+
+def test_generate_with_another_delta_is_an_input_error(tmp_path, capsys):
+    # the roots have delta 3; at delta 0 they would expand into no children
+    assert main(["generate", "--measure", "n", "b3=0.2", "--delta", "0",
+                 "--subspace", "P19", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta 0") and err.count("\n") == 1, err
+    assert not (tmp_path / "P19.json").exists()
+
+
 def test_verify_command(tmp_path, capsys, k4_instance):
     out = gen_tables(tmp_path)
     rc = main(["verify", "--table", str(out / "P19.json")])

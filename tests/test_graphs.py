@@ -56,6 +56,28 @@ def test_delete_composes_over_disjoint_sets():
         assert g.without(a).without(b) == g.without(a | b)
 
 
+def _same_graph(a: Graph, b: Graph) -> bool:
+    return (a == b and hash(a) == hash(b) and a.vertices == b.vertices
+            and list(a.edges()) == list(b.edges()))
+
+
+def test_edits_equal_a_rebuild_and_leave_the_source_alone():
+    rng = random.Random(41)
+    for _ in range(60):
+        g = random_subcubic(rng, rng.randint(1, 12))
+        twin = Graph(g.vertices, g.edges())
+        vs = sorted(g.vertices)
+        s = set(rng.sample(vs, rng.randint(0, len(vs))))
+        keep = g.vertices - s
+        rebuilt = Graph(keep, [(u, v) for u, v in g.edges() if u in keep and v in keep])
+        assert _same_graph(g.without(s), rebuilt)
+        u = rng.choice(vs)
+        v = rng.choice([x for x in vs if x != u] + [max(vs) + 1])  # may be new
+        rebuilt = Graph(g.vertices | {u, v}, [*g.edges(), (u, v)])
+        assert _same_graph(g.with_edge(u, v), rebuilt)
+        assert _same_graph(g, twin)
+
+
 def test_no_self_loops_or_parallel_edges():
     with pytest.raises(InputDomainError):
         Graph([0], [(0, 0)])

@@ -1,6 +1,7 @@
 """Source layout rules that no single module's tests can see."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import vcgen
@@ -24,3 +25,24 @@ def test_no_private_imports_across_modules():
                     if a.name.startswith("_")
                 ]
     assert not found, found
+
+
+def test_benchmark_spans_resolve():
+    # bench/spans.py wraps these names from outside the package; a refactor
+    # that drops or renames one breaks every traced run
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    def module(name):
+        return vcgen if name == "" else getattr(vcgen, name)
+
+    missing = [
+        key for key in [*spans.FUNCTION_SPANS, *spans.COUNTED]
+        if not callable(getattr(module(key[0]), key[1], None))
+    ] + [
+        key for key in [*spans.METHOD_SPANS, *spans.COUNTED_METHODS]
+        if not callable(getattr(getattr(module(key[0]), key[1], None), key[2], None))
+    ]
+    assert not missing, missing

@@ -272,6 +272,25 @@ def test_verify_accepts_an_isomorphic_root():
     assert verify_table(t).ok
 
 
+# the table `generate --delta 0` wrote for P19: with no fresh vertex of
+# any true degree, the root expands into no children at all
+DELTA0_P19 = (
+    '{"delta":0,"failure":null,"format":"vcgen-rule-table","measure":{"alpha":"0",'
+    '"b1":"0","b2":"0","b3":"1/5","mode":"n"},"meta":{"aliases":0,"limits":{"max_depth":12,'
+    '"max_nodes":200000,"max_seconds":null},"lp_calls":1,"nodes":1,"pruned_children":0,'
+    '"rule_leaves":0},"mode":"randomized","nodes":[{"children":[],"config":{"d":{"0":3},'
+    '"delta":3,"edges":[],"vertices":[0]},"id":0,"kind":"expanded","selected":0}],'
+    '"root":0,"subspace":19,"version":1}'
+)
+
+
+def test_delta_must_be_the_configurations_delta():
+    cert = verify_table(table_from_json(DELTA0_P19))
+    assert cert.failures == ("node 0: delta 3 is not the table's 0",)
+    with pytest.raises(InputDomainError):
+        p19_pure_k(delta=0)
+
+
 def test_verify_detects_objective_violation():
     # duplicating the heavy entry pushes the objective above 1
     t = p19_pure_k()
