@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .configs import LocalConfiguration
-from .errors import CapacityError
+from .errors import CapacityError, InputDomainError
 from .measure import Measure
 
 Branch = frozenset[int]
@@ -160,11 +160,15 @@ def cost_bound(
 
 
 def cost_value(exponent: Fraction) -> Fraction:
-    """2^exponent as an exact rational, rounded up by a relative 2^-40.
+    """2^exponent as an exact rational, rounded up by a relative 2^-40;
+    InputDomainError when it is beyond a float.
 
     Overestimating a cost can only reject a rule, never admit a bad one.
     """
-    approx = Fraction(2.0 ** float(exponent))
+    try:
+        approx = Fraction(2.0 ** float(exponent))
+    except OverflowError:
+        raise InputDomainError(f"cost exponent {exponent} is beyond a float") from None
     return approx * (1 + COST_ROUNDING_MARGIN)
 
 

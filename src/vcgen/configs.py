@@ -129,33 +129,35 @@ def is_expansion(big: LocalConfiguration, small: LocalConfiguration) -> Optional
     found, or None.
     """
     small_vs = sorted(small.h.vertices)
-    big_vs = sorted(big.h.vertices)
-    candidates = {
-        v: [
-            w
-            for w in big_vs
-            if big.true_degree(w) == small.true_degree(v) and big.h.degree(w) >= small.h.degree(v)
-        ]
-        for v in small_vs
-    }
-
     mapping: dict[int, int] = {}
     used: set[int] = set()
+
+    def candidates(v: int):
+        """big's vertices that v may map to, in sorted order: the neighbours
+        of a mapped neighbour's image, else every vertex that can carry
+        v's true degree (one of degree <= 2 in h lies in h's low set)."""
+        mapped = [mapping[u] for u in small.h.neighbors(v) if u in mapping]
+        if mapped:
+            pool = big.h.neighbors(mapped[0])
+        elif small.true_degree(v) <= 2:
+            pool = big.h.low_degree()
+        else:
+            pool = big.h.vertices
+        td, hd = small.true_degree(v), small.h.degree(v)
+        for w in sorted(pool):
+            if (
+                w not in used
+                and big.true_degree(w) == td
+                and big.h.degree(w) >= hd
+                and all(big.h.has_edge(w, x) for x in mapped)
+            ):
+                yield w
 
     def assign(i: int) -> bool:
         if i == len(small_vs):
             return True
         v = small_vs[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = all(
-                big.h.has_edge(w, mapping[u])
-                for u in small.h.neighbors(v)
-                if u in mapping
-            )
-            if not ok:
-                continue
+        for w in candidates(v):
             mapping[v] = w
             used.add(w)
             if assign(i + 1):
@@ -245,7 +247,7 @@ def canonical_perm(l: LocalConfiguration) -> list[int]:
 
 def isomorphism(a: LocalConfiguration, b: LocalConfiguration) -> Optional[dict[int, int]]:
     """Vertex map a -> b respecting adjacency and d, via canonical orders."""
-    if len(a.h) != len(b.h) or canonical_key(a) != canonical_key(b):
+    if len(a.h) != len(b.h) or a.delta != b.delta or canonical_key(a) != canonical_key(b):
         return None
     pa, pb = canonical_perm(a), canonical_perm(b)
     return {va: vb for va, vb in zip(pa, pb)}

@@ -20,7 +20,7 @@ ORACLE_CAP = 24
 class Graph:
     """Immutable simple undirected graph over integer vertex ids."""
 
-    __slots__ = ("_adj", "_vertices")
+    __slots__ = ("_adj", "_vertices", "_low")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, set[int]] = {int(v): set() for v in vertices}
@@ -34,13 +34,18 @@ class Graph:
             adj[v].add(u)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._vertices = frozenset(self._adj)
+        self._low = None
 
     @classmethod
-    def _from_adj(cls, adj: dict[int, frozenset[int]]) -> "Graph":
-        """The graph whose adjacency map is adj, taken as it is."""
+    def _from_adj(
+        cls, adj: dict[int, frozenset[int]], low: Optional[frozenset[int]]
+    ) -> "Graph":
+        """The graph whose adjacency map is adj, taken as it is; low is its
+        set of degree-<=2 vertices, or None to compute it when first asked."""
         g = cls.__new__(cls)
         g._adj = adj
         g._vertices = frozenset(adj)
+        g._low = low
         return g
 
     @property
@@ -61,6 +66,12 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
+
+    def low_degree(self) -> frozenset[int]:
+        """The vertices of degree at most 2."""
+        if self._low is None:
+            self._low = frozenset(v for v, ns in self._adj.items() if len(ns) <= 2)
+        return self._low
 
     def max_degree(self) -> int:
         return max((len(ns) for ns in self._adj.values()), default=0)
@@ -83,7 +94,17 @@ class Graph:
         unknown = s - self._vertices
         if unknown:
             raise InputDomainError(f"unknown vertices {sorted(unknown)}")
-        return Graph._from_adj({v: ns - s for v, ns in self._adj.items() if v not in s})
+        adj = self._adj.copy()
+        touched: set[int] = set()
+        for v in s:
+            touched.update(adj.pop(v))
+        touched -= s
+        for u in touched:
+            adj[u] = adj[u] - s
+        low = self._low
+        if low is not None:  # only neighbours of removed vertices lose degree
+            low = low.difference(s).union([u for u in touched if len(adj[u]) <= 2])
+        return Graph._from_adj(adj, low)
 
     def with_edge(self, u: int, v: int) -> "Graph":
         if u == v:
@@ -91,7 +112,11 @@ class Graph:
         adj = dict(self._adj)
         adj[u] = adj.get(u, frozenset()) | {v}
         adj[v] = adj.get(v, frozenset()) | {u}
-        return Graph._from_adj(adj)
+        low = None
+        if self._low is not None:
+            grown = {x for x in (u, v) if len(adj[x]) > 2}
+            low = (self._low | {u, v}) - grown
+        return Graph._from_adj(adj, low)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
@@ -211,18 +236,22 @@ def vc_cover(g: Graph) -> frozenset[int]:
 
 
 def enumerate_cycles(
-    g: Graph, max_len: int, keep: Optional[Callable[[list[int], int], bool]] = None
+    g: Graph,
+    max_len: int,
+    keep: Optional[Callable[[list[int], int], bool]] = None,
+    starts: Optional[Iterable[int]] = None,
 ) -> list[tuple[int, ...]]:
     """Every simple cycle of length 3..max_len, once, in canonical rotation.
 
     Canonical form: the sequence starts at the cycle's smallest vertex and
     proceeds toward the smaller of its two cycle neighbors.  With keep, a
     search path is extended by w only when keep(path, w) holds, so only the
-    cycles all of whose canonical prefixes keep admits are found.
+    cycles all of whose canonical prefixes keep admits are found.  With
+    starts, only the cycles whose smallest vertex is in starts are found.
     """
     assert max_len <= 8, "cycle search is capped at length 8"
     cycles: list[tuple[int, ...]] = []
-    order = sorted(g.vertices)
+    order = sorted(g.vertices if starts is None else starts)
 
     def extend(start: int, path: list[int], on_path: set[int]) -> None:
         last = path[-1]
@@ -286,8 +315,9 @@ def _int_field(field: str, lineno: int, line: str) -> int:
 
 
 def _parse(text: str, want_budget: bool) -> tuple[Graph, int | None]:
-    n = None
+    n = m = None
     edges: list[tuple[int, int]] = []
+    seen: set[frozenset[int]] = set()
     budget: int | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -297,22 +327,36 @@ def _parse(text: str, want_budget: bool) -> tuple[Graph, int | None]:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "vc":
                 raise InputDomainError(f"line {lineno}: bad problem line {line!r}")
+            if n is not None:
+                raise InputDomainError(f"line {lineno}: second problem line {line!r}")
             n = _int_field(parts[2], lineno, line)
+            m = _int_field(parts[3], lineno, line)
+            if n < 0 or m < 0:
+                raise InputDomainError(f"line {lineno}: negative count in {line!r}")
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise InputDomainError(f"line {lineno}: bad edge line {line!r}")
-            edges.append((_int_field(parts[1], lineno, line), _int_field(parts[2], lineno, line)))
+            if n is None:
+                raise InputDomainError(f"line {lineno}: edge line before the problem line")
+            u, v = _int_field(parts[1], lineno, line), _int_field(parts[2], lineno, line)
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputDomainError(f"line {lineno}: edge ({u}, {v}) outside 0..{n - 1}")
+            if frozenset((u, v)) in seen:
+                raise InputDomainError(f"line {lineno}: repeated edge ({u}, {v})")
+            seen.add(frozenset((u, v)))
+            edges.append((u, v))
         elif parts[0] == "k":
             if len(parts) != 2:
                 raise InputDomainError(f"line {lineno}: bad budget line {line!r}")
+            if budget is not None:
+                raise InputDomainError(f"line {lineno}: second budget line {line!r}")
             budget = _int_field(parts[1], lineno, line)
         else:
             raise InputDomainError(f"line {lineno}: unknown directive {line!r}")
     if n is None:
         raise InputDomainError("missing 'p vc <n> <m>' header")
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputDomainError(f"edge ({u}, {v}) outside 0..{n - 1}")
+    if len(edges) != m:
+        raise InputDomainError(f"problem line declares {m} edges, found {len(edges)}")
     return Graph(range(n), edges), budget
 
 

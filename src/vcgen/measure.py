@@ -64,8 +64,9 @@ def evaluate(m: Measure, inst: Instance) -> Fraction:
     if g.max_degree() > 3:
         raise InputDomainError("measure defined for maximum degree 3 only")
     counts = [0, 0, 0, 0]
-    for v in g.vertices:
+    for v in g.low_degree():
         counts[g.degree(v)] += 1
+    counts[3] = len(g) - counts[0] - counts[1] - counts[2]
     return (
         m.alpha * inst.budget
         + m.beta1 * counts[1]

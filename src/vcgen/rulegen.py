@@ -525,7 +525,7 @@ def table_from_json(text: str) -> RuleTable:
     """Parse a table file; a malformed document raises InputDomainError."""
     try:
         return _table_from_doc(json.loads(text))
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise InputDomainError(f"malformed rule table: {type(exc).__name__}: {exc}") from None
 
 
@@ -534,6 +534,13 @@ def _int(x, field: str) -> int:
     if type(x) is not int:
         raise InputDomainError(f"malformed rule table: {field} {x!r} is not an integer")
     return x
+
+
+def _label(x) -> tuple[str, int]:
+    """x as a child label ("internal", vertex) or ("new", true degree)."""
+    if not (isinstance(x, list) and len(x) == 2 and x[0] in ("internal", "new")):
+        raise InputDomainError(f"malformed rule table: child label {x!r}")
+    return (x[0], _int(x[1], "child label"))
 
 
 def _table_from_doc(doc) -> RuleTable:
@@ -551,12 +558,16 @@ def _table_from_doc(doc) -> RuleTable:
     nodes = []
     for obj in doc["nodes"]:
         node_id = _int(obj["id"], "node id")
+        if node_id != len(nodes):  # the tree finds a node by its position
+            raise InputDomainError(
+                f"malformed rule table: node id {node_id} at position {len(nodes)}"
+            )
         config = _config_from_obj(obj["config"])
         kind = obj["kind"]
         if kind == "expanded":
             children = tuple(
                 ChildRef(
-                    (ref["label"][0], ref["label"][1]),
+                    _label(ref["label"]),
                     None if ref["node"] is None else _int(ref["node"], "child node"),
                     ref.get("pruned_by"),
                 )

@@ -71,7 +71,7 @@ def _trial_seed(base_seed: int, i: int) -> int:
 
 
 def _component_cover(g: Graph, comp: frozenset[int]) -> frozenset[int]:
-    sub = Graph(comp, ((u, v) for u, v in g.edges() if u in comp and v in comp))
+    sub = Graph(comp, ((u, v) for u in comp for v in g.neighbors(u) if v in comp))
     return VertexCoverSolver(sub).cover()
 
 

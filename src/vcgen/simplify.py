@@ -41,11 +41,11 @@ class SimplificationSite:
     witness: tuple[int, ...]
 
 
-def _rule3_sites(g: Graph, deg: Callable[[int], int]):
-    # both of the apex's edges must lie in g; on an instance deg is
-    # g.degree, so the second test adds nothing there
-    for v in sorted(g.vertices):
-        if deg(v) != 2 or g.degree(v) != 2:
+def _rule3_sites(g: Graph, low: dict[int, int]):
+    # both of the apex's edges must lie in g; on an instance low holds
+    # degrees in g, so the second test adds nothing there
+    for v, d in low.items():
+        if d != 2 or g.degree(v) != 2:
             continue
         u, w = sorted(g.neighbors(v))
         if g.has_edge(u, w):
@@ -60,12 +60,15 @@ def _rule4_blocked(g: Graph, u: int, v: int) -> bool:
     return a != b and g.degree(a) == 2 and g.degree(b) == 2 and g.has_edge(a, b)
 
 
-def _rule4_sites(g: Graph, deg: Callable[[int], int], skip_blocked: bool):
-    for u, v in g.edges():
-        if deg(u) == 2 and deg(v) == 2:
-            if skip_blocked and _rule4_blocked(g, u, v):
-                continue
-            yield SimplificationSite(4, (u, v))
+def _rule4_sites(g: Graph, low: dict[int, int], skip_blocked: bool):
+    for u, d in low.items():
+        if d != 2:
+            continue
+        for v in sorted(g.neighbors(u)):
+            if v > u and low.get(v) == 2:
+                if skip_blocked and _rule4_blocked(g, u, v):
+                    continue
+                yield SimplificationSite(4, (u, v))
 
 
 def _rule5_sites(g: Graph, deg: Callable[[int], int]):
@@ -76,7 +79,13 @@ def _rule5_sites(g: Graph, deg: Callable[[int], int]):
             return deg(path[0]) == 2 or deg(w) == 2
         return (deg(w) == 2) == (deg(path[len(path) % 2]) == 2)
 
-    for cyc in enumerate_cycles(g, CYCLE_SEARCH_CAP, fits):
+    # a site's smallest vertex has degree 2 or lies between two vertices of
+    # degree 2; the scan reads every vertex, not g.low_degree(), so that
+    # the configurations generation makes by the thousand stay without a
+    # cached degree set (it cost set-up time and memory)
+    twos = [v for v in g.vertices if deg(v) == 2]
+    starts = set(twos).union(*(g.neighbors(v) for v in twos))
+    for cyc in enumerate_cycles(g, CYCLE_SEARCH_CAP, fits, starts):
         if len(cyc) % 2:
             continue
         if all(deg(x) == 2 for x in cyc):
@@ -92,32 +101,36 @@ def _rule5_sites(g: Graph, deg: Callable[[int], int]):
                 break
 
 
-def _first(sites: Iterable[SimplificationSite]) -> Optional[SimplificationSite]:
-    return min(sites, key=lambda s: s.witness, default=None)
-
-
 def _site(
-    g: Graph, deg: Callable[[int], int], skip_blocked: bool
+    g: Graph, deg: Callable[[int], int], scan: Iterable[int], skip_blocked: bool
 ) -> Optional[SimplificationSite]:
     """Lowest-numbered rule with a site under the degree function deg,
     lexicographically smallest witness; skip_blocked leaves out rule-4
-    pairs that close an isolated 4-cycle."""
+    pairs that close an isolated 4-cycle.
+
+    Every site has a vertex of degree at most 2 under deg, so scan need
+    only hold those vertices of g; it may hold more.  Rules 1-4 yield their
+    sites in witness order, so the first one found is the smallest.
+    """
+    low = {v: d for v in sorted(scan) if (d := deg(v)) <= 2}
     for sites in (
-        (SimplificationSite(1, (v,)) for v in g.vertices if deg(v) == 0),
-        (SimplificationSite(2, (v,)) for v in g.vertices if deg(v) == 1),
-        _rule3_sites(g, deg),
-        _rule4_sites(g, deg, skip_blocked),
-        _rule5_sites(g, deg),
+        (SimplificationSite(1, (v,)) for v, d in low.items() if d == 0),
+        (SimplificationSite(2, (v,)) for v, d in low.items() if d == 1),
+        _rule3_sites(g, low),
+        _rule4_sites(g, low, skip_blocked),
     ):
-        hit = _first(sites)
+        hit = next(sites, None)
         if hit:
             return hit
-    return None
+    if 2 not in low.values():  # every rule-5 cycle has a degree-2 vertex
+        return None
+    return min(_rule5_sites(g, deg), key=lambda s: s.witness, default=None)
 
 
 def find_site(inst: Instance) -> Optional[SimplificationSite]:
     """Lowest-numbered applicable rule, lexicographically smallest witness."""
-    return _site(inst.graph, inst.graph.degree, skip_blocked=True)
+    g = inst.graph
+    return _site(g, g.degree, g.low_degree(), skip_blocked=True)
 
 
 def config_site(l: LocalConfiguration) -> Optional[SimplificationSite]:
@@ -133,7 +146,7 @@ def config_site(l: LocalConfiguration) -> Optional[SimplificationSite]:
     cycle, rule 5 (or rule 3, for a shared neighbor) fires instead, so some
     simplification always applies.
     """
-    return _site(l.h, l.true_degree, skip_blocked=False)
+    return _site(l.h, l.true_degree, l.h.vertices, skip_blocked=False)
 
 
 def _validate(inst: Instance, site: SimplificationSite) -> None:

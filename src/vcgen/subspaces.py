@@ -9,7 +9,7 @@ it is certain in every host graph.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .branching import SubspaceAssertions
 from .configs import LocalConfiguration
@@ -29,11 +29,16 @@ def _cycle_edges(c: tuple[int, ...]) -> frozenset[frozenset[int]]:
 
 class _Structures:
     """Cycle inventory of one graph, shared by all detectors and searched
-    only up to the longest length a detector has asked for."""
+    only up to the longest length a detector has asked for.
 
-    def __init__(self, g: Graph, deg: DegreeFn):
+    scan, by default every vertex, holds every vertex of degree at most 2
+    under deg (it may hold more); the degree detectors look only there.
+    """
+
+    def __init__(self, g: Graph, deg: DegreeFn, scan: Optional[Iterable[int]] = None):
         self.g = g
         self.deg = deg
+        self.low = [v for v in (g.vertices if scan is None else scan) if deg(v) <= 2]
         self._searched = 0
         self._cycles: dict[int, list[tuple[int, ...]]] = {}
 
@@ -45,27 +50,46 @@ class _Structures:
         return self._cycles.get(length, [])
 
     def degree_le1(self) -> bool:
-        return any(self.deg(v) <= 1 for v in self.g.vertices)
+        return any(self.deg(v) <= 1 for v in self.low)
 
     def deg3_with_two_deg2_neighbors(self) -> bool:
-        return any(
-            self.deg(v) == 3
-            and sum(1 for u in self.g.neighbors(v) if self.deg(u) == 2) >= 2
-            for v in self.g.vertices
-        )
+        seen: set[int] = set()
+        for u in self.low:
+            if self.deg(u) != 2:
+                continue
+            for v in self.g.neighbors(u):
+                if self.deg(v) == 3:
+                    if v in seen:
+                        return True
+                    seen.add(v)
+        return False
 
-    def cycle_with_profile(self, length: int, n3: int, n2: int) -> bool:
-        if n2 and not self.degree2():
-            return False
-        for c in self.cycles(length):  # exact degree multiset
-            d3 = sum(1 for v in c if self.deg(v) == 3)
-            d2 = sum(1 for v in c if self.deg(v) == 2)
-            if d3 == n3 and d2 == n2:
-                return True
+    def cycle_with_one_deg2(self, length: int) -> bool:
+        """A cycle of the given length with one vertex of degree 2 and all
+        others of degree 3: a degree-2 vertex on two edges of g, and a
+        path of length - 2 edges between its neighbours."""
+        for x in self.low:
+            if self.deg(x) == 2 and self.g.degree(x) == 2:
+                a, b = self.g.neighbors(x)
+                if self.deg(a) == 3 and self._deg3_path(a, b, length - 2, {x, a}):
+                    return True
+        return False
+
+    def _deg3_path(self, u: int, end: int, edges: int, on_path: set[int]) -> bool:
+        """A simple path of the given number of edges from u to end, off
+        on_path, through vertices of degree 3 only."""
+        if edges == 1:
+            return self.g.has_edge(u, end) and self.deg(end) == 3
+        for w in self.g.neighbors(u):
+            if w not in on_path and w != end and self.deg(w) == 3:
+                on_path.add(w)
+                if self._deg3_path(w, end, edges - 1, on_path):
+                    return True
+                on_path.remove(w)
         return False
 
     def degree2(self) -> bool:
-        return any(self.deg(v) == 2 for v in self.g.vertices)
+        return any(self.deg(v) == 2 for v in self.low)
 
     def has_cycle(self, length: int) -> bool:
         return bool(self.cycles(length))
@@ -90,9 +114,9 @@ def _detector(sid: int) -> Callable[[_Structures], bool]:
     table: dict[int, Callable[[_Structures], bool]] = {
         1: _Structures.degree_le1,
         2: _Structures.deg3_with_two_deg2_neighbors,
-        3: lambda s: s.cycle_with_profile(4, 3, 1),
-        4: lambda s: s.cycle_with_profile(5, 4, 1),
-        5: lambda s: s.cycle_with_profile(6, 5, 1),
+        3: lambda s: s.cycle_with_one_deg2(4),
+        4: lambda s: s.cycle_with_one_deg2(5),
+        5: lambda s: s.cycle_with_one_deg2(6),
         6: _Structures.degree2,
         7: lambda s: s.has_cycle(3),
         8: lambda s: s.has_cycle(4),
@@ -114,7 +138,7 @@ def classify(g: Graph) -> int:
     """Smallest subspace whose structure is present; 19 when none is."""
     if g.max_degree() > 3:
         raise InputDomainError("classification requires maximum degree 3")
-    s = _Structures(g, g.degree)
+    s = _Structures(g, g.degree, g.low_degree())
     for sid in range(1, 19):
         if _detector(sid)(s):
             return sid

@@ -122,6 +122,12 @@ MALFORMED_INSTANCES = {
     "budget line without a value": "p vc 3 1\ne 0 1\nk\n",
     "non-integer budget": "p vc 3 1\ne 0 1\nk one\n",
     "non-integer vertex count": "p vc x 3\ne 0 1\nk 1\n",
+    "second problem line": "p vc 3 1\np vc 4 1\ne 0 1\nk 1\n",
+    "second budget line": "p vc 3 1\ne 0 1\nk 1\nk 2\n",
+    "edge line before the problem line": "e 0 1\np vc 3 1\nk 1\n",
+    "negative vertex count": "p vc -3 0\nk 1\n",
+    "repeated edge": "p vc 3 2\ne 0 1\ne 1 0\nk 1\n",
+    "edge count above the edge lines": "p vc 3 5\ne 0 1\ne 1 2\nk 1\n",
 }
 MALFORMED_TABLES = {
     "table without measure": lambda doc: json.dumps(_without(doc, "measure")),
@@ -138,6 +144,14 @@ MALFORMED_TABLES = {
     "branch vertex as a string": lambda doc: json.dumps(_with_first(
         doc, "leaf", lambda node: node["leaf"]["entries"][0].update(take=[0, "x"]))),
     "unknown rule mode": lambda doc: json.dumps({**doc, "mode": "bogus"}),
+    "child label not a pair": lambda doc: json.dumps(_with_first(
+        doc, "expanded", lambda node: node["children"][0].update(label=["new", {"a": 1}]))),
+    "branch weight divided by zero": lambda doc: json.dumps(_with_first(
+        doc, "leaf", lambda node: node["leaf"]["entries"][0].update(weight="1/0"))),
+    "node id out of step with its position": lambda doc: json.dumps(_with_first(
+        doc, "leaf", lambda node: node.update(id=node["id"] + 1))),
+    "measure beyond a float": lambda doc: json.dumps(
+        {**doc, "measure": {**doc["measure"], "alpha": "1e400"}}),
 }
 MALFORMED_ARGUMENTS = {
     "measure field not a number": ["feasibility", "--measure", "n", "b3=abc"],

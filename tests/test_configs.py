@@ -228,6 +228,13 @@ def test_isomorphism_mapping_valid():
             assert l.d[v] == l2.d[phi[v]]
 
 
+def test_isomorphism_needs_the_same_delta():
+    # a table file may carry any delta; one beyond a byte must not reach
+    # the canonical encoding
+    g = cycle_graph(3)
+    assert isomorphism(LocalConfiguration(g, {}, 300), LocalConfiguration(g, {}, 3)) is None
+
+
 def test_config_text_roundtrip():
     l = LocalConfiguration(path_graph(3), {0: 1, 2: 2})
     assert format_config(l) == "p vc 3 2\ne 0 1\ne 1 2\nd 0 1\nd 2 2\n"

@@ -205,6 +205,13 @@ def test_parse_errors():
     "p vc 3 1\ne 0 1\nk 1 2\n",
     "p vc 3 1\ne 0 1\nk one\n",
     "p vc x 3\ne 0 1\nk 1\n",
+    "p vc 3 1\np vc 3 1\ne 0 1\nk 1\n",  # a second problem line
+    "p vc 3 1\ne 0 1\nk 1\nk 2\n",  # a second budget line
+    "e 0 1\np vc 3 1\nk 1\n",  # an edge before the problem line
+    "p vc -3 0\nk 1\n",
+    "p vc 3 2\ne 0 1\ne 1 0\nk 1\n",  # a repeated edge
+    "p vc 3 5\ne 0 1\ne 1 2\nk 1\n",  # fewer edge lines than declared
+    "p vc 3 1\ne 0 1\ne 1 2\nk 1\n",  # more edge lines than declared
 ])
 def test_parse_rejects_malformed_fields(text):
     with pytest.raises(InputDomainError):

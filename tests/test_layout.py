@@ -27,6 +27,22 @@ def test_no_private_imports_across_modules():
     assert not found, found
 
 
+def test_graph_internals_stay_in_graphs():
+    # the adjacency map and the degree-<=2 set are kept in step by
+    # Graph's own methods; code elsewhere reads them through
+    # neighbors() and low_degree(), so no edit can leave the set stale
+    root = Path(__file__).resolve().parents[1]
+    paths = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "bench").glob("*.py")]
+    found = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(paths)
+        if path != SRC / "graphs.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("_adj", "_low")
+    ]
+    assert not found, found
+
+
 def test_benchmark_spans_resolve():
     # bench/spans.py wraps these names from outside the package; a refactor
     # that drops or renames one breaks every traced run
