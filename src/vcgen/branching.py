@@ -27,7 +27,6 @@ COST_ROUNDING_MARGIN = Fraction(1, 2**40)
 class SubspaceAssertions:
     """Facts guaranteed by the subspace every host instance lives in."""
 
-    no_degree_le1: bool = False
     no_deg3_with_two_deg2: bool = False
     no_degree_2: bool = False
     excluded_subspaces: tuple[int, ...] = ()

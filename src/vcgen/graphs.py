@@ -148,9 +148,9 @@ class VertexCoverSolver:
     the sizes the oracle cap admits.
     """
 
-    def __init__(self, g: Graph, cap: int = ORACLE_CAP):
-        if len(g) > cap:
-            raise CapacityError(f"oracle limited to {cap} vertices, got {len(g)}")
+    def __init__(self, g: Graph):
+        if len(g) > ORACLE_CAP:
+            raise CapacityError(f"oracle limited to {ORACLE_CAP} vertices, got {len(g)}")
         self._order = sorted(g.vertices)
         self._index = {v: i for i, v in enumerate(self._order)}
         self._nbr = [

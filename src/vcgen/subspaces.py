@@ -1,10 +1,12 @@
 """The 19-way partition of subcubic instances and its per-subspace data.
 
-Each subspace is defined by a structure detector, with all earlier
-detectors negated.  Detectors are written over a degree function so they
-run both on concrete instances (graph degree) and on local configurations
-(true degree over complete edges only), where a structure counts only when
-it is certain in every host graph.
+Each subspace is defined by one structure, its shape in SHAPES, with all
+earlier structures absent.  The shape gives both the subspace's root
+configuration and the detector that classify and forbidden_by run, and the
+detector fires exactly when the root embeds.  Detectors are written over a
+degree function so they run both on concrete instances (graph degree) and on
+local configurations (true degree over complete edges only), where a
+structure counts only when it is certain in every host graph.
 """
 
 from __future__ import annotations
@@ -16,9 +18,39 @@ from .configs import LocalConfiguration
 from .errors import InputDomainError
 from .graphs import Graph, cycle_graph, enumerate_cycles
 
-SUBSPACE_IDS = tuple(range(1, 20))
-
+Shape = tuple
 DegreeFn = Callable[[int], int]
+
+# sid -> the structure that defines the subspace, one of
+#   ("vertex", t)             a vertex of degree t; P1's detector also takes
+#                             degree 0, so an isolated vertex is P1
+#   ("fork",)                 a degree-3 vertex with two degree-2 neighbours
+#   ("cycle", length, twos)   a cycle with `twos` (0 or 1) vertices of
+#                             degree 2 and all others of degree 3
+#   ("cycles", a, b, shared)  an a-cycle and a b-cycle of degree-3 vertices
+#                             that share exactly a path of `shared` edges
+SHAPES: dict[int, Shape] = {
+    1: ("vertex", 1),
+    2: ("fork",),
+    3: ("cycle", 4, 1),
+    4: ("cycle", 5, 1),
+    5: ("cycle", 6, 1),
+    6: ("vertex", 2),
+    7: ("cycle", 3, 0),
+    8: ("cycle", 4, 0),
+    9: ("cycles", 5, 5, 1),
+    10: ("cycles", 5, 7, 1),
+    11: ("cycle", 5, 0),
+    12: ("cycles", 6, 6, 1),
+    13: ("cycle", 6, 0),
+    14: ("cycles", 7, 7, 3),
+    15: ("cycles", 7, 7, 2),
+    16: ("cycles", 7, 7, 1),
+    17: ("cycle", 7, 0),
+    18: ("cycle", 8, 0),
+    19: ("vertex", 3),
+}
+SUBSPACE_IDS = tuple(SHAPES)
 
 
 def _cycle_edges(c: tuple[int, ...]) -> frozenset[frozenset[int]]:
@@ -28,11 +60,11 @@ def _cycle_edges(c: tuple[int, ...]) -> frozenset[frozenset[int]]:
 
 
 class _Structures:
-    """Cycle inventory of one graph, shared by all detectors and searched
-    only up to the longest length a detector has asked for.
+    """The structures of one graph under a degree function.  Cycles are
+    listed once, up to the longest length a detector has asked for.
 
     scan, by default every vertex, holds every vertex of degree at most 2
-    under deg (it may hold more); the degree detectors look only there.
+    under deg (it may hold more); the low-degree detectors look only there.
     """
 
     def __init__(self, g: Graph, deg: DegreeFn, scan: Optional[Iterable[int]] = None):
@@ -42,6 +74,16 @@ class _Structures:
         self._searched = 0
         self._cycles: dict[int, list[tuple[int, ...]]] = {}
 
+    def has(self, shape: Shape) -> bool:
+        kind, *args = shape
+        if kind == "vertex":
+            return self._vertex(*args)
+        if kind == "fork":
+            return self._fork()
+        if kind == "cycle":
+            return self._cycle(*args)
+        return self._cycles_sharing(*args)
+
     def cycles(self, length: int) -> list[tuple[int, ...]]:
         if length > self._searched:
             self._searched, self._cycles = length, {}
@@ -49,10 +91,14 @@ class _Structures:
                 self._cycles.setdefault(len(c), []).append(c)
         return self._cycles.get(length, [])
 
-    def degree_le1(self) -> bool:
-        return any(self.deg(v) <= 1 for v in self.low)
+    def _all_deg3(self, c: Iterable[int]) -> bool:
+        return all(self.deg(v) == 3 for v in c)
 
-    def deg3_with_two_deg2_neighbors(self) -> bool:
+    def _vertex(self, t: int) -> bool:
+        pool = self.low if t <= 2 else self.g.vertices
+        return any(self.deg(v) <= 1 if t == 1 else self.deg(v) == t for v in pool)
+
+    def _fork(self) -> bool:
         seen: set[int] = set()
         for u in self.low:
             if self.deg(u) != 2:
@@ -64,10 +110,11 @@ class _Structures:
                     seen.add(v)
         return False
 
-    def cycle_with_one_deg2(self, length: int) -> bool:
-        """A cycle of the given length with one vertex of degree 2 and all
-        others of degree 3: a degree-2 vertex on two edges of g, and a
-        path of length - 2 edges between its neighbours."""
+    def _cycle(self, length: int, twos: int) -> bool:
+        if not twos:
+            return any(self._all_deg3(c) for c in self.cycles(length))
+        # a degree-2 vertex on two edges of g, and a path of length - 2
+        # edges between its neighbours
         for x in self.low:
             if self.deg(x) == 2 and self.g.degree(x) == 2:
                 a, b = self.g.neighbors(x)
@@ -88,50 +135,19 @@ class _Structures:
                 on_path.remove(w)
         return False
 
-    def degree2(self) -> bool:
-        return any(self.deg(v) == 2 for v in self.low)
-
-    def has_cycle(self, length: int) -> bool:
-        return bool(self.cycles(length))
-
-    def cycles_sharing(self, len_a: int, len_b: int, shared: int, exact: bool) -> bool:
-        a_list = self.cycles(len_a)
-        b_list = self.cycles(len_b)
+    def _cycles_sharing(self, len_a: int, len_b: int, shared: int) -> bool:
+        """In a subcubic graph a vertex on two cycles touches an edge both
+        use, so `shared` common edges on shared + 1 common vertices form one
+        path, and the two cycles form exactly the shape's root."""
+        a_list = [c for c in self.cycles(len_a) if self._all_deg3(c)]
+        b_list = a_list if len_a == len_b else [c for c in self.cycles(len_b) if self._all_deg3(c)]
+        b_edges = [_cycle_edges(c) for c in b_list]
         for i, ca in enumerate(a_list):
             ea = _cycle_edges(ca)
-            if len_a == len_b:
-                others = a_list[i + 1 :]
-            else:
-                others = b_list
-            for cb in others:
-                common = len(ea & _cycle_edges(cb))
-                if (common == shared) if exact else (common >= shared):
+            for j in range(i + 1 if len_a == len_b else 0, len(b_list)):
+                if len(ea & b_edges[j]) == shared and len(set(ca) & set(b_list[j])) == shared + 1:
                     return True
         return False
-
-
-def _detector(sid: int) -> Callable[[_Structures], bool]:
-    table: dict[int, Callable[[_Structures], bool]] = {
-        1: _Structures.degree_le1,
-        2: _Structures.deg3_with_two_deg2_neighbors,
-        3: lambda s: s.cycle_with_one_deg2(4),
-        4: lambda s: s.cycle_with_one_deg2(5),
-        5: lambda s: s.cycle_with_one_deg2(6),
-        6: _Structures.degree2,
-        7: lambda s: s.has_cycle(3),
-        8: lambda s: s.has_cycle(4),
-        9: lambda s: s.cycles_sharing(5, 5, 1, exact=False),
-        10: lambda s: s.cycles_sharing(5, 7, 1, exact=False),
-        11: lambda s: s.has_cycle(5),
-        12: lambda s: s.cycles_sharing(6, 6, 1, exact=False),
-        13: lambda s: s.has_cycle(6),
-        14: lambda s: s.cycles_sharing(7, 7, 3, exact=True),
-        15: lambda s: s.cycles_sharing(7, 7, 2, exact=True),
-        16: lambda s: s.cycles_sharing(7, 7, 1, exact=True),
-        17: lambda s: s.has_cycle(7),
-        18: lambda s: s.has_cycle(8),
-    }
-    return table[sid]
 
 
 def classify(g: Graph) -> int:
@@ -139,8 +155,8 @@ def classify(g: Graph) -> int:
     if g.max_degree() > 3:
         raise InputDomainError("classification requires maximum degree 3")
     s = _Structures(g, g.degree, g.low_degree())
-    for sid in range(1, 19):
-        if _detector(sid)(s):
+    for sid in SUBSPACE_IDS[:-1]:
+        if s.has(SHAPES[sid]):
             return sid
     return 19
 
@@ -150,9 +166,15 @@ def forbidden_by(l: LocalConfiguration, a: SubspaceAssertions) -> Optional[int]:
     certain in l; None when there is none."""
     s = _Structures(l.h, l.true_degree)
     for sid in a.excluded_subspaces:
-        if _detector(sid)(s):
+        if s.has(SHAPES[sid]):
             return sid
     return None
+
+
+def _shape(sid: int) -> Shape:
+    if sid not in SHAPES:
+        raise InputDomainError(f"subspace id {sid} outside 1..19")
+    return SHAPES[sid]
 
 
 def subspace_name(sid: int) -> str:
@@ -165,15 +187,13 @@ def parse_subspace(name: str) -> int:
         sid = int(text)
     except ValueError:
         raise InputDomainError(f"bad subspace name {name!r}") from None
-    if sid not in SUBSPACE_IDS:
-        raise InputDomainError(f"subspace id {sid} outside 1..19")
+    _shape(sid)
     return sid
 
 
-def _shared_cycles_config(lens: tuple[int, int], shared_path: int) -> LocalConfiguration:
+def _shared_cycles_config(la: int, lb: int, shared_path: int) -> LocalConfiguration:
     """Two cycles of the given lengths sharing a path of `shared_path` edges,
     every vertex at true degree 3."""
-    la, lb = lens
     a = list(range(la))
     edges = [(a[i], a[(i + 1) % la]) for i in range(la)]
     # second cycle reuses vertices 0..shared_path then fresh ones
@@ -185,50 +205,28 @@ def _shared_cycles_config(lens: tuple[int, int], shared_path: int) -> LocalConfi
     return LocalConfiguration(g, {v: 3 - g.degree(v) for v in g.vertices})
 
 
-def _cycle_with_one_deg2(length: int) -> LocalConfiguration:
-    g = cycle_graph(length)
-    d = {v: 1 for v in range(1, length)}
-    return LocalConfiguration(g, d)
-
-
 def root_config(sid: int) -> LocalConfiguration:
     """The subspace's defining structure as an anchoring configuration."""
-    if sid == 1:
-        return LocalConfiguration(Graph([0]), {0: 1})
-    if sid == 2:
+    kind, *args = _shape(sid)
+    if kind == "vertex":
+        return LocalConfiguration(Graph([0]), {0: args[0]})
+    if kind == "fork":
         g = Graph(range(3), [(0, 1), (0, 2)])
         return LocalConfiguration(g, {0: 1, 1: 1, 2: 1})
-    if sid in (3, 4, 5):
-        return _cycle_with_one_deg2(sid + 1)
-    if sid == 6:
-        return LocalConfiguration(Graph([0]), {0: 2})
-    if sid in (7, 8, 11, 13, 17, 18):
-        length = {7: 3, 8: 4, 11: 5, 13: 6, 17: 7, 18: 8}[sid]
-        g = cycle_graph(length)
-        return LocalConfiguration(g, {v: 1 for v in range(length)})
-    if sid == 9:
-        return _shared_cycles_config((5, 5), 1)
-    if sid == 10:
-        return _shared_cycles_config((5, 7), 1)
-    if sid == 12:
-        return _shared_cycles_config((6, 6), 1)
-    if sid == 14:
-        return _shared_cycles_config((7, 7), 3)
-    if sid == 15:
-        return _shared_cycles_config((7, 7), 2)
-    if sid == 16:
-        return _shared_cycles_config((7, 7), 1)
-    if sid == 19:
-        return LocalConfiguration(Graph([0]), {0: 3})
-    raise InputDomainError(f"subspace id {sid} outside 1..19")
+    if kind == "cycle":
+        length, twos = args
+        return LocalConfiguration(cycle_graph(length), {v: 1 for v in range(twos, length)})
+    return _shared_cycles_config(*args)
 
 
 def assertions_for(sid: int) -> SubspaceAssertions:
-    if sid not in SUBSPACE_IDS:
-        raise InputDomainError(f"subspace id {sid} outside 1..19")
+    """Every earlier subspace is excluded; the cost lemmas that need no fork
+    or no degree-2 vertex hold once P2 or P6 is."""
+    _shape(sid)
+    excluded = tuple(range(1, sid))
+    shapes = {SHAPES[e] for e in excluded}
     return SubspaceAssertions(
-        no_degree_le1=sid >= 2,
-        no_deg3_with_two_deg2=sid >= 3,
-        no_degree_2=sid >= 7,
-        excluded_subspaces=tuple(range(1, sid)),
+        no_deg3_with_two_deg2=("fork",) in shapes,
+        no_degree_2=("vertex", 2) in shapes,
+        excluded_subspaces=excluded,
     )

@@ -6,6 +6,10 @@ rule5_sites lists every cycle of length up to 8 and then filters it by the
 degree pattern.  Structures lists every cycle of length up to 8 once, when
 it is built, and the detectors read that inventory; classify and
 forbidden_by run them in the same order as vcgen.subspaces.
+
+The detectors of P9, P10 and P12 ask for two cycles that share exactly one
+edge, as their roots do: two 5-cycles that share a path of two edges hold
+no P9 root, and a table anchors only the instances that hold its root.
 """
 
 from __future__ import annotations
@@ -108,10 +112,10 @@ DETECTORS: dict[int, Callable[[Structures], bool]] = {
     6: Structures.degree2,
     7: lambda s: s.has_cycle(3),
     8: lambda s: s.has_cycle(4),
-    9: lambda s: s.cycles_sharing(5, 5, 1, exact=False),
-    10: lambda s: s.cycles_sharing(5, 7, 1, exact=False),
+    9: lambda s: s.cycles_sharing(5, 5, 1, exact=True),
+    10: lambda s: s.cycles_sharing(5, 7, 1, exact=True),
     11: lambda s: s.has_cycle(5),
-    12: lambda s: s.cycles_sharing(6, 6, 1, exact=False),
+    12: lambda s: s.cycles_sharing(6, 6, 1, exact=True),
     13: lambda s: s.has_cycle(6),
     14: lambda s: s.cycles_sharing(7, 7, 3, exact=True),
     15: lambda s: s.cycles_sharing(7, 7, 2, exact=True),

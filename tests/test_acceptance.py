@@ -36,7 +36,7 @@ from vcgen.requirements import RequirementContext
 from vcgen.rulegen import gensa, verify_table
 from vcgen.runtime import TableEngine
 from vcgen.simplify import apply, config_site, find_site
-from vcgen.subspaces import assertions_for, root_config
+from vcgen.subspaces import assertions_for, forbidden_by, root_config
 
 ACCEPT_BETA3 = Fraction("0.2")  # binary search certified 0.14; gate is <= 0.25
 
@@ -179,6 +179,9 @@ COST_MEASURES = (
 
 L13 = SubspaceAssertions(no_deg3_with_two_deg2=True)
 L14 = SubspaceAssertions(no_degree_2=True)
+# the structures lemmas 13 and 14 rule out: P2's fork, P6's degree-2 vertex
+FORK = SubspaceAssertions(excluded_subspaces=(2,))
+DEG2 = SubspaceAssertions(excluded_subspaces=(6,))
 
 
 def _cost_corpus(seed: int, count: int):
@@ -202,7 +205,6 @@ def _cost_corpus(seed: int, count: int):
 
 def test_criterion_06_cost_bound_soundness():
     corpus = _cost_corpus(0xACCE06, 60)
-    from vcgen.subspaces import _Structures
 
     completions_checked = 0
     for l in corpus:
@@ -228,9 +230,8 @@ def test_criterion_06_cost_bound_soundness():
                     cc = completion_config(l, c)
                     if config_site(cc) is not None:
                         continue  # not simplification-free
-                    s = _Structures(cc.h, cc.true_degree)
-                    has_deg2 = s.degree2()
-                    has_d3d2 = s.deg3_with_two_deg2_neighbors()
+                    has_deg2 = forbidden_by(cc, DEG2) is not None
+                    has_d3d2 = forbidden_by(cc, FORK) is not None
                     for m in COST_MEASURES:
                         realized = realized_exponent(l, b, c, m)
                         assert realized <= bounds[(m, 12)], (l, b, c, m)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import MU_N20, build_tables, is_cover, random_subcubic
+from corpus import MU_N20, build_tables, is_cover, random_cubic, random_subcubic
 from vcgen.configs import instance_as_config
 from vcgen.errors import ContractError, InputDomainError
 from vcgen.graphs import (
@@ -18,7 +18,8 @@ from vcgen.graphs import (
 from vcgen.measure import MU2, Measure, evaluate, pure_k
 from vcgen.rulegen import gensa
 from vcgen.runtime import TableEngine, TraceStep, TrialPlan
-from vcgen.subspaces import assertions_for, root_config
+from vcgen.subspaces import assertions_for, classify, root_config
+from vcgen.tree import find_anchor
 
 
 def test_trial_plan():
@@ -68,6 +69,21 @@ def test_randomized_finds_yes_with_trials(rand_engine):
         res = rand_engine.solve_randomized(inst, plan)
         assert res.answer
         assert res.cover is not None and is_cover(g, res.cover) and len(res.cover) <= k
+
+
+def test_two_5_cycles_sharing_a_path_anchor_and_solve(det_engine, rand_engine):
+    # two 5-cycles share a path of two edges and no pair shares exactly one
+    # edge, so P9's root is not in the graph; classified P9, every solve
+    # would raise CertificateViolation
+    g = random_cubic(random.Random(93), 18)
+    assert vc_oracle(g) == 10
+    assert det_engine.deterministic_cover(Instance(g, 9)) is None
+    cover = det_engine.deterministic_cover(Instance(g, 10))
+    assert cover is not None and is_cover(g, cover) and len(cover) <= 10
+    assert not rand_engine.solve_randomized(Instance(g, 9), TrialPlan(20, 0)).answer
+    res = rand_engine.solve_randomized(Instance(g, 10), TrialPlan(20, 0))
+    assert res.successes >= 1 and is_cover(g, res.cover) and len(res.cover) <= 10
+    assert find_anchor(Instance(g, 0), root_config(classify(g))) is not None
 
 
 def test_rsearch_trace_probabilities(rand_engine):

@@ -111,7 +111,6 @@ def test_contains_forbidden_examples():
 def test_assertions_and_cost_lemmas():
     for sid in SUBSPACE_IDS:
         a = assertions_for(sid)
-        assert a.no_degree_le1 == (sid >= 2)
         assert a.no_deg3_with_two_deg2 == (sid >= 3)
         assert a.no_degree_2 == (sid >= 7)
         assert a.excluded_subspaces == tuple(range(1, sid))
