@@ -65,15 +65,6 @@ def extend_branches(prev: Sequence[Branch], u: int, v: int) -> list[Branch]:
     return out
 
 
-def apply_branch(l: LocalConfiguration, b: Iterable[int]) -> LocalConfiguration:
-    """Remove the branch vertices; survivors keep their incomplete counts
-    (the deleted incomplete edges' endpoints are unknown, so the counts are
-    left as an upper approximation that the cost correction pays for)."""
-    take = frozenset(b)
-    h2 = l.h.without(take)
-    return LocalConfiguration(h2, {v: l.d[v] for v in h2.vertices}, l.delta)
-
-
 @dataclass(frozen=True)
 class BoundaryProfile:
     d31: int
@@ -95,48 +86,42 @@ class CostBound:
     profile: BoundaryProfile
 
 
-def _true_degree_counts(l: LocalConfiguration) -> list[int]:
-    counts = [0, 0, 0, 0]
-    for v in l.h.vertices:
-        counts[l.true_degree(v)] += 1
-    return counts
-
-
-def boundary_profile(l: LocalConfiguration, b: Branch, after: LocalConfiguration) -> BoundaryProfile:
-    counts = {"d31": 0, "d32": 0, "d21": 0, "r21": 0, "r22": 0, "r11": 0}
-    for v in l.boundary():
-        if v in b:
-            key = (l.true_degree(v), l.d[v])
-            if key == (3, 1):
-                counts["d31"] += 1
-            elif key == (3, 2):
-                counts["d32"] += 1
-            elif key == (2, 1):
-                counts["d21"] += 1
-        else:
-            key = (after.true_degree(v), after.d[v])
-            if key == (2, 1):
-                counts["r21"] += 1
-            elif key == (2, 2):
-                counts["r22"] += 1
-            elif key == (1, 1):
-                counts["r11"] += 1
-    return BoundaryProfile(**counts)
-
-
 def cost_bound(
     l: LocalConfiguration,
     b: Iterable[int],
     m: Measure,
     assertions: SubspaceAssertions = NO_ASSERTIONS,
 ) -> CostBound:
-    """Exponent e with cost(l, b) <= 2^e, by the tightest applicable bound."""
+    """Exponent e with cost(l, b) <= 2^e, by the tightest applicable bound.
+
+    Taking b removes its vertices, and each neighbour outside b loses one
+    true degree per edge into b.  Survivors keep their incomplete counts
+    (the deleted incomplete edges' endpoints are unknown, so the counts are
+    left as an upper approximation that the correction pays for).  Only b
+    and its neighbours change degree, so no child configuration is built;
+    the exponent is summed in integers over the measure's common
+    denominator.
+    """
     take = frozenset(b)
-    after = apply_branch(l, take)
-    before_counts = _true_degree_counts(l)
-    after_counts = _true_degree_counts(after)
-    dn = [after_counts[i] - before_counts[i] for i in range(4)]
-    p = boundary_profile(l, take, after)
+    h, d = l.h, l.d
+    if not take <= h.vertices:
+        raise InputDomainError(f"unknown vertices {sorted(take - h.vertices)}")
+    dn = [0, 0, 0, 0]  # change in the number of vertices of each true degree
+    lost: dict[int, int] = {}  # neighbour outside b -> its edges into b
+    for v in take:
+        dn[h.degree(v) + d[v]] -= 1
+        for u in h.neighbors(v):
+            if u not in take:
+                lost[u] = lost.get(u, 0) + 1
+    for u, k in lost.items():
+        td = h.degree(u) + d[u]
+        dn[td] -= 1
+        dn[td - k] += 1
+    # boundary vertices by (true degree, d): taken ones before, survivors after
+    taken = [(h.degree(v) + d[v], d[v]) for v in take if d[v]]
+    kept = [(h.degree(v) + dv - lost.get(v, 0), dv) for v, dv in d.items() if dv and v not in take]
+    p = BoundaryProfile(taken.count((3, 1)), taken.count((3, 2)), taken.count((2, 1)),
+                        kept.count((2, 1)), kept.count((2, 2)), kept.count((1, 1)))
     r_capacity = p.r21 + 2 * p.r22 + p.r11
     if assertions.no_degree_2:
         lemma = 14
@@ -147,15 +132,10 @@ def cost_bound(
     else:
         lemma = 12
         correction_count = p.d31 + 2 * p.d32 + min(p.d21, r_capacity)
-    multiplier = max(m.beta1 - m.beta2, -m.beta1)
-    exponent = (
-        m.alpha * (-len(take))
-        + m.beta1 * dn[1]
-        + m.beta2 * dn[2]
-        + m.beta3 * dn[3]
-        + max(Fraction(0), correction_count * multiplier)
-    )
-    return CostBound(exponent, lemma, -len(take), dn[1], dn[2], dn[3], p)
+    denominator, alpha, beta1, beta2, beta3 = m.scaled
+    correction = max(0, correction_count * max(beta1 - beta2, -beta1))
+    numerator = -alpha * len(take) + beta1 * dn[1] + beta2 * dn[2] + beta3 * dn[3] + correction
+    return CostBound(Fraction(numerator, denominator), lemma, -len(take), dn[1], dn[2], dn[3], p)
 
 
 def cost_value(exponent: Fraction) -> Fraction:
@@ -173,38 +153,34 @@ def cost_value(exponent: Fraction) -> Fraction:
 
 def prune_dominated_indexed(
     branches: Sequence[Branch],
-    exponents: Sequence[Fraction],
+    exponents: Sequence[Fraction | int],
     eb_masks: Sequence[int],
 ) -> list[int]:
     """Indices of branches surviving dominance pruning.
 
     b is dominated by b' when cost(b) >= cost(b') and eb(b) is a subset of
-    eb(b'); exact ties keep the branch with the smaller identifier.
+    eb(b'); exact ties keep the branch with the smaller identifier.  Only
+    the order of the exponents matters, so they may be Fractions or their
+    numerators over one common denominator.
     Domination is a strict partial order, so one sweep reaches the fixpoint.
     """
-    order = sorted(range(len(branches)), key=lambda i: branch_sort_key(branches[i]))
+    keys = [branch_sort_key(b) for b in branches]
+    order = sorted(range(len(branches)), key=keys.__getitem__)
     # collapse identical eb sets first: only the cheapest, earliest survives
     best_for_mask: dict[int, int] = {}
     for i in order:
         cur = best_for_mask.get(eb_masks[i])
         if cur is None or exponents[i] < exponents[cur]:
             best_for_mask[eb_masks[i]] = i
-    reps = sorted(best_for_mask.values(), key=lambda i: branch_sort_key(branches[i]))
+    reps = sorted(best_for_mask.values(), key=keys.__getitem__)
     survivors = []
     for pos, i in enumerate(reps):
+        e, mask = exponents[i], eb_masks[i]
         dominated = False
         for pos2, j in enumerate(reps):
-            if i == j:
+            if i == j or exponents[j] > e or mask & ~eb_masks[j]:
                 continue
-            if exponents[j] > exponents[i]:
-                continue
-            if eb_masks[i] & ~eb_masks[j]:
-                continue
-            if (
-                exponents[j] < exponents[i]
-                or eb_masks[j] != eb_masks[i]
-                or pos2 < pos
-            ):
+            if exponents[j] < e or eb_masks[j] != mask or pos2 < pos:
                 dominated = True
                 break
         if not dominated:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InputDomainError
@@ -39,6 +40,14 @@ class Measure:
             raise InputDomainError(f"mode must be 'n' or 'k', got {self.mode!r}")
         for name in ("alpha", "beta1", "beta2", "beta3"):
             object.__setattr__(self, name, _frac(getattr(self, name)))
+
+    @cached_property
+    def scaled(self) -> tuple[int, ...]:
+        """(D, alpha*D, beta1*D, beta2*D, beta3*D) for D the least common
+        denominator of the weights, over which every cost exponent is an integer."""
+        ws = (self.alpha, self.beta1, self.beta2, self.beta3)
+        dd = math.lcm(*(w.denominator for w in ws))
+        return (dd, *(int(w * dd) for w in ws))
 
     def beta(self, degree: int) -> Fraction:
         if degree == 1:
@@ -184,13 +193,7 @@ def combine_bound(a: float, b: float, c: float) -> float:
 
 
 def format_measure(m: Measure) -> str:
-    def fmt(x: Fraction) -> str:
-        return str(x)
-
-    return (
-        f"measure {m.mode} alpha={fmt(m.alpha)} b1={fmt(m.beta1)}"
-        f" b2={fmt(m.beta2)} b3={fmt(m.beta3)}"
-    )
+    return f"measure {m.mode} alpha={m.alpha} b1={m.beta1} b2={m.beta2} b3={m.beta3}"
 
 
 def parse_measure_tokens(tokens: Sequence[str]) -> Measure:

@@ -33,6 +33,7 @@ class RequirementContext:
         self.solver = VertexCoverSolver(l.h)
         self._full = self.solver.full_mask
         self._crucial: tuple[Requirement, ...] | None = None
+        self._requirements: dict[Requirement, tuple[int, int]] = {}
 
     def vc_minus(self, vs: Iterable[int]) -> int:
         return self.solver.vc(self._full & ~self.solver.mask_of(vs))
@@ -71,15 +72,29 @@ class RequirementContext:
         self._crucial = tuple(crucial)
         return self._crucial
 
+    def cover_mask(self, b: Iterable[int], reqs: Sequence[Requirement]) -> int:
+        """Bit i set iff b satisfies reqs[i] (the Algorithm-3 test): b extends
+        some minimum cover of H - R, that is vc(H - R) = vc(H - R - b) + |b - R|.
+        Each requirement's mask and vc(H - R) are computed once."""
+        solver, full, known = self.solver, self._full, self._requirements
+        b_mask = solver.mask_of(b)
+        out = 0
+        for i, req in enumerate(reqs):
+            if req not in known:
+                r_mask = solver.mask_of(req)
+                known[req] = (r_mask, solver.vc(full & ~r_mask))
+            r_mask, base = known[req]
+            if base == solver.vc(full & ~(r_mask | b_mask)) + (b_mask & ~r_mask).bit_count():
+                out |= 1 << i
+        return out
+
     def satisfies(self, b: Iterable[int], req: Requirement) -> bool:
         """Algorithm-3 test: b extends some minimum cover of H - req."""
-        b = frozenset(b)
-        extra = b - req
-        return self.vc_minus(req) == self.vc_minus(req | b) + len(extra)
+        return self.cover_mask(b, (req,)) == 1
 
     def eb(self, b: Iterable[int], reqs: Sequence[Requirement]) -> tuple[Requirement, ...]:
-        b = frozenset(b)
-        return tuple(r for r in reqs if self.satisfies(b, r))
+        mask = self.cover_mask(b, reqs)
+        return tuple(r for i, r in enumerate(reqs) if mask >> i & 1)
 
 
 def crucial_set(l: LocalConfiguration) -> tuple[Requirement, ...]:

@@ -129,6 +129,7 @@ def gensa(
     if delta != root.delta:
         raise InputDomainError(f"delta {delta} differs from the root's delta {root.delta}")
     start = time.monotonic()
+    denominator = m.scaled[0]  # of every cost exponent
     nodes: list[TreeNode] = []
     memo: dict[bytes, int] = {}
     counters = {"lp_calls": 0, "rule_leaves": 0, "aliases": 0, "pruned_children": 0}
@@ -160,10 +161,12 @@ def gensa(
         if not config.boundary():
             return emit(TreeNode(len(nodes), config, "leaf", leaf=Leaf("constant")))
 
-        try:
-            key = canonical_key(config)
-        except CapacityError:
-            key = None  # merging is an optimization; generate without it
+        key = None  # merging is an optimization; generate without it
+        if depth:  # the root is stored last, so no node can alias it
+            try:
+                key = canonical_key(config)
+            except CapacityError:
+                pass
         if key is not None and key in memo:
             target_id = memo[key]
             iso = isomorphism(nodes[target_id].config, config)
@@ -180,14 +183,9 @@ def gensa(
 
         candidates = sorted((b for b in basis if b), key=branch_sort_key)
         exponents = [cost_bound(config, b, m, assertions).exponent for b in candidates]
-        masks = []
-        for b in candidates:
-            mask = 0
-            for i, r in enumerate(crucial):
-                if ctx.satisfies(b, r):
-                    mask |= 1 << i
-            masks.append(mask)
-        keep = prune_dominated_indexed(candidates, exponents, masks)
+        numerators = [e.numerator * (denominator // e.denominator) for e in exponents]
+        masks = [ctx.cover_mask(b, crucial) for b in candidates]
+        keep = prune_dominated_indexed(candidates, numerators, masks)
         pruned = [candidates[i] for i in keep]
         pruned_masks = [masks[i] for i in keep]
         pruned_costs = [cost_value(exponents[i]) for i in keep]
@@ -294,9 +292,9 @@ def _iso_valid(a: LocalConfiguration, b: LocalConfiguration, iso: dict[int, int]
 def _is_root_of(config: LocalConfiguration, sid: int) -> bool:
     """Whether config is root_config(sid) up to isomorphism.
 
-    Generated tables carry root_config(sid) itself; testing equality first
-    spares them canonical_key, which is slow on symmetric roots such as
-    P18's 8-cycle."""
+    Generated tables carry root_config(sid) itself, and equality settles
+    them; only a relabelled root pays for the canonical keys of
+    isomorphism."""
     expected = root_config(sid)
     if config == expected:
         return True
@@ -422,9 +420,16 @@ def _verify_rule_leaf(
             failures.append(f"node {nid}: fractional weight in a deterministic table")
             return
         exp = cost_bound(config, entry.take, t.measure, assertions).exponent
-        objective += entry.weight * cost_value(exp)
-        for r in crucial:
-            if ctx.satisfies(entry.take, r):
+        cost = cost_value(exp)
+        # cost >= 2^exp in integers: cost^q >= 2^p for exp = p/q in lowest terms
+        p, q = exp.numerator, exp.denominator
+        if cost.numerator ** q << max(-p, 0) < cost.denominator ** q << max(p, 0):
+            failures.append(f"node {nid}: cost of branch {sorted(entry.take)} is below 2^({exp})")
+            return
+        objective += entry.weight * cost
+        covered = ctx.cover_mask(entry.take, crucial)
+        for i, r in enumerate(crucial):
+            if covered >> i & 1:
                 sat_weights[r] += entry.weight
     for r in crucial:
         if sat_weights[r] < 1:
@@ -441,10 +446,6 @@ def _verify_rule_leaf(
 
 FORMAT_NAME = "vcgen-rule-table"
 FORMAT_VERSION = 1
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 def _config_obj(l: LocalConfiguration) -> dict:
@@ -486,7 +487,7 @@ def table_to_json(t: RuleTable) -> str:
             lobj: dict = {"kind": leaf.kind}
             if leaf.kind == "rule":
                 lobj["entries"] = [
-                    {"take": sorted(e.take), "weight": _frac_str(e.weight)}
+                    {"take": sorted(e.take), "weight": str(e.weight)}
                     for e in leaf.entries
                 ]
             elif leaf.kind == "simplification":
@@ -505,10 +506,10 @@ def table_to_json(t: RuleTable) -> str:
         "mode": t.rule_mode,
         "measure": {
             "mode": t.measure.mode,
-            "alpha": _frac_str(t.measure.alpha),
-            "b1": _frac_str(t.measure.beta1),
-            "b2": _frac_str(t.measure.beta2),
-            "b3": _frac_str(t.measure.beta3),
+            "alpha": str(t.measure.alpha),
+            "b1": str(t.measure.beta1),
+            "b2": str(t.measure.beta2),
+            "b3": str(t.measure.beta3),
         },
         "delta": t.delta,
         "root": t.tree.root,

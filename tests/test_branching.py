@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from corpus import config_corpus
+from reference_scoring import apply_branch
 from vcgen.branching import (
     SubspaceAssertions,
-    apply_branch,
     cost_bound,
     cost_value,
     extend_branches,

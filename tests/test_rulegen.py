@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import random_subcubic, relabel
+import vcgen.rulegen as rulegen
+from corpus import MU_N20, random_subcubic, relabel
 from vcgen.configs import instance_as_config
 from vcgen.errors import InputDomainError
 from vcgen.graphs import Graph, Instance, complete_graph
@@ -300,6 +301,32 @@ def test_verify_detects_objective_violation():
     cert = verify_table(t)
     assert not cert.ok
     assert any("objective" in f for f in cert.failures)
+
+
+def test_verify_rejects_a_cost_below_its_power_of_two(monkeypatch):
+    # every accepted cost must be at least 2^e, checked in integers, so a
+    # cost_value that rounds down fails the certificate though the
+    # objective only shrinks
+    t = gensa(root_config(19), MU_N20, assertions=assertions_for(19), subspace_id=19)
+    assert verify_table(t).ok
+    monkeypatch.setattr(rulegen, "cost_value",
+                        lambda e: Fraction(2.0 ** float(e)) * (1 - Fraction(1, 2**30)))
+    cert = verify_table(t)
+    assert not cert.ok
+    assert any("is below 2^" in f for f in cert.failures)
+
+
+def test_generation_keys_no_root(monkeypatch):
+    # the root is stored last, so no node can alias it: its canonical key,
+    # the costliest of all on P18's 8-cycle, is never computed
+    root = root_config(18)
+    keyed = []
+    canonical_key = rulegen.canonical_key
+    monkeypatch.setattr(rulegen, "canonical_key", lambda l: keyed.append(l) or canonical_key(l))
+    t = gensa(root, MU_N20, assertions=assertions_for(18), subspace_id=18)
+    assert t.complete and verify_table(t).ok
+    assert keyed  # every other node is still keyed
+    assert all(l is not root and l != root for l in keyed)
 
 
 def test_match_instance_p19_walk():
