@@ -9,6 +9,7 @@ configuration shows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -44,10 +45,8 @@ def seed_branches(l: LocalConfiguration) -> list[Branch]:
     vs = sorted(l.h.vertices)
     if len(vs) > SEED_CAP:
         raise CapacityError(f"seeding capped at {SEED_CAP} vertices")
-    out = []
-    for mask in range(1, 1 << len(vs)):
-        out.append(frozenset(vs[i] for i in range(len(vs)) if mask >> i & 1))
-    return out
+    return [frozenset(vs[i] for i in range(len(vs)) if mask >> i & 1)
+            for mask in range(1, 1 << len(vs))]
 
 
 def extend_branches(prev: Sequence[Branch], u: int, v: int) -> list[Branch]:
@@ -99,8 +98,7 @@ def cost_bound(
     (the deleted incomplete edges' endpoints are unknown, so the counts are
     left as an upper approximation that the correction pays for).  Only b
     and its neighbours change degree, so no child configuration is built;
-    the exponent is summed in integers over the measure's common
-    denominator.
+    the exponent is a sum of integers over the measure's common denominator.
     """
     take = frozenset(b)
     h, d = l.h, l.d
@@ -153,17 +151,17 @@ def cost_value(exponent: Fraction) -> Fraction:
 
 def prune_dominated_indexed(
     branches: Sequence[Branch],
-    exponents: Sequence[Fraction | int],
+    exponents: Sequence[Fraction],
     eb_masks: Sequence[int],
 ) -> list[int]:
     """Indices of branches surviving dominance pruning.
 
     b is dominated by b' when cost(b) >= cost(b') and eb(b) is a subset of
-    eb(b'); exact ties keep the branch with the smaller identifier.  Only
-    the order of the exponents matters, so they may be Fractions or their
-    numerators over one common denominator.
+    eb(b'); exact ties keep the branch with the smaller identifier.
     Domination is a strict partial order, so one sweep reaches the fixpoint.
     """
+    dd = math.lcm(*(e.denominator for e in exponents))  # compare ints, not Fractions
+    exponents = [e.numerator * (dd // e.denominator) for e in exponents]
     keys = [branch_sort_key(b) for b in branches]
     order = sorted(range(len(branches)), key=keys.__getitem__)
     # collapse identical eb sets first: only the cheapest, earliest survives

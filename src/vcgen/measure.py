@@ -49,15 +49,6 @@ class Measure:
         dd = math.lcm(*(w.denominator for w in ws))
         return (dd, *(int(w * dd) for w in ws))
 
-    def beta(self, degree: int) -> Fraction:
-        if degree == 1:
-            return self.beta1
-        if degree == 2:
-            return self.beta2
-        if degree == 3:
-            return self.beta3
-        return Fraction(0)
-
 
 MU1 = Measure(0, 0, 0, Fraction("0.106"), "n")
 MU2 = Measure(Fraction("0.178"), Fraction("-0.0445"), Fraction("-0.089"), 0, "k")

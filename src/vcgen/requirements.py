@@ -41,8 +41,7 @@ class RequirementContext:
     def _forced(self, req_mask: int, v_bit: int) -> bool:
         """True iff adding v to the requirement costs no extra cover vertex,
         which directs the DAG edge (R + v) -> R."""
-        base = self._vc_req[req_mask]
-        return base == self._vc_req[req_mask | v_bit] + 1
+        return self._vc_req[req_mask] == self._vc_req[req_mask | v_bit] + 1
 
     def crucial_set(self) -> tuple[Requirement, ...]:
         if self._crucial is not None:

@@ -129,7 +129,6 @@ def gensa(
     if delta != root.delta:
         raise InputDomainError(f"delta {delta} differs from the root's delta {root.delta}")
     start = time.monotonic()
-    denominator = m.scaled[0]  # of every cost exponent
     nodes: list[TreeNode] = []
     memo: dict[bytes, int] = {}
     counters = {"lp_calls": 0, "rule_leaves": 0, "aliases": 0, "pruned_children": 0}
@@ -183,9 +182,8 @@ def gensa(
 
         candidates = sorted((b for b in basis if b), key=branch_sort_key)
         exponents = [cost_bound(config, b, m, assertions).exponent for b in candidates]
-        numerators = [e.numerator * (denominator // e.denominator) for e in exponents]
         masks = [ctx.cover_mask(b, crucial) for b in candidates]
-        keep = prune_dominated_indexed(candidates, numerators, masks)
+        keep = prune_dominated_indexed(candidates, exponents, masks)
         pruned = [candidates[i] for i in keep]
         pruned_masks = [masks[i] for i in keep]
         pruned_costs = [cost_value(exponents[i]) for i in keep]
@@ -384,6 +382,27 @@ def verify_table(t: RuleTable) -> Certificate:
     return Certificate(not failures, tuple(failures), objectives)
 
 
+def _at_least_pow2(c: Fraction, e: Fraction) -> bool:
+    """Whether c > 0 is at least 2^e, exactly: for e = p/q in lowest terms, a
+    lower bound m * 2^k on c^q, raised by repeated squaring and rounded down
+    to 128 bits at each step, is compared with 2^p.  The work grows with log q
+    only, and the bound is within (3q + 1) * 2^-127 of c^q, relatively: far
+    inside the q * 2^-40 that cost_value's margin adds."""
+    def floor_128(m: int, k: int) -> tuple[int, int]:
+        s = max(m.bit_length() - 128, 0)
+        return m >> s, k + s
+    p, q = e.numerator, e.denominator
+    k = c.numerator.bit_length() - c.denominator.bit_length() - 128
+    m = (c.numerator << max(-k, 0)) // (c.denominator << max(k, 0))  # c >= m * 2^k
+    bound, bk = 1, 0
+    while q:
+        if q & 1:
+            bound, bk = floor_128(bound * m, bk + k)
+        q >>= 1
+        m, k = floor_128(m * m, 2 * k)
+    return bound.bit_length() - 1 + bk >= p
+
+
 def _verify_rule_leaf(
     t: RuleTable,
     node: TreeNode,
@@ -421,9 +440,7 @@ def _verify_rule_leaf(
             return
         exp = cost_bound(config, entry.take, t.measure, assertions).exponent
         cost = cost_value(exp)
-        # cost >= 2^exp in integers: cost^q >= 2^p for exp = p/q in lowest terms
-        p, q = exp.numerator, exp.denominator
-        if cost.numerator ** q << max(-p, 0) < cost.denominator ** q << max(p, 0):
+        if not _at_least_pow2(cost, exp):
             failures.append(f"node {nid}: cost of branch {sorted(entry.take)} is below 2^({exp})")
             return
         objective += entry.weight * cost

@@ -103,6 +103,11 @@ def completion_config(l: LocalConfiguration, c: Completion) -> LocalConfiguratio
     return LocalConfiguration(Graph(vertices, edges), d, l.delta)
 
 
+def beta(m: Measure, degree: int) -> Fraction:
+    """The weight of a vertex of true degree `degree`."""
+    return {1: m.beta1, 2: m.beta2, 3: m.beta3}.get(degree, Fraction(0))
+
+
 def realized_exponent(
     l: LocalConfiguration, b: frozenset[int], c: Completion, m: Measure
 ) -> Fraction:
@@ -110,10 +115,10 @@ def realized_exponent(
     delta = m.alpha * (-len(b))
 
     def shift(old: int, new: int) -> Fraction:
-        return m.beta(new) - m.beta(old)
+        return beta(m, new) - beta(m, old)
 
     for v in b:
-        delta -= m.beta(l.true_degree(v))
+        delta -= beta(m, l.true_degree(v))
     surv_hits = {u: 0 for u in l.h.vertices if u not in b}
     for v, u in c.to_survivor:
         surv_hits[u] += 1

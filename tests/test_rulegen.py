@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,30 @@ def test_verify_rejects_a_cost_below_its_power_of_two(monkeypatch):
     cert = verify_table(t)
     assert not cert.ok
     assert any("is below 2^" in f for f in cert.failures)
+
+
+def test_exact_power_check_agrees_with_integer_powers():
+    # _at_least_pow2 rounds its bound on c^q down to 128 bits; on costs a
+    # little above and below 2^e it must agree with c^q >= 2^p computed in full
+    rng = random.Random(7)
+    for _ in range(300):
+        e = Fraction(rng.randint(-400, 400), rng.randint(1, 60))
+        p, q = e.numerator, e.denominator
+        for c in (rulegen.cost_value(e), rulegen.cost_value(e) * (1 - Fraction(1, 2**30)),
+                  Fraction(2) ** (p // q), Fraction(2) ** (p // q) * (1 - Fraction(1, 2**90))):
+            exact = c.numerator ** q << max(-p, 0) >= c.denominator ** q << max(p, 0)
+            assert rulegen._at_least_pow2(c, e) == exact
+
+
+def test_verify_with_a_large_denominator_measure_is_fast():
+    # beta3 = 0.2000001 gives exponents over q = 10^7: raising a cost to the
+    # q-th power in full would take hours, the 128-bit bound takes log q steps
+    m = Measure(0, 0, 0, Fraction("0.2000001"), "n")
+    t = gensa(root_config(19), m, assertions=assertions_for(19), subspace_id=19)
+    assert t.complete
+    start = time.monotonic()
+    assert verify_table(t).ok
+    assert time.monotonic() - start < 10
 
 
 def test_generation_keys_no_root(monkeypatch):
