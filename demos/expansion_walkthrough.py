@@ -16,7 +16,7 @@ root = root_config(19)
 print(format_config(root))
 
 print("=== expansion children (one per resolution of one incomplete edge)")
-for label, child in expand(root, 3):
+for label, child in expand(root):
     print(f"child {label}:")
     print("  " + format_config(child).replace("\n", "\n  ").rstrip())
 

@@ -1,5 +1,5 @@
 """Generation, certification and execution of branching algorithms for
-vertex cover on bounded-degree graphs."""
+vertex cover on subcubic graphs."""
 
 from .configs import LocalConfiguration, boundary, canonical_key, expand, is_expansion, true_degree
 from .graphs import Graph, Instance, enumerate_cycles, vc_cover, vc_oracle

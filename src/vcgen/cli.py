@@ -2,7 +2,7 @@
 
 Subcommands: generate, solve, classify, verify, oracle, bound.
 Exit codes: 0 success / YES, 1 solve answered NO, 2 generation or
-verification failure, 3 input error.
+verification failure, 3 input error (usage errors included).
 """
 
 from __future__ import annotations
@@ -68,13 +68,12 @@ def cmd_generate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_ok = True
-    print(f"measure: {format_measure(measure)}  mode: {mode}  delta: {args.delta}")
+    print(f"measure: {format_measure(measure)}  mode: {mode}")
     for sid in sids:
         t0 = time.time()
         table = gensa(
             root_config(sid),
             measure,
-            delta=args.delta,
             rule_mode=mode,
             assertions=assertions_for(sid),
             limits=limits,
@@ -225,8 +224,16 @@ def cmd_feasibility(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 3 with one line, not argparse's 2
+    and a usage block.  Subparsers inherit this class."""
+
+    def error(self, message):
+        raise InputDomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vcgen",
         description="generate, certify and run branching algorithms for vertex cover "
         "on subcubic graphs",
@@ -239,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--mode", choices=["det", "rand"], default="rand")
     g.add_argument("--subspace", action="append", default=None,
                    help="P1..P19; repeatable; default all")
-    g.add_argument("--delta", type=int, default=3)
     g.add_argument("--depth", type=int, default=12)
     g.add_argument("--nodes", type=int, default=200_000)
     g.add_argument("--seconds", type=float, default=None)
@@ -283,9 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except VcgenError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import CapacityError, ContractError, InputDomainError
-from .graphs import Graph, format_graph
+from .graphs import MAX_DEGREE, Graph, format_graph
 
 CANONICAL_CAP = 16
 _PERM_BUDGET = 100_000  # covers a fully symmetric 8-cycle; larger classes skip merging
@@ -22,25 +22,24 @@ ChildLabel = tuple[str, int]  # ("internal", u) or ("new", true_degree)
 
 
 class LocalConfiguration:
-    """Immutable (H, d, delta) triple with deg+d <= delta everywhere."""
+    """Immutable pair (H, d) with deg + d <= MAX_DEGREE everywhere."""
 
-    __slots__ = ("h", "d", "delta", "__dict__")
+    __slots__ = ("h", "d", "__dict__")
 
-    def __init__(self, h: Graph, d: Mapping[int, int], delta: int = 3):
+    def __init__(self, h: Graph, d: Mapping[int, int]):
         full = {v: int(d.get(v, 0)) for v in h.vertices}
         for v, dv in full.items():
             if dv < 0:
                 raise InputDomainError(f"negative incomplete count at {v}")
-            if h.degree(v) + dv > delta:
+            if h.degree(v) + dv > MAX_DEGREE:
                 raise InputDomainError(
-                    f"vertex {v}: degree {h.degree(v)} + d {dv} exceeds delta {delta}"
+                    f"vertex {v}: degree {h.degree(v)} + d {dv} exceeds {MAX_DEGREE}"
                 )
         unknown = set(d) - h.vertices
         if unknown:
             raise InputDomainError(f"d given for unknown vertices {sorted(unknown)}")
         self.h = h
         self.d = full
-        self.delta = delta
 
     @cached_property
     def _key(self):
@@ -48,7 +47,6 @@ class LocalConfiguration:
             frozenset(self.h.vertices),
             frozenset(self.h.edges()),
             tuple(sorted(self.d.items())),
-            self.delta,
         )
 
     def __eq__(self, other) -> bool:
@@ -80,9 +78,9 @@ def true_degree(l: LocalConfiguration, v: int) -> int:
     return l.true_degree(v)
 
 
-def instance_as_config(g: Graph, delta: int = 3) -> LocalConfiguration:
-    """View a concrete graph as a configuration with no incomplete edges."""
-    return LocalConfiguration(g, {}, max(delta, g.max_degree()))
+def instance_as_config(g: Graph) -> LocalConfiguration:
+    """View a subcubic graph as a configuration with no incomplete edges."""
+    return LocalConfiguration(g, {})
 
 
 def select_expansion_vertex(l: LocalConfiguration) -> int:
@@ -93,12 +91,12 @@ def select_expansion_vertex(l: LocalConfiguration) -> int:
     return min(b, key=lambda v: (l.d[v], l.h.degree(v), v))
 
 
-def expand(l: LocalConfiguration, delta: int) -> list[tuple[ChildLabel, LocalConfiguration]]:
+def expand(l: LocalConfiguration) -> list[tuple[ChildLabel, LocalConfiguration]]:
     """One-edge refinements whose instance spaces jointly cover l's.
 
     Resolves one incomplete edge of the selected boundary vertex v: either it
     joins another boundary vertex u already in H (child ("internal", u)), or
-    it reaches a fresh vertex of true degree dd in 1..delta (child
+    it reaches a fresh vertex of true degree dd in 1..MAX_DEGREE (child
     ("new", dd)).  Internal candidates already adjacent to v are skipped:
     hosts are simple graphs, so that resolution cannot occur.
     """
@@ -110,13 +108,13 @@ def expand(l: LocalConfiguration, delta: int) -> list[tuple[ChildLabel, LocalCon
         d2 = dict(l.d)
         d2[u] -= 1
         d2[v] -= 1
-        children.append((("internal", u), LocalConfiguration(l.h.with_edge(u, v), d2, l.delta)))
+        children.append((("internal", u), LocalConfiguration(l.h.with_edge(u, v), d2)))
     fresh = max(l.h.vertices, default=-1) + 1
-    for dd in range(1, delta + 1):
+    for dd in range(1, MAX_DEGREE + 1):
         d2 = dict(l.d)
         d2[v] -= 1
         d2[fresh] = dd - 1
-        children.append((("new", dd), LocalConfiguration(l.h.with_edge(v, fresh), d2, l.delta)))
+        children.append((("new", dd), LocalConfiguration(l.h.with_edge(v, fresh), d2)))
     return children
 
 
@@ -206,7 +204,7 @@ def _encode(l: LocalConfiguration, perm: list[int]) -> bytes:
             if l.h.has_edge(perm[i], perm[j]):
                 bits[idx >> 3] |= 1 << (idx & 7)
             idx += 1
-    header = bytes([n, l.delta]) + bytes(l.d[v] for v in perm)
+    header = bytes([n]) + bytes(l.d[v] for v in perm)
     return header + bytes(bits)
 
 
@@ -247,13 +245,13 @@ def canonical_perm(l: LocalConfiguration) -> list[int]:
 
 def isomorphism(a: LocalConfiguration, b: LocalConfiguration) -> Optional[dict[int, int]]:
     """Vertex map a -> b respecting adjacency and d, via canonical orders."""
-    if len(a.h) != len(b.h) or a.delta != b.delta or canonical_key(a) != canonical_key(b):
+    if len(a.h) != len(b.h) or canonical_key(a) != canonical_key(b):
         return None
     pa, pb = canonical_perm(a), canonical_perm(b)
     return {va: vb for va, vb in zip(pa, pb)}
 
 
-# -- text form, for failure reports and the generation audit ----------------
+# -- text form, for failure reports -------------------------------------------
 #
 # The graph format of graphs.py plus one "d <v> <count>" line per vertex with
 # incomplete edges.

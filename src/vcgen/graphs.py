@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .errors import CapacityError, InputDomainError
 
 ORACLE_CAP = 24
+MAX_DEGREE = 3  # every graph and configuration vcgen handles is subcubic
 
 
 class Graph:

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import InputDomainError
-from .graphs import Instance
+from .graphs import MAX_DEGREE, Instance
 
 BISECTION_TOL = 1e-9
 
@@ -61,8 +61,8 @@ def pure_k(alpha="1") -> Measure:
 def evaluate(m: Measure, inst: Instance) -> Fraction:
     """alpha*k + sum beta_i * (number of degree-i vertices)."""
     g = inst.graph
-    if g.max_degree() > 3:
-        raise InputDomainError("measure defined for maximum degree 3 only")
+    if g.max_degree() > MAX_DEGREE:
+        raise InputDomainError(f"measure defined for maximum degree {MAX_DEGREE} only")
     counts = [0, 0, 0, 0]
     for v in g.low_degree():
         counts[g.degree(v)] += 1

@@ -11,10 +11,11 @@ leaf's requirement sets, costs and coverage from scratch.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .branching import (
     Branch,
@@ -36,7 +37,7 @@ from .configs import (
     select_expansion_vertex,
 )
 from .errors import CapacityError, ContractError, InputDomainError
-from .graphs import Graph
+from .graphs import MAX_DEGREE, Graph
 from .lp import solve_cover_ilp, solve_cover_lp
 from .measure import Measure, generation_admissible
 from .requirements import Requirement, RequirementContext
@@ -52,6 +53,10 @@ class GenLimits:
     max_depth: int = 12
     max_nodes: int = 200_000
     max_seconds: Optional[float] = None
+
+    def __post_init__(self):
+        if self.max_seconds is not None and math.isnan(self.max_seconds):
+            raise InputDomainError("max_seconds is NaN, which no wall time exceeds")
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,6 @@ class RuleTable:
     subspace_id: Optional[int]
     measure: Measure
     rule_mode: str  # one of RULE_MODES
-    delta: int
     tree: ExpansionTree
     meta: dict = field(default_factory=dict)
     failure: Optional[FailureReport] = None
@@ -86,32 +90,13 @@ class _LimitHit(Exception):
         self.chain = chain
 
 
-def _verify_solution(
-    weights: Sequence[Fraction],
-    costs: Sequence[Fraction],
-    masks: Sequence[int],
-    n_reqs: int,
-) -> bool:
-    """Direct substitution with the upward-rounded costs."""
-    if any(w < 0 or w > 1 for w in weights):
-        return False
-    if sum(w * c for w, c in zip(weights, costs)) > 1:
-        return False
-    for r in range(n_reqs):
-        if sum(w for w, m in zip(weights, masks) if m >> r & 1) < 1:
-            return False
-    return True
-
-
 def gensa(
     root: LocalConfiguration,
     m: Measure,
-    delta: int = 3,
     rule_mode: str = "randomized",
     assertions: SubspaceAssertions = NO_ASSERTIONS,
     limits: GenLimits = GenLimits(),
     subspace_id: Optional[int] = None,
-    audit: Optional[Callable[[dict], None]] = None,
 ) -> RuleTable:
     """Generate a rule table for every instance expanding the root.
 
@@ -126,8 +111,6 @@ def gensa(
         raise InputDomainError(
             "measure not admissible for generation: " + "; ".join(adm.violations)
         )
-    if delta != root.delta:
-        raise InputDomainError(f"delta {delta} differs from the root's delta {root.delta}")
     start = time.monotonic()
     nodes: list[TreeNode] = []
     memo: dict[bytes, int] = {}
@@ -194,26 +177,12 @@ def gensa(
             sol = solve_cover_ilp(pruned_costs, pruned_masks, len(crucial), lp_sol)
         else:
             sol = lp_sol
-        if audit is not None:
-            audit({
-                "config": format_config(config),
-                "depth": depth,
-                "branches": len(pruned),
-                "crucial": len(crucial),
-                "lp_objective": None if lp_sol is None else lp_sol.objective,
-                "ilp_objective": None if rule_mode != "deterministic" or sol is None
-                else sol.objective,
-                "accepted": sol is not None and sol.objective <= 1,
-            })
 
         if sol is not None and sol.objective <= 1:
-            if not _verify_solution(sol.weights, pruned_costs, pruned_masks, len(crucial)):
-                raise ContractError("solver returned a solution failing substitution")
-            entries = tuple(
-                RuleEntry(b, w)
-                for b, w in zip(pruned, sol.weights)
-                if w > 0
-            )
+            entries = tuple(RuleEntry(b, w) for b, w in zip(pruned, sol.weights) if w > 0)
+            wrong, _ = _check_rule_leaf(config, entries, ctx, crucial, m, rule_mode, assertions)
+            if wrong:
+                raise ContractError(f"solver returned a rule failing its check: {wrong[0]}")
             counters["rule_leaves"] += 1
             node_id = emit(TreeNode(len(nodes), config, "leaf",
                                     leaf=Leaf("rule", entries=entries)))
@@ -224,7 +193,7 @@ def gensa(
         # no efficient rule: expand and recurse
         selected = select_expansion_vertex(config)
         refs: list[ChildRef] = []
-        for label, child in expand(config, delta):
+        for label, child in expand(config):
             forbidden = forbidden_by(child, assertions)
             if forbidden is not None:
                 counters["pruned_children"] += 1
@@ -261,7 +230,7 @@ def gensa(
         },
         **counters,
     }
-    return RuleTable(subspace_id, m, rule_mode, delta, tree, meta, failure)
+    return RuleTable(subspace_id, m, rule_mode, tree, meta, failure)
 
 
 # -- certification -----------------------------------------------------------
@@ -279,7 +248,7 @@ def _iso_valid(a: LocalConfiguration, b: LocalConfiguration, iso: dict[int, int]
         return False
     if len(set(iso.values())) != len(iso):
         return False
-    if a.h.edge_count() != b.h.edge_count() or a.delta != b.delta:
+    if a.h.edge_count() != b.h.edge_count():
         return False
     for u, v in a.h.edges():
         if not b.h.has_edge(iso[u], iso[v]):
@@ -328,8 +297,6 @@ def verify_table(t: RuleTable) -> Certificate:
 
     for node in t.tree.nodes:
         nid = node.node_id
-        if node.config.delta != t.delta:
-            fail(f"node {nid}: delta {node.config.delta} is not the table's {t.delta}")
         if node.kind == "leaf":
             leaf = node.leaf
             if leaf is None:
@@ -343,7 +310,17 @@ def verify_table(t: RuleTable) -> Certificate:
                 if node.config.boundary():
                     fail(f"node {nid}: constant leaf with nonempty boundary")
             elif leaf.kind == "rule":
-                _verify_rule_leaf(t, node, assertions, failures, objectives)
+                try:
+                    ctx = RequirementContext(node.config)
+                    crucial = ctx.crucial_set()
+                except CapacityError:
+                    fail(f"node {nid}: boundary beyond requirement cap")
+                    continue
+                wrong, objective = _check_rule_leaf(node.config, leaf.entries, ctx, crucial,
+                                                    t.measure, t.rule_mode, assertions)
+                failures.extend(f"node {nid}: {f}" for f in wrong)
+                if objective is not None:
+                    objectives[nid] = objective
             else:
                 fail(f"node {nid}: unknown leaf kind {leaf.kind!r}")
         elif node.kind == "alias":
@@ -361,7 +338,7 @@ def verify_table(t: RuleTable) -> Certificate:
         elif node.kind == "expanded":
             if config_site(node.config) is not None:
                 fail(f"node {nid}: expanded although a simplification applies")
-            expected = expand(node.config, t.delta)
+            expected = expand(node.config)
             got = {ref.label: ref for ref in node.children}
             if [ref.label for ref in node.children] != [lbl for lbl, _ in expected]:
                 fail(f"node {nid}: children do not match the expansion cover")
@@ -403,60 +380,43 @@ def _at_least_pow2(c: Fraction, e: Fraction) -> bool:
     return bound.bit_length() - 1 + bk >= p
 
 
-def _verify_rule_leaf(
-    t: RuleTable,
-    node: TreeNode,
+def _check_rule_leaf(
+    config: LocalConfiguration,
+    entries: Sequence[RuleEntry],
+    ctx: RequirementContext,
+    crucial: Sequence[Requirement],
+    m: Measure,
+    rule_mode: str,
     assertions: SubspaceAssertions,
-    failures: list[str],
-    objectives: dict[int, Fraction],
-) -> None:
-    nid = node.node_id
-    leaf = node.leaf
-    assert leaf is not None
-    config = node.config
-    try:
-        ctx = RequirementContext(config)
-        crucial = ctx.crucial_set()
-    except CapacityError:
-        failures.append(f"node {nid}: boundary beyond requirement cap")
-        return
+) -> tuple[list[str], Optional[Fraction]]:
+    """Everything a rule leaf claims, recomputed by exact substitution: the
+    failures found and the objective (None when an entry is malformed)."""
     objective = Fraction(0)
-    sat_weights: dict[Requirement, Fraction] = {r: Fraction(0) for r in crucial}
-    for entry in leaf.entries:
+    coverage = [Fraction(0)] * len(crucial)
+    for entry in entries:
+        take = sorted(entry.take)
         if not entry.take or not entry.take <= config.h.vertices:
-            failures.append(f"node {nid}: branch {sorted(entry.take)} outside the graph")
-            return
+            return [f"branch {take} outside the graph"], None
         if any(config.h.degree(v) == 0 for v in entry.take):
-            failures.append(
-                f"node {nid}: branch {sorted(entry.take)} takes an isolated vertex "
-                "(its cost bound is not sound)"
-            )
-            return
+            return [f"branch {take} takes an isolated vertex (its cost bound is not sound)"], None
         if entry.weight <= 0 or entry.weight > 1:
-            failures.append(f"node {nid}: weight {entry.weight} outside (0, 1]")
-            return
-        if t.rule_mode == "deterministic" and entry.weight != 1:
-            failures.append(f"node {nid}: fractional weight in a deterministic table")
-            return
-        exp = cost_bound(config, entry.take, t.measure, assertions).exponent
+            return [f"weight {entry.weight} outside (0, 1]"], None
+        if rule_mode == "deterministic" and entry.weight != 1:
+            return ["fractional weight in a deterministic table"], None
+        exp = cost_bound(config, entry.take, m, assertions).exponent
         cost = cost_value(exp)
         if not _at_least_pow2(cost, exp):
-            failures.append(f"node {nid}: cost of branch {sorted(entry.take)} is below 2^({exp})")
-            return
+            return [f"cost of branch {take} is below 2^({exp})"], None
         objective += entry.weight * cost
         covered = ctx.cover_mask(entry.take, crucial)
-        for i, r in enumerate(crucial):
+        for i in range(len(crucial)):
             if covered >> i & 1:
-                sat_weights[r] += entry.weight
-    for r in crucial:
-        if sat_weights[r] < 1:
-            failures.append(
-                f"node {nid}: requirement {sorted(r)} covered with weight "
-                f"{sat_weights[r]} < 1"
-            )
+                coverage[i] += entry.weight
+    failures = [f"requirement {sorted(r)} covered with weight {w} < 1"
+                for r, w in zip(crucial, coverage) if w < 1]
     if objective > 1:
-        failures.append(f"node {nid}: objective {objective} exceeds 1")
-    objectives[nid] = objective
+        failures.append(f"objective {objective} exceeds 1")
+    return failures, objective
 
 
 # -- serialization -----------------------------------------------------------
@@ -470,14 +430,15 @@ def _config_obj(l: LocalConfiguration) -> dict:
         "vertices": sorted(l.h.vertices),
         "edges": [list(e) for e in l.h.edges()],
         "d": {str(v): l.d[v] for v in sorted(l.h.vertices) if l.d[v]},
-        "delta": l.delta,
+        "delta": MAX_DEGREE,
     }
 
 
 def _config_from_obj(obj: dict) -> LocalConfiguration:
     g = Graph(obj["vertices"], [tuple(e) for e in obj["edges"]])
     d = {int(v): _int(c, "d value") for v, c in obj["d"].items()}
-    return LocalConfiguration(g, d, _int(obj["delta"], "delta"))
+    _degree_bound(obj["delta"])
+    return LocalConfiguration(g, d)
 
 
 def table_to_json(t: RuleTable) -> str:
@@ -528,7 +489,7 @@ def table_to_json(t: RuleTable) -> str:
             "b2": str(t.measure.beta2),
             "b3": str(t.measure.beta3),
         },
-        "delta": t.delta,
+        "delta": MAX_DEGREE,
         "root": t.tree.root,
         "nodes": nodes,
         "meta": t.meta,
@@ -554,6 +515,12 @@ def _int(x, field: str) -> int:
     return x
 
 
+def _degree_bound(x) -> None:
+    """Tables hold subcubic configurations only: their "delta" key is always 3."""
+    if type(x) is not int or x != MAX_DEGREE:
+        raise InputDomainError(f"malformed rule table: delta {x!r} is not {MAX_DEGREE}")
+
+
 def _label(x) -> tuple[str, int]:
     """x as a child label ("internal", vertex) or ("new", true degree)."""
     if not (isinstance(x, list) and len(x) == 2 and x[0] in ("internal", "new")):
@@ -566,6 +533,7 @@ def _table_from_doc(doc) -> RuleTable:
         raise InputDomainError("not a rule-table file")
     if doc["mode"] not in RULE_MODES:
         raise InputDomainError(f"malformed rule table: unknown mode {doc['mode']!r}")
+    _degree_bound(doc["delta"])
     measure = Measure(
         Fraction(doc["measure"]["alpha"]),
         Fraction(doc["measure"]["b1"]),
@@ -627,7 +595,6 @@ def _table_from_doc(doc) -> RuleTable:
         None if doc["subspace"] is None else _int(doc["subspace"], "subspace"),
         measure,
         doc["mode"],
-        _int(doc["delta"], "delta"),
         ExpansionTree(nodes, _int(doc["root"], "root")),
         doc["meta"],
         failure,

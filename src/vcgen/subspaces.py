@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 from .branching import SubspaceAssertions
 from .configs import LocalConfiguration
 from .errors import InputDomainError
-from .graphs import Graph, cycle_graph, enumerate_cycles
+from .graphs import MAX_DEGREE, Graph, cycle_graph, enumerate_cycles
 
 Shape = tuple
 DegreeFn = Callable[[int], int]
@@ -152,8 +152,8 @@ class _Structures:
 
 def classify(g: Graph) -> int:
     """Smallest subspace whose structure is present; 19 when none is."""
-    if g.max_degree() > 3:
-        raise InputDomainError("classification requires maximum degree 3")
+    if g.max_degree() > MAX_DEGREE:
+        raise InputDomainError(f"classification requires maximum degree {MAX_DEGREE}")
     s = _Structures(g, g.degree, g.low_degree())
     for sid in SUBSPACE_IDS[:-1]:
         if s.has(SHAPES[sid]):

@@ -100,7 +100,7 @@ def completion_config(l: LocalConfiguration, c: Completion) -> LocalConfiguratio
             edges.append((nxt, h))
             d[h] -= 1
         nxt += 1
-    return LocalConfiguration(Graph(vertices, edges), d, l.delta)
+    return LocalConfiguration(Graph(vertices, edges), d)
 
 
 def beta(m: Measure, degree: int) -> Fraction:

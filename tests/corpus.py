@@ -1,13 +1,17 @@
-"""Seeded generators shared by the test suite."""
+"""Seeded generators and other helpers shared by the test suite."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
+import vcgen.rulegen as rulegen
 from vcgen.configs import LocalConfiguration
-from vcgen.graphs import Graph, Instance
+from vcgen.graphs import MAX_DEGREE, Graph, Instance
 from vcgen.measure import Measure
 
 # n-mode beta3 = 1/5: the randomized reference measure
@@ -67,14 +71,14 @@ def random_instance(rng: random.Random, n: int) -> Instance:
     return Instance(g, k)
 
 
-def random_config(rng: random.Random, n: int, delta: int = 3) -> LocalConfiguration:
+def random_config(rng: random.Random, n: int) -> LocalConfiguration:
     """Random local configuration: subcubic graph plus random slack as d."""
     g = random_subcubic(rng, n, target_edges=rng.randint(max(0, n - 2), n + 1))
     d = {}
     for v in g.vertices:
-        slack = delta - g.degree(v)
+        slack = MAX_DEGREE - g.degree(v)
         d[v] = rng.randint(0, slack) if slack > 0 else 0
-    return LocalConfiguration(g, d, delta)
+    return LocalConfiguration(g, d)
 
 
 def relabel(l: LocalConfiguration, mapping) -> LocalConfiguration:
@@ -83,7 +87,7 @@ def relabel(l: LocalConfiguration, mapping) -> LocalConfiguration:
         (mapping[v] for v in l.h.vertices),
         ((mapping[u], mapping[v]) for u, v in l.h.edges()),
     )
-    return LocalConfiguration(g, {mapping[v]: dv for v, dv in l.d.items()}, l.delta)
+    return LocalConfiguration(g, {mapping[v]: dv for v, dv in l.d.items()})
 
 
 def config_corpus(seed: int, count: int, max_n: int, require_site_free: bool = False):
@@ -116,3 +120,21 @@ def build_tables(m, mode: str) -> dict:
                    assertions=assertions_for(sid), subspace_id=sid)
         for sid in range(1, 20)
     }
+
+
+@contextlib.contextmanager
+def lp_ilp_pairs():
+    """The (LP, ILP) objectives of every ILP solve that gensa makes while the
+    context is open, recorded by wrapping the solve_cover_ilp that
+    vcgen.rulegen calls, as the benchmark's spans do."""
+    pairs: list[tuple] = []
+    solve = rulegen.solve_cover_ilp
+
+    def recorded(costs, masks, n_reqs, lp):
+        sol = solve(costs, masks, n_reqs, lp)
+        pairs.append((None if lp is None else lp.objective, None if sol is None else sol.objective))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rulegen, "solve_cover_ilp", recorded)
+        yield pairs

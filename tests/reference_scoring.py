@@ -33,7 +33,7 @@ def apply_branch(l: LocalConfiguration, b: Iterable[int]) -> LocalConfiguration:
     left as an upper approximation that the cost correction pays for)."""
     take = frozenset(b)
     h2 = l.h.without(take)
-    return LocalConfiguration(h2, {v: l.d[v] for v in h2.vertices}, l.delta)
+    return LocalConfiguration(h2, {v: l.d[v] for v in h2.vertices})
 
 
 def _true_degree_counts(l: LocalConfiguration) -> list[int]:

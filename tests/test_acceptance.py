@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from completions import completion_config, enumerate_completions, realized_exponent
-from corpus import is_cover, random_subcubic
+from corpus import is_cover, lp_ilp_pairs, random_subcubic
 from vcgen.branching import SubspaceAssertions, cost_bound
 from vcgen.graphs import (
     Graph,
@@ -243,32 +243,31 @@ def test_criterion_06_cost_bound_soundness():
     verdict(6, f"cost-bound soundness ({len(corpus)} configs, {completions_checked} realized checks)")
 
 
-# -- 7 + 8: generation audit and oracle equivalence ----------------------------
+# -- 7 + 8: LP <= ILP at generation, and oracle equivalence --------------------
 
 
 @pytest.fixture(scope="module")
 def pure_k_generation():
-    audit = []
-    tables = {
-        sid: gensa(
-            root_config(sid),
-            pure_k(),
-            rule_mode="deterministic",
-            assertions=assertions_for(sid),
-            subspace_id=sid,
-            audit=audit.append,
-        )
-        for sid in range(1, 20)
-    }
-    return tables, audit
+    with lp_ilp_pairs() as pairs:
+        tables = {
+            sid: gensa(
+                root_config(sid),
+                pure_k(),
+                rule_mode="deterministic",
+                assertions=assertions_for(sid),
+                subspace_id=sid,
+            )
+            for sid in range(1, 20)
+        }
+    return tables, pairs
 
 
 def test_criterion_07_lp_ilp_and_reverification(pure_k_generation):
-    tables, audit = pure_k_generation
+    tables, pairs = pure_k_generation
     nodes_compared = 0
-    for rec in audit:
-        if rec["lp_objective"] is not None and rec["ilp_objective"] is not None:
-            assert rec["lp_objective"] <= rec["ilp_objective"]
+    for lp, ilp in pairs:
+        if lp is not None and ilp is not None:
+            assert lp <= ilp
             nodes_compared += 1
     assert nodes_compared > 0
     for sid, t in tables.items():

@@ -16,7 +16,7 @@ from vcgen.branching import (
 )
 from vcgen.configs import LocalConfiguration, instance_as_config
 from vcgen.errors import CapacityError
-from vcgen.graphs import Graph, complete_graph, cycle_graph
+from vcgen.graphs import MAX_DEGREE, Graph, complete_graph, cycle_graph
 from vcgen.measure import MU1, MU2, pure_k
 from vcgen.requirements import RequirementContext, crucial_set
 
@@ -82,7 +82,7 @@ def test_apply_branch_preserves_invariant():
         b = frozenset(rng.sample(vs, rng.randint(1, len(vs))))
         after = apply_branch(l, b)
         for v in after.h.vertices:
-            assert after.h.degree(v) + after.d[v] <= after.delta
+            assert after.h.degree(v) + after.d[v] <= MAX_DEGREE
 
 
 def test_cost_bound_edge_mu1():

@@ -226,12 +226,43 @@ def test_bound_with_a_huge_branching_number_returns():
 
 
 def test_generate_with_another_delta_is_an_input_error(tmp_path, capsys):
-    # the roots have delta 3; at delta 0 they would expand into no children
+    # the degree bound is fixed at 3, so --delta is an unknown option
     assert main(["generate", "--measure", "n", "b3=0.2", "--delta", "0",
                  "--subspace", "P19", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: delta 0") and err.count("\n") == 1, err
+    assert err.startswith("error: ") and "--delta" in err and err.count("\n") == 1, err
     assert not (tmp_path / "P19.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--measure", "n", "b3=0.2", "--depth", "x"],  # malformed int
+    ["solve", "--instance", "g.vc", "--tables", "t", "--seed", "x"],
+    ["oracle", "--instance", "g.vc", "--bogus"],  # unknown option
+    ["verify"],  # missing required option
+    ["frobnicate"],  # unknown command
+    [],  # no command
+])
+def test_usage_errors_exit_3_on_one_line(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--help"])
+    assert exc.value.code == 0
+    assert "--measure" in capsys.readouterr().out
+
+
+def test_generate_with_a_nan_wall_budget_is_an_input_error(tmp_path, capsys):
+    # a NaN budget would never run out: generation would run unbounded
+    assert main(["generate", "--measure", "n", "b3=0.125", "--depth", "20",
+                 "--subspace", "P11", "--seconds", "nan", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "P11.json").exists()
 
 
 def test_verify_command(tmp_path, capsys, k4_instance):

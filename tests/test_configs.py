@@ -19,8 +19,8 @@ from vcgen.errors import CapacityError, ContractError, InputDomainError
 from vcgen.graphs import Graph, complete_graph, cycle_graph, path_graph
 
 
-def lone(d: int, delta: int = 3) -> LocalConfiguration:
-    return LocalConfiguration(Graph([0]), {0: d}, delta)
+def lone(d: int) -> LocalConfiguration:
+    return LocalConfiguration(Graph([0]), {0: d})
 
 
 def edge_config(du: int, dv: int) -> LocalConfiguration:
@@ -29,7 +29,7 @@ def edge_config(du: int, dv: int) -> LocalConfiguration:
 
 def test_invariants_enforced():
     with pytest.raises(InputDomainError):
-        LocalConfiguration(Graph([0]), {0: 4})  # true degree above delta
+        LocalConfiguration(Graph([0]), {0: 4})  # true degree above MAX_DEGREE
     with pytest.raises(InputDomainError):
         LocalConfiguration(Graph([0]), {0: -1})
     with pytest.raises(InputDomainError):
@@ -51,7 +51,7 @@ def test_true_degree_examples():
 
 
 def test_expand_lone_vertex():
-    children = expand(lone(3), 3)
+    children = expand(lone(3))
     assert [label for label, _ in children] == [("new", 1), ("new", 2), ("new", 3)]
     for (_, dd), child in zip([l for l, _ in children], [c for _, c in children]):
         assert child.d[0] == 2
@@ -60,14 +60,14 @@ def test_expand_lone_vertex():
 
 
 def test_expand_edge_no_internal_child():
-    children = expand(edge_config(2, 2), 3)
+    children = expand(edge_config(2, 2))
     # {0,1} already an edge, so no internal child; three new-vertex children
     assert [label for label, _ in children] == [("new", 1), ("new", 2), ("new", 3)]
 
 
 def test_expand_path_selects_min_d_vertex():
     l = LocalConfiguration(path_graph(3), {0: 2, 1: 1, 2: 2})
-    children = expand(l, 3)
+    children = expand(l)
     # vertex 1 has the fewest incomplete edges; both internal candidates are
     # already adjacent, so only the three new-vertex children remain
     assert [label for label, _ in children] == [("new", 1), ("new", 2), ("new", 3)]
@@ -79,7 +79,7 @@ def test_expand_internal_child_created_when_nonadjacent():
     # path 0-1-2 with slack on the endpoints: selecting 0 (d=1, deg=1 ties
     # with 2; smaller id wins) gives internal child joining 0-2
     l = LocalConfiguration(path_graph(3), {0: 1, 2: 1})
-    children = expand(l, 3)
+    children = expand(l)
     labels = [label for label, _ in children]
     assert ("internal", 2) in labels
     internal = dict(children)[("internal", 2)]
@@ -89,7 +89,7 @@ def test_expand_internal_child_created_when_nonadjacent():
 
 def test_expand_empty_boundary_rejected():
     with pytest.raises(ContractError):
-        expand(instance_as_config(complete_graph(3)), 3)
+        expand(instance_as_config(complete_graph(3)))
 
 
 def test_is_expansion_identity():
@@ -123,7 +123,7 @@ def test_expansion_children_expand_parent():
         l = random_config(rng, 5)
         if not l.boundary():
             continue
-        for _, child in expand(l, 3):
+        for _, child in expand(l):
             assert is_expansion(child, l) is not None
 
 
@@ -140,11 +140,11 @@ def test_expansion_cover_exactly_one_child():
         sub = set(rng.sample(sorted(g.vertices), rng.randint(1, len(g.vertices) - 1)))
         h = Graph(sub, ((u, v) for u, v in g.edges() if u in sub and v in sub))
         d = {v: g.degree(v) - h.degree(v) for v in sub}
-        l = LocalConfiguration(h, d, 3)
+        l = LocalConfiguration(h, d)
         if not l.boundary():
             continue
         v = select_expansion_vertex(l)
-        children = expand(l, 3)
+        children = expand(l)
         labels = [label for label, _ in children]
         assert len(set(labels)) == len(labels)
         # every unresolved host edge at v resolves through exactly one label
@@ -226,13 +226,6 @@ def test_isomorphism_mapping_valid():
             assert l2.h.has_edge(phi[u], phi[v])
         for v in vs:
             assert l.d[v] == l2.d[phi[v]]
-
-
-def test_isomorphism_needs_the_same_delta():
-    # a table file may carry any delta; one beyond a byte must not reach
-    # the canonical encoding
-    g = cycle_graph(3)
-    assert isomorphism(LocalConfiguration(g, {}, 300), LocalConfiguration(g, {}, 3)) is None
 
 
 def test_config_text_roundtrip():

@@ -140,8 +140,8 @@ def test_classify_matches_reference():
 def test_forbidden_by_matches_reference_on_expanded_roots():
     checked = 0
     for sid in range(1, 20):
-        for _, child in expand(root_config(sid), 3):
-            grandchildren = [] if config_site(child) else [c for _, c in expand(child, 3)]
+        for _, child in expand(root_config(sid)):
+            grandchildren = [] if config_site(child) else [c for _, c in expand(child)]
             for l in [child, *grandchildren]:
                 for a in (assertions_for(sid), assertions_for(19)):
                     assert forbidden_by(l, a) == ref.forbidden_by(l, a), (sid, l)

@@ -120,16 +120,19 @@ def test_requirement_dag_acyclic():
     corpus = config_corpus(seed=107, count=40, max_n=5)
     for l in corpus:
         ctx = RequirementContext(l)
-        ctx.crucial_set()  # fills the vc-per-requirement table
         delta = ctx.delta
         n = len(delta)
+        vc = [ctx.vc_minus(delta[i] for i in range(n) if mask >> i & 1)
+              for mask in range(1 << n)]
         edges = []
         for mask in range(1 << n):
             for i in range(n):
                 bit = 1 << i
                 if mask & bit:
                     continue
-                if ctx._forced(mask, bit):
+                # adding v to the requirement costs no extra cover vertex:
+                # the edge runs (R + v) -> R
+                if vc[mask] == vc[mask | bit] + 1:
                     edges.append((mask | bit, mask))
                 else:
                     edges.append((mask, mask | bit))

@@ -62,8 +62,8 @@ def test_named_graphs_match_root_embedding():
 def test_expanded_roots_match_root_embedding():
     checked = 0
     for sid in SUBSPACE_IDS:
-        for _, child in expand(root_config(sid), 3):
-            grandchildren = [c for _, c in expand(child, 3)] if child.boundary() else []
+        for _, child in expand(root_config(sid)):
+            grandchildren = [c for _, c in expand(child)] if child.boundary() else []
             for l in [child, *grandchildren]:
                 for a in (assertions_for(sid), assertions_for(19), *EACH_ALONE):
                     assert forbidden_by(l, a) == ref.forbidden_by(l, a), (a, l)

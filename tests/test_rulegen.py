@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import time
 from fractions import Fraction
@@ -6,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 import vcgen.rulegen as rulegen
-from corpus import MU_N20, random_subcubic, relabel
+from corpus import MU_N20, lp_ilp_pairs, random_subcubic, relabel
 from vcgen.configs import instance_as_config
-from vcgen.errors import InputDomainError
-from vcgen.graphs import Graph, Instance, complete_graph
+from vcgen.cli import main
+from vcgen.errors import ContractError, InputDomainError
+from vcgen.graphs import Graph, Instance, complete_graph, format_instance
 from vcgen.lp import solve_cover_ilp, solve_cover_lp
 from vcgen.measure import Measure, pure_k
 from vcgen.rulegen import (
@@ -166,20 +168,36 @@ def test_from_json_rejects_other_formats():
 
 
 def test_audit_lp_never_exceeds_ilp():
-    audit = []
-    for sid in (6, 7, 19):
-        gensa(
-            root_config(sid),
-            pure_k(),
-            rule_mode="deterministic",
-            assertions=assertions_for(sid),
-            subspace_id=sid,
-            audit=audit.append,
-        )
-    assert audit
-    for rec in audit:
-        if rec["lp_objective"] is not None and rec["ilp_objective"] is not None:
-            assert rec["lp_objective"] <= rec["ilp_objective"]
+    with lp_ilp_pairs() as pairs:
+        for sid in (6, 7, 19):
+            gensa(
+                root_config(sid),
+                pure_k(),
+                rule_mode="deterministic",
+                assertions=assertions_for(sid),
+                subspace_id=sid,
+            )
+    assert pairs
+    for lp, ilp in pairs:
+        if lp is not None and ilp is not None:
+            assert lp <= ilp
+
+
+def test_limits_reject_a_nan_wall_budget():
+    # elapsed > nan is never true: the budget would never run out
+    with pytest.raises(InputDomainError):
+        GenLimits(max_seconds=float("nan"))
+    assert GenLimits(max_seconds=float("inf")).max_seconds == float("inf")
+
+
+def test_gensa_checks_each_rule_as_the_verifier_does(monkeypatch):
+    # costs rounded below 2^e by 2^-30 pass the LP, but a rule built on them
+    # fails the exact power check, so generation stops rather than return a
+    # table that only fails at verification
+    monkeypatch.setattr(rulegen, "cost_value",
+                        lambda e: Fraction(2.0 ** float(e)) * (1 - Fraction(1, 2**30)))
+    with pytest.raises(ContractError, match="below 2"):
+        p19_pure_k()
 
 
 def test_verify_detects_lowered_weight():
@@ -274,8 +292,8 @@ def test_verify_accepts_an_isomorphic_root():
     assert verify_table(t).ok
 
 
-# the table `generate --delta 0` wrote for P19: with no fresh vertex of
-# any true degree, the root expands into no children at all
+# the table `generate --delta 0` once wrote for P19: with no fresh vertex of
+# any true degree, the root expanded into no children at all
 DELTA0_P19 = (
     '{"delta":0,"failure":null,"format":"vcgen-rule-table","measure":{"alpha":"0",'
     '"b1":"0","b2":"0","b3":"1/5","mode":"n"},"meta":{"aliases":0,"limits":{"max_depth":12,'
@@ -286,11 +304,30 @@ DELTA0_P19 = (
 )
 
 
-def test_delta_must_be_the_configurations_delta():
-    cert = verify_table(table_from_json(DELTA0_P19))
-    assert cert.failures == ("node 0: delta 3 is not the table's 0",)
-    with pytest.raises(InputDomainError):
-        p19_pure_k(delta=0)
+def test_reader_accepts_only_delta_3(tmp_path, capsys):
+    # the degree bound is fixed: a table or configuration "delta" of
+    # anything but the integer 3 is an input error, for the library and
+    # for verify and solve
+    doc = json.loads(DELTA0_P19)
+    doc["delta"] = 3
+    assert table_from_json(json.dumps(doc)).tree.nodes[0].config == root_config(19)
+    instance = tmp_path / "k4.vc"
+    instance.write_text(format_instance(Instance(complete_graph(4), 3)))
+    table = tmp_path / "P19.json"
+    for bad in (0, 300, "3", 3.0, True):
+        for where in ("table", "config"):
+            doc = json.loads(DELTA0_P19)
+            doc["delta"] = 3
+            (doc["nodes"][0]["config"] if where == "config" else doc)["delta"] = bad
+            text = json.dumps(doc)
+            with pytest.raises(InputDomainError):
+                table_from_json(text)
+            table.write_text(text)
+            for argv in (["verify", "--table", str(table)],
+                         ["solve", "--instance", str(instance), "--tables", str(table)]):
+                assert main(argv) == 3, (bad, where, argv)
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_detects_objective_violation():

@@ -135,8 +135,8 @@ def test_is_expansion_matches_reference_on_configurations():
     # degree <= 2 in H carry true degree 3, and H may be disconnected
     checked = 0
     for sid, root in ROOTS.items():
-        for _, child in expand(root, 3):
-            for _, grandchild in expand(child, 3)[::3] if child.boundary() else ():
+        for _, child in expand(root):
+            for _, grandchild in expand(child)[::3] if child.boundary() else ():
                 for small in ROOTS.values():
                     assert is_expansion(grandchild, small) == ref.is_expansion(grandchild, small)
                     checked += 1
