@@ -1,8 +1,8 @@
 """Generation, certification and execution of branching algorithms for
 vertex cover on subcubic graphs."""
 
-from .configs import LocalConfiguration, boundary, canonical_key, expand, is_expansion, true_degree
-from .graphs import Graph, Instance, enumerate_cycles, vc_cover, vc_oracle
+from .configs import LocalConfiguration, canonical_key, expand, is_expansion
+from .graphs import Graph, Instance, enumerate_cycles, vc_oracle
 from .measure import (
     MU1,
     MU2,
@@ -14,7 +14,6 @@ from .measure import (
     evaluate,
     pure_k,
 )
-from .requirements import crucial_set, eb
 from .rulegen import GenLimits, RuleTable, gensa, table_from_json, table_to_json, verify_table
 from .runtime import TableEngine, TrialPlan
 from .simplify import apply, config_site, find_site, simplify_fixpoint
@@ -34,15 +33,12 @@ __all__ = [
     "TableEngine",
     "TrialPlan",
     "apply",
-    "boundary",
     "branching_number",
     "canonical_key",
     "check_feasibility",
     "classify",
     "combine_bound",
     "config_site",
-    "crucial_set",
-    "eb",
     "enumerate_cycles",
     "evaluate",
     "expand",
@@ -57,8 +53,6 @@ __all__ = [
     "simplify_fixpoint",
     "table_from_json",
     "table_to_json",
-    "true_degree",
-    "vc_cover",
     "vc_oracle",
     "verify_table",
 ]

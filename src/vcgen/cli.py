@@ -71,15 +71,21 @@ def cmd_generate(args) -> int:
     print(f"measure: {format_measure(measure)}  mode: {mode}")
     for sid in sids:
         t0 = time.time()
-        table = gensa(
-            root_config(sid),
-            measure,
-            rule_mode=mode,
-            assertions=assertions_for(sid),
-            limits=limits,
-            subspace_id=sid,
-        )
         name = subspace_name(sid)
+        try:
+            table = gensa(
+                root_config(sid),
+                measure,
+                rule_mode=mode,
+                assertions=assertions_for(sid),
+                limits=limits,
+                subspace_id=sid,
+            )
+        except ContractError as exc:  # a generated rule failed its leaf check
+            all_ok = False
+            print(f"{name}: FAILED ({time.time() - t0:.1f}s)")
+            print(f"  {exc}")
+            continue
         if not table.complete:
             all_ok = False
             print(f"{name}: FAILED ({time.time() - t0:.1f}s)")

@@ -56,26 +56,16 @@ class LocalConfiguration:
         return hash(self._key)
 
     def boundary(self) -> frozenset[int]:
+        """Vertices with at least one incomplete edge."""
         return frozenset(v for v, dv in self.d.items() if dv > 0)
 
     def true_degree(self, v: int) -> int:
+        """Degree the vertex has in every host graph: deg_H(v) + d(v)."""
         return self.h.degree(v) + self.d[v]
 
     def __repr__(self) -> str:
         ds = {v: dv for v, dv in sorted(self.d.items()) if dv}
         return f"LocalConfiguration({sorted(self.h.vertices)}, {list(self.h.edges())}, d={ds})"
-
-
-def boundary(l: LocalConfiguration) -> frozenset[int]:
-    """Vertices with at least one incomplete edge."""
-    return l.boundary()
-
-
-def true_degree(l: LocalConfiguration, v: int) -> int:
-    """Degree the vertex has in every host graph: deg_H(v) + d(v)."""
-    if v not in l.h:
-        raise InputDomainError(f"unknown vertex {v}")
-    return l.true_degree(v)
 
 
 def instance_as_config(g: Graph) -> LocalConfiguration:

@@ -19,7 +19,8 @@ MAX_DEGREE = 3  # every graph and configuration vcgen handles is subcubic
 
 
 class Graph:
-    """Immutable simple undirected graph over integer vertex ids."""
+    """Immutable simple undirected graph over integer vertex ids, of
+    maximum degree at most MAX_DEGREE."""
 
     __slots__ = ("_adj", "_vertices", "_low")
 
@@ -33,6 +34,8 @@ class Graph:
             adj.setdefault(v, set())
             adj[u].add(v)
             adj[v].add(u)
+        for v, ns in adj.items():
+            _check_degree(v, len(ns))
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._vertices = frozenset(self._adj)
         self._low = None
@@ -74,9 +77,6 @@ class Graph:
             self._low = frozenset(v for v, ns in self._adj.items() if len(ns) <= 2)
         return self._low
 
-    def max_degree(self) -> int:
-        return max((len(ns) for ns in self._adj.values()), default=0)
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj.get(u, ())
 
@@ -113,6 +113,8 @@ class Graph:
         adj = dict(self._adj)
         adj[u] = adj.get(u, frozenset()) | {v}
         adj[v] = adj.get(v, frozenset()) | {u}
+        _check_degree(u, len(adj[u]))
+        _check_degree(v, len(adj[v]))
         low = None
         if self._low is not None:
             grown = {x for x in (u, v) if len(adj[x]) > 2}
@@ -127,6 +129,11 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({sorted(self._vertices)}, {list(self.edges())})"
+
+
+def _check_degree(v: int, degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise InputDomainError(f"vertex {v} has degree {degree}, above {MAX_DEGREE}")
 
 
 @dataclass(frozen=True)
@@ -229,11 +236,6 @@ class VertexCoverSolver:
 def vc_oracle(g: Graph) -> int:
     """Exact minimum vertex cover size; deterministic, capped at 24 vertices."""
     return VertexCoverSolver(g).vc()
-
-
-def vc_cover(g: Graph) -> frozenset[int]:
-    """A deterministic minimum vertex cover witness."""
-    return VertexCoverSolver(g).cover()
 
 
 def enumerate_cycles(

@@ -94,18 +94,3 @@ class RequirementContext:
     def eb(self, b: Iterable[int], reqs: Sequence[Requirement]) -> tuple[Requirement, ...]:
         mask = self.cover_mask(b, reqs)
         return tuple(r for i, r in enumerate(reqs) if mask >> i & 1)
-
-
-def crucial_set(l: LocalConfiguration) -> tuple[Requirement, ...]:
-    """Requirements with no incoming DAG edge; sufficient for rule synthesis.
-
-    With an empty boundary this is just (frozenset(),).
-    """
-    return RequirementContext(l).crucial_set()
-
-
-def eb(
-    l: LocalConfiguration, b: Iterable[int], reqs: Sequence[Requirement]
-) -> tuple[Requirement, ...]:
-    """The requirements from reqs that branch b satisfies."""
-    return RequirementContext(l).eb(b, reqs)

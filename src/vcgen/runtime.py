@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CertificateViolation, ContractError, InputDomainError
-from .graphs import Graph, Instance, ORACLE_CAP, VertexCoverSolver
+from .graphs import Graph, Instance, VertexCoverSolver
 from .measure import Measure, evaluate
 from .rulegen import RuleTable, verify_table
 from .simplify import lift_cover, simplify_fixpoint
@@ -77,24 +77,19 @@ def _component_cover(g: Graph, comp: frozenset[int]) -> frozenset[int]:
 
 def _budget_cover(inst: Instance) -> Optional[frozenset[int]]:
     """Fallback decision when the measure bottoms out with edges remaining:
-    exact oracle under the cap, plain two-way branching beyond it."""
+    plain two-way branching on a vertex of largest degree."""
     g = inst.graph
-    if len(g) <= ORACLE_CAP:
-        cover = VertexCoverSolver(g).cover()
-        return cover if len(cover) <= inst.budget else None
     if inst.budget < 0:
         return None
+    if g.edge_count() == 0:
+        return frozenset()
     v = max(g.vertices, key=lambda x: (g.degree(x), -x))
-    if g.degree(v) == 0:
-        return _budget_cover(Instance(g.without({v}), inst.budget))
     take = _budget_cover(Instance(g.without({v}), inst.budget - 1))
     if take is not None:
         return take | {v}
     nbrs = g.neighbors(v)
     drop = _budget_cover(Instance(g.without(nbrs | {v}), inst.budget - len(nbrs)))
-    if drop is not None:
-        return drop | nbrs
-    return None
+    return None if drop is None else drop | nbrs
 
 
 def is_vertex_cover(g: Graph, cover: frozenset[int]) -> bool:
@@ -151,15 +146,17 @@ class TableEngine:
 
     def _advance(self, inst: Instance, events: list):
         """Simplify, fall back and apply constant leaves until the instance
-        is decided or a rule leaf matches, appending to the event log.
+        is decided or a rule leaf matches, appending to the event log the
+        simplification steps and (taken, None) for every take; lift_cover
+        turns the log into a cover.
 
         Returns True when the log now holds a cover, False when no cover
         within budget exists, else (instance, subspace, leaf node, anchor
         map) for the rule leaf to branch on.
         """
         while True:
-            inst, simplifications = simplify_fixpoint(inst)
-            events.extend(("simplify", site, g) for site, g in simplifications)
+            inst, steps = simplify_fixpoint(inst)
+            events.extend(steps)
             if inst.budget < 0:
                 return False
             if inst.graph.edge_count() == 0:
@@ -169,14 +166,14 @@ class TableEngine:
                 cover = _budget_cover(inst)
                 if cover is None:
                     return False
-                events.append(("take", cover))
+                events.append((cover, None))
                 return True
             sid, leaf, phi = self._match_leaf(inst)
             if leaf.leaf.kind != "constant":
                 return inst, sid, leaf, phi
             comp = frozenset(phi.values())
             comp_cover = _component_cover(inst.graph, comp)
-            events.append(("take", comp_cover))
+            events.append((comp_cover, None))
             inst = Instance(inst.graph.without(comp), inst.budget - len(comp_cover))
 
     # -- deterministic mode --------------------------------------------------
@@ -190,7 +187,7 @@ class TableEngine:
         events: list = []
         if not self._det_search(inst, events):
             return None
-        cover = _unwind(events)
+        cover = lift_cover(events, frozenset())
         if not is_vertex_cover(inst.graph, cover) or len(cover) > inst.budget:
             raise CertificateViolation("constructed set is not a budget cover")
         return cover
@@ -203,7 +200,7 @@ class TableEngine:
         inst, _, leaf, phi = step
         mark = len(events)
         for _, take, child in _branches(inst, leaf, phi):
-            events.append(("take", take))
+            events.append((take, None))
             if self._det_search(child, events):
                 return True
             del events[mark:]
@@ -245,9 +242,9 @@ class TableEngine:
             take, child, _ = children[pick]
             if trace is not None:
                 trace.append(TraceStep(sid, leaf.node_id, tuple(sorted(take)), probs[pick]))
-            events.append(("take", take))
+            events.append((take, None))
             inst = child
-        cover = _unwind(events)
+        cover = lift_cover(events, frozenset())
         if not is_vertex_cover(original.graph, cover) or len(cover) > original.budget:
             return None
         return cover
@@ -282,15 +279,3 @@ def _branches(inst: Instance, leaf, phi: dict[int, int]):
     for entry in leaf.leaf.entries:
         take = frozenset(phi[v] for v in entry.take)
         yield entry, take, Instance(inst.graph.without(take), inst.budget - len(take))
-
-
-def _unwind(events) -> frozenset[int]:
-    """The cover the event log describes: takes are added and simplifications
-    lifted, last event first."""
-    cover: frozenset[int] = frozenset()
-    for ev in reversed(events):
-        if ev[0] == "take":
-            cover = cover | ev[1]
-        else:
-            cover = lift_cover(ev[2], ev[1], cover)
-    return cover

@@ -21,12 +21,18 @@ assume.
 The same structural detectors run in two modes: on concrete instances
 (`find_site`) and on local configurations (`config_site`), where a rule is
 reported only when every host graph of the configuration must admit it.
+
+Firing a rule yields a step (taken, fold): the vertices it puts into the
+cover, and for rule 4 the fold (u, v, a) of the contracted pair and u's
+outer neighbor.  `lift_cover` turns a cover of the reduced graph back into
+one of the original from these steps alone; the solve engines log their
+branch takes as steps with no fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .configs import LocalConfiguration
 from .errors import ContractError
@@ -52,12 +58,15 @@ def _rule3_sites(g: Graph, low: dict[int, int]):
             yield SimplificationSite(3, (v, u, w))
 
 
-def _rule4_blocked(g: Graph, u: int, v: int) -> bool:
-    """The pair closes an isolated 4-cycle: both outer neighbors are
-    degree-2 and adjacent to each other."""
-    a = next(iter(g.neighbors(u) - {v}))
-    b = next(iter(g.neighbors(v) - {u}))
-    return a != b and g.degree(a) == 2 and g.degree(b) == 2 and g.has_edge(a, b)
+def _rule4_outer(g: Graph, u: int, v: int) -> tuple[int, int]:
+    """The outer neighbors a of u and b of v, for an adjacent degree-2 pair."""
+    return next(iter(g.neighbors(u) - {v})), next(iter(g.neighbors(v) - {u}))
+
+
+def _rule4_blocked(g: Graph, a: int, b: int) -> bool:
+    """The outer neighbors a, b of a degree-2 pair close an isolated
+    4-cycle: both are degree-2 and adjacent to each other."""
+    return g.degree(a) == 2 and g.degree(b) == 2 and g.has_edge(a, b)
 
 
 def _rule4_sites(g: Graph, low: dict[int, int], skip_blocked: bool):
@@ -66,9 +75,23 @@ def _rule4_sites(g: Graph, low: dict[int, int], skip_blocked: bool):
             continue
         for v in sorted(g.neighbors(u)):
             if v > u and low.get(v) == 2:
-                if skip_blocked and _rule4_blocked(g, u, v):
+                if skip_blocked and _rule4_blocked(g, *_rule4_outer(g, u, v)):
                     continue
                 yield SimplificationSite(4, (u, v))
+
+
+def _rule5_take(cyc: tuple[int, ...], deg: Callable[[int], int]) -> Optional[tuple[int, ...]]:
+    """The vertices rule 5 takes on the cycle cyc: the high-degree half when
+    degrees alternate 2 / >2, alternate vertices when all are 2; None when
+    cyc is odd or neither."""
+    if len(cyc) % 2:
+        return None
+    twos = [deg(x) == 2 for x in cyc]
+    if all(twos):
+        return cyc[1::2]
+    if all(twos[i] != twos[i - 1] for i in range(len(cyc))):
+        return tuple(x for x, two in zip(cyc, twos) if not two)
+    return None
 
 
 def _rule5_sites(g: Graph, deg: Callable[[int], int]):
@@ -86,19 +109,8 @@ def _rule5_sites(g: Graph, deg: Callable[[int], int]):
     twos = [v for v in g.vertices if deg(v) == 2]
     starts = set(twos).union(*(g.neighbors(v) for v in twos))
     for cyc in enumerate_cycles(g, CYCLE_SEARCH_CAP, fits, starts):
-        if len(cyc) % 2:
-            continue
-        if all(deg(x) == 2 for x in cyc):
+        if _rule5_take(cyc, deg) is not None:
             yield SimplificationSite(5, cyc)
-            continue
-        for parity in (0, 1):
-            ok = all(
-                (deg(x) == 2) if i % 2 == parity else (deg(x) > 2)
-                for i, x in enumerate(cyc)
-            )
-            if ok:
-                yield SimplificationSite(5, cyc)
-                break
 
 
 def _site(
@@ -165,80 +177,75 @@ def _validate(inst: Instance, site: SimplificationSite) -> None:
             u, v = w
             ok = g.has_edge(u, v) and g.degree(u) == 2 and g.degree(v) == 2
             if ok:
-                a = next(iter(g.neighbors(u) - {v}))
-                b = next(iter(g.neighbors(v) - {u}))
+                a, b = _rule4_outer(g, u, v)
                 # a shared neighbor is rule-3 territory; an isolated 4-cycle
                 # belongs to rule 5
-                ok = a != b and not _rule4_blocked(g, u, v)
+                ok = a != b and not _rule4_blocked(g, a, b)
         elif site.rule_id == 5:
-            ok = len(w) % 2 == 0 and all(
-                g.has_edge(w[i], w[(i + 1) % len(w)]) for i in range(len(w))
+            ok = (
+                len(set(w)) == len(w) >= 4
+                and all(g.has_edge(w[i - 1], w[i]) for i in range(len(w)))
+                and _rule5_take(w, g.degree) is not None
             )
-            if ok and not all(g.degree(x) == 2 for x in w):
-                parity = 0 if g.degree(w[0]) == 2 else 1
-                ok = all(
-                    (g.degree(x) == 2) if i % 2 == parity else (g.degree(x) > 2)
-                    for i, x in enumerate(w)
-                )
         else:
             ok = False
     if not ok:
         raise ContractError(f"site {site} is stale for {inst}")
 
 
+Fold = tuple[int, int, int]
+Step = tuple[frozenset[int], Optional[Fold]]
+
+
+def _fire(inst: Instance, site: SimplificationSite) -> tuple[Instance, Step]:
+    """The reduced instance and the step that undoes it: the vertices the
+    rule takes into the cover, or, for rule 4, the fold (u, v, a) of the
+    pair u, v and u's outer neighbor a."""
+    g, w = inst.graph, site.witness
+    if site.rule_id == 4:
+        u, v = w
+        a, b = _rule4_outer(g, u, v)
+        reduced = g.without(w)
+        if not reduced.has_edge(a, b):  # merge parallel edges
+            reduced = reduced.with_edge(a, b)
+        return Instance(reduced, inst.budget - 1), (frozenset(), (u, v, a))
+    if site.rule_id == 1:
+        taken = frozenset()
+    elif site.rule_id == 2:
+        taken = g.neighbors(w[0])
+    elif site.rule_id == 3:
+        taken = frozenset(w[1:])
+    else:
+        taken = frozenset(_rule5_take(w, g.degree))
+    # every rule removes its witness and what it takes
+    return Instance(g.without(taken | set(w)), inst.budget - len(taken)), (taken, None)
+
+
 def apply(inst: Instance, site: SimplificationSite) -> Instance:
     """Reduced instance after firing the rule; YES/NO answer is unchanged."""
     _validate(inst, site)
-    g, k, w = inst.graph, inst.budget, site.witness
-    if site.rule_id == 1:
-        return Instance(g.without({w[0]}), k)
-    if site.rule_id == 2:
-        v = w[0]
-        return Instance(g.without(g.neighbors(v) | {v}), k - 1)
-    if site.rule_id == 3:
-        return Instance(g.without(set(w)), k - 2)
-    if site.rule_id == 4:
-        u, v = w
-        a = next(iter(g.neighbors(u) - {v}))
-        b = next(iter(g.neighbors(v) - {u}))
-        reduced = g.without({u, v})
-        if not reduced.has_edge(a, b):  # merge parallel edges
-            reduced = reduced.with_edge(a, b)
-        return Instance(reduced, k - 1)
-    return Instance(g.without(set(w)), k - len(w) // 2)
+    return _fire(inst, site)[0]
 
 
-def lift_cover(
-    g_before: Graph, site: SimplificationSite, cover_after: frozenset[int]
-) -> frozenset[int]:
-    """Turn a cover of the reduced graph into a cover of the original."""
-    w = site.witness
-    if site.rule_id == 1:
-        return cover_after
-    if site.rule_id == 2:
-        v = w[0]
-        return cover_after | g_before.neighbors(v)
-    if site.rule_id == 3:
-        return cover_after | {w[1], w[2]}
-    if site.rule_id == 4:
-        u, v = w
-        a = next(iter(g_before.neighbors(u) - {v}))
-        return cover_after | ({v} if a in cover_after else {u})
-    if all(g_before.degree(x) == 2 for x in w):
-        return cover_after | set(w[1::2])  # isolated cycle: alternate vertices
-    parity = 0 if g_before.degree(w[0]) == 2 else 1
-    highs = {x for i, x in enumerate(w) if i % 2 != parity}
-    return cover_after | highs
+def lift_cover(steps: Sequence[Step], cover: frozenset[int]) -> frozenset[int]:
+    """Turn a cover of the graph the steps leave into a cover of the graph
+    they started from: last step first, add what each step took, and put
+    back one vertex of each folded pair, v when a is in the cover, else u."""
+    for taken, fold in reversed(steps):
+        cover = cover | taken
+        if fold is not None:
+            u, v, a = fold
+            cover = cover | {v if a in cover else u}
+    return cover
 
 
-def simplify_fixpoint(
-    inst: Instance,
-) -> tuple[Instance, list[tuple[SimplificationSite, Graph]]]:
-    """Fire rules until none applies; returns the trace for cover lifting."""
-    events: list[tuple[SimplificationSite, Graph]] = []
+def simplify_fixpoint(inst: Instance) -> tuple[Instance, list[Step]]:
+    """Fire rules until none applies; returns the steps for lift_cover."""
+    steps: list[Step] = []
     while True:
         site = find_site(inst)
         if site is None:
-            return inst, events
-        events.append((site, inst.graph))
-        inst = apply(inst, site)
+            return inst, steps
+        _validate(inst, site)
+        inst, step = _fire(inst, site)
+        steps.append(step)

@@ -126,7 +126,7 @@ DETECTORS: dict[int, Callable[[Structures], bool]] = {
 
 
 def classify(g: Graph) -> int:
-    if g.max_degree() > 3:
+    if max((g.degree(v) for v in g.vertices), default=0) > 3:
         raise InputDomainError("classification requires maximum degree 3")
     s = Structures(g, g.degree)
     for sid in range(1, 19):

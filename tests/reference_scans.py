@@ -110,7 +110,7 @@ def is_expansion(big: LocalConfiguration, small: LocalConfiguration) -> Optional
 
 
 def degree_counts(g: Graph) -> list[int]:
-    counts = [0] * (g.max_degree() + 1)
+    counts = [0] * (max((g.degree(v) for v in g.vertices), default=0) + 1)
     for v in g.vertices:
         counts[g.degree(v)] += 1
     return counts

@@ -18,7 +18,7 @@ from vcgen.configs import LocalConfiguration, instance_as_config
 from vcgen.errors import CapacityError
 from vcgen.graphs import MAX_DEGREE, Graph, complete_graph, cycle_graph
 from vcgen.measure import MU1, MU2, pure_k
-from vcgen.requirements import RequirementContext, crucial_set
+from vcgen.requirements import RequirementContext
 
 
 def lone(d):
@@ -154,7 +154,7 @@ def prune_dominated(l, branches, crucial, m):
 
 def test_prune_removes_duplicate():
     l = edge22()
-    crucial = crucial_set(l)
+    crucial = RequirementContext(l).crucial_set()
     kept = prune_dominated(l, [fs(0), fs(0)], crucial, MU1)
     assert kept == [fs(0)]
 
@@ -162,7 +162,7 @@ def test_prune_removes_duplicate():
 def test_prune_edge_example_mu1():
     # {0,1} costs the same as {0} but satisfies nothing: dominated
     l = edge22()
-    crucial = crucial_set(l)
+    crucial = RequirementContext(l).crucial_set()
     kept = prune_dominated(l, [fs(0), fs(1), fs(0, 1)], crucial, MU1)
     assert fs(0, 1) not in kept
     assert fs(0) in kept and fs(1) in kept
@@ -170,7 +170,7 @@ def test_prune_edge_example_mu1():
 
 def test_prune_keeps_incomparable():
     l = edge22()
-    crucial = crucial_set(l)
+    crucial = RequirementContext(l).crucial_set()
     # cheaper branch with incomparable satisfier set survives
     kept = prune_dominated(l, [fs(0), fs(1)], crucial, pure_k())
     assert set(kept) == {fs(0), fs(1)}

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,7 @@ MALFORMED_INSTANCES = {
     "negative vertex count": "p vc -3 0\nk 1\n",
     "repeated edge": "p vc 3 2\ne 0 1\ne 1 0\nk 1\n",
     "edge count above the edge lines": "p vc 3 5\ne 0 1\ne 1 2\nk 1\n",
+    "vertex of degree 4": "p vc 5 4\ne 0 1\ne 0 2\ne 0 3\ne 0 4\nk 1\n",
 }
 MALFORMED_TABLES = {
     "table without measure": lambda doc: json.dumps(_without(doc, "measure")),
@@ -231,6 +233,20 @@ def test_generate_with_another_delta_is_an_input_error(tmp_path, capsys):
                  "--subspace", "P19", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--delta" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "P19.json").exists()
+
+
+def test_generate_with_a_rule_failing_its_check_is_a_generation_failure(
+        tmp_path, capsys, monkeypatch):
+    # costs rounded below 2^e make gensa raise ContractError on its leaf
+    # check; that is a generation failure (exit 2), not an input error
+    import vcgen.rulegen
+
+    monkeypatch.setattr(vcgen.rulegen, "cost_value",
+                        lambda e: Fraction(2.0 ** float(e)) * (1 - Fraction(1, 2**30)))
+    assert main(["generate", "--measure", "k-mode", "a=1", "--mode", "det",
+                 "--subspace", "P19", "--out", str(tmp_path)]) == 2
+    assert "P19: FAILED" in capsys.readouterr().out
     assert not (tmp_path / "P19.json").exists()
 
 

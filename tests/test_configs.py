@@ -6,14 +6,12 @@ import pytest
 from corpus import random_config, random_subcubic, relabel
 from vcgen.configs import (
     LocalConfiguration,
-    boundary,
     canonical_key,
     expand,
     format_config,
     instance_as_config,
     is_expansion,
     isomorphism,
-    true_degree,
 )
 from vcgen.errors import CapacityError, ContractError, InputDomainError
 from vcgen.graphs import Graph, complete_graph, cycle_graph, path_graph
@@ -37,17 +35,17 @@ def test_invariants_enforced():
 
 
 def test_boundary_examples():
-    assert boundary(lone(3)) == {0}
-    assert boundary(instance_as_config(complete_graph(4))) == frozenset()
-    assert boundary(edge_config(2, 2)) == {0, 1}
+    assert lone(3).boundary() == {0}
+    assert instance_as_config(complete_graph(4)).boundary() == frozenset()
+    assert edge_config(2, 2).boundary() == {0, 1}
 
 
 def test_true_degree_examples():
-    assert true_degree(lone(3), 0) == 3
-    assert true_degree(instance_as_config(complete_graph(4)), 0) == 3
-    assert true_degree(edge_config(2, 1), 0) == 3
+    assert lone(3).true_degree(0) == 3
+    assert instance_as_config(complete_graph(4)).true_degree(0) == 3
+    assert edge_config(2, 1).true_degree(0) == 3
     with pytest.raises(InputDomainError):
-        true_degree(lone(3), 5)
+        lone(3).true_degree(5)
 
 
 def test_expand_lone_vertex():

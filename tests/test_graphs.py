@@ -17,7 +17,6 @@ from vcgen.graphs import (
     parse_instance,
     path_graph,
     petersen_graph,
-    vc_cover,
     vc_oracle,
 )
 
@@ -71,11 +70,29 @@ def test_edits_equal_a_rebuild_and_leave_the_source_alone():
         keep = g.vertices - s
         rebuilt = Graph(keep, [(u, v) for u, v in g.edges() if u in keep and v in keep])
         assert _same_graph(g.without(s), rebuilt)
-        u = rng.choice(vs)
-        v = rng.choice([x for x in vs if x != u] + [max(vs) + 1])  # may be new
-        rebuilt = Graph(g.vertices | {u, v}, [*g.edges(), (u, v)])
-        assert _same_graph(g.with_edge(u, v), rebuilt)
+        spare = [x for x in vs if g.degree(x) < 3]
+        if spare:
+            u = rng.choice(spare)
+            v = rng.choice([x for x in spare if x != u] + [max(vs) + 1])  # may be new
+            rebuilt = Graph(g.vertices | {u, v}, [*g.edges(), (u, v)])
+            assert _same_graph(g.with_edge(u, v), rebuilt)
+        full = [x for x in vs if g.degree(x) == 3]
+        if full:
+            with pytest.raises(InputDomainError):
+                g.with_edge(rng.choice(full), max(vs) + 1)
         assert _same_graph(g, twin)
+
+
+def test_graphs_are_subcubic_by_construction():
+    star = [(0, i) for i in range(1, 5)]
+    with pytest.raises(InputDomainError):
+        Graph(range(5), star)
+    claw = Graph(range(5), star[:3])
+    with pytest.raises(InputDomainError):
+        claw.with_edge(0, 4)
+    with pytest.raises(InputDomainError):
+        claw.with_edge(4, 0)
+    assert claw.with_edge(0, 1) == claw  # an edge already there adds no degree
 
 
 def test_no_self_loops_or_parallel_edges():
@@ -130,7 +147,7 @@ def test_cover_witness_is_optimal_cover():
     rng = random.Random(19)
     for _ in range(30):
         g = random_subcubic(rng, 9)
-        cover = vc_cover(g)
+        cover = VertexCoverSolver(g).cover()
         assert len(cover) == vc_oracle(g)
         assert all(u in cover or v in cover for u, v in g.edges())
 

@@ -7,7 +7,7 @@ from corpus import config_corpus
 from vcgen.configs import LocalConfiguration
 from vcgen.errors import CapacityError
 from vcgen.graphs import Graph
-from vcgen.requirements import RequirementContext, crucial_set, eb
+from vcgen.requirements import RequirementContext
 
 
 def lone(d: int) -> LocalConfiguration:
@@ -19,36 +19,36 @@ def edge22() -> LocalConfiguration:
 
 
 def test_crucial_lone_vertex():
-    assert crucial_set(lone(3)) == (frozenset(),)
+    assert RequirementContext(lone(3)).crucial_set() == (frozenset(),)
 
 
 def test_crucial_edge():
-    assert set(crucial_set(edge22())) == {frozenset({0}), frozenset({1})}
+    assert set(RequirementContext(edge22()).crucial_set()) == {frozenset({0}), frozenset({1})}
 
 
 def test_crucial_empty_boundary():
     l = LocalConfiguration(Graph([0, 1], [(0, 1)]), {})
-    assert crucial_set(l) == (frozenset(),)
+    assert RequirementContext(l).crucial_set() == (frozenset(),)
 
 
 def test_crucial_claw():
     # complete star: center 0 with leaves 1,2,3 still carrying slack
     l = LocalConfiguration(Graph(range(4), [(0, 1), (0, 2), (0, 3)]), {1: 2, 2: 2, 3: 2})
-    assert set(crucial_set(l)) == {frozenset(), frozenset({1, 2, 3})}
+    assert set(RequirementContext(l).crucial_set()) == {frozenset(), frozenset({1, 2, 3})}
 
 
 def test_crucial_boundary_cap():
     big = LocalConfiguration(Graph(range(13)), {v: 1 for v in range(13)})
     with pytest.raises(CapacityError):
-        crucial_set(big)
+        RequirementContext(big).crucial_set()
 
 
 def test_eb_examples():
-    l = edge22()
-    r1 = crucial_set(l)
-    assert eb(l, {0}, r1) == (frozenset({0}),)
-    assert eb(l, {0, 1}, r1) == ()
-    assert eb(l, frozenset(), r1) == r1  # empty branch satisfies everything
+    ctx = RequirementContext(edge22())
+    r1 = ctx.crucial_set()
+    assert ctx.eb({0}, r1) == (frozenset({0}),)
+    assert ctx.eb({0, 1}, r1) == ()
+    assert ctx.eb(frozenset(), r1) == r1  # empty branch satisfies everything
 
 
 def test_dag_acyclic_and_prop20_exhaustive():

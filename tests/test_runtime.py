@@ -231,11 +231,11 @@ def test_budget_cover_fallback_paths():
     from vcgen.runtime import _budget_cover
     from vcgen.simplify import find_site
 
-    # oracle path (fits the cap)
+    # small graphs: the answer of the exact oracle
     assert _budget_cover(Instance(complete_graph(4), 3)) is not None
     assert _budget_cover(Instance(complete_graph(4), 2)) is None
-    # exhaustive branching path (25 vertices is beyond the oracle cap);
-    # taking the ten original vertices covers every subdivided edge, and
+    # a 25-vertex graph with no simplification site; taking the ten
+    # original vertices covers every subdivided edge, and
     # |C| >= |S| + m - e(S) over originals S makes 10 optimal
     g = subdivided_petersen()
     assert find_site(Instance(g, 0)) is None

@@ -8,8 +8,10 @@ from vcgen.errors import ContractError
 from vcgen.graphs import (
     Graph,
     Instance,
+    VertexCoverSolver,
     complete_graph,
     cycle_graph,
+    path_graph,
     vc_oracle,
 )
 from vcgen.simplify import (
@@ -121,6 +123,16 @@ def test_apply_stale_site_rejected():
         apply(Instance(cycle_graph(3), 2), SimplificationSite(4, (0, 1)))
 
 
+def test_apply_rejects_a_rule5_witness_that_is_no_cycle():
+    # the middle edge of a path, or a cycle that repeats its vertices, has
+    # every "cycle" edge present; taking one end of the middle edge would
+    # leave the outer edges uncovered
+    inst = Instance(path_graph(4), 1)
+    for witness in [(1, 2), (1, 2, 1, 2)]:
+        with pytest.raises(ContractError):
+            apply(inst, SimplificationSite(5, witness))
+
+
 def test_config_site_examples():
     lone1 = LocalConfiguration(Graph([0]), {0: 1})
     assert config_site(lone1) == SimplificationSite(2, (0,))
@@ -226,13 +238,9 @@ def test_fixpoint_has_no_sites_and_lifts_cover():
     for _ in range(60):
         g = random_subcubic(rng, 10)
         inst = Instance(g, vc_oracle(g))
-        reduced, events = simplify_fixpoint(inst)
+        reduced, steps = simplify_fixpoint(inst)
         assert find_site(reduced) is None
         # lift an optimal cover of the reduced graph back to the original
-        from vcgen.graphs import vc_cover
-
-        cover = vc_cover(reduced.graph)
-        for site, g_before in reversed(events):
-            cover = lift_cover(g_before, site, cover)
+        cover = lift_cover(steps, VertexCoverSolver(reduced.graph).cover())
         assert is_cover(g, cover)
         assert len(cover) <= inst.budget

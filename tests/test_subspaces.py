@@ -49,12 +49,6 @@ def test_classify_examples_more():
     assert classify(g) == 2
 
 
-def test_classify_rejects_degree4():
-    star = Graph(range(5), [(0, i) for i in range(1, 5)])
-    with pytest.raises(InputDomainError):
-        classify(star)
-
-
 def test_classify_stable_under_relabeling():
     rng = random.Random(71)
     for _ in range(40):
