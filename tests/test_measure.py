@@ -41,6 +41,13 @@ def test_evaluate_degree0_contributes_nothing():
     assert evaluate(MU1, Instance(Graph(range(5)), 2)) == 0
 
 
+def test_evaluate_rejects_degree4():
+    # a degree-4 input never reaches the call: Graph refuses to build it
+    with pytest.raises(InputDomainError):
+        star = Graph(range(5), [(0, i) for i in range(1, 5)])
+        evaluate(MU1, Instance(star, 2))
+
+
 def test_evaluate_additive_over_disjoint_union():
     rng = random.Random(3)
     from corpus import random_subcubic

@@ -49,6 +49,13 @@ def test_classify_examples_more():
     assert classify(g) == 2
 
 
+def test_classify_rejects_degree4():
+    # a degree-4 input never reaches the call: Graph refuses to build it
+    with pytest.raises(InputDomainError):
+        star = Graph(range(5), [(0, i) for i in range(1, 5)])
+        classify(star)
+
+
 def test_classify_stable_under_relabeling():
     rng = random.Random(71)
     for _ in range(40):
