@@ -2,8 +2,9 @@
 
 Vertices are dense non-negative integers.  Deleting vertices leaves gaps in
 the identifier space on purpose: embeddings computed before a deletion stay
-valid afterwards.  All values are immutable; every operation returns a new
-graph.
+valid afterwards.  Graphs are immutable; every operation returns a new
+graph.  A WorkingGraph takes a run of edits in place and freezes into one
+Graph at the end.
 """
 
 from __future__ import annotations
@@ -95,31 +96,14 @@ class Graph:
         unknown = s - self._vertices
         if unknown:
             raise InputDomainError(f"unknown vertices {sorted(unknown)}")
-        adj = self._adj.copy()
-        touched: set[int] = set()
-        for v in s:
-            touched.update(adj.pop(v))
-        touched -= s
-        for u in touched:
-            adj[u] = adj[u] - s
-        low = self._low
-        if low is not None:  # only neighbours of removed vertices lose degree
-            low = low.difference(s).union([u for u in touched if len(adj[u]) <= 2])
-        return Graph._from_adj(adj, low)
+        work = WorkingGraph(self)
+        work.remove(s)
+        return work.freeze()
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        if u == v:
-            raise InputDomainError(f"self-loop at vertex {u}")
-        adj = dict(self._adj)
-        adj[u] = adj.get(u, frozenset()) | {v}
-        adj[v] = adj.get(v, frozenset()) | {u}
-        _check_degree(u, len(adj[u]))
-        _check_degree(v, len(adj[v]))
-        low = None
-        if self._low is not None:
-            grown = {x for x in (u, v) if len(adj[x]) > 2}
-            low = (self._low | {u, v}) - grown
-        return Graph._from_adj(adj, low)
+        work = WorkingGraph(self)
+        work.add_edge(u, v)
+        return work.freeze()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
@@ -129,6 +113,90 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({sorted(self._vertices)}, {list(self.edges())})"
+
+
+class WorkingGraph:
+    """A graph under a run of edits, each of which costs the degrees it
+    changes rather than a copy of the graph; freeze() then makes one
+    immutable Graph of the result.
+
+    It starts as a view of a Graph and copies the adjacency map at the
+    first edit.  Entries stay frozensets and an edit replaces the ones it
+    changes, so freeze() takes the map as it is.  The set of degree-<=2
+    vertices is kept in step when the source graph has it.
+    """
+
+    __slots__ = ("_source", "_adj", "_low")
+
+    def __init__(self, g: Graph):
+        self._source = g
+        self._adj = g._adj
+        self._low: Optional[set[int]] = None
+
+    def _edit(self) -> dict[int, frozenset[int]]:
+        if self._adj is self._source._adj:
+            self._adj = self._adj.copy()
+            low = self._source._low
+            self._low = None if low is None else set(low)
+        return self._adj
+
+    @property
+    def vertices(self):
+        return self._adj.keys()
+
+    def __contains__(self, v: int) -> bool:
+        return v in self._adj
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        return self._adj[v]
+
+    def degree(self, v: int) -> int:
+        return len(self._adj[v])
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self._adj.get(u, ())
+
+    def remove(self, removed: Iterable[int]) -> set[int]:
+        """Delete the vertices and their edges; returns the vertices left
+        whose neighbour sets changed."""
+        adj = self._edit()
+        s = set(removed)
+        touched: set[int] = set()
+        for v in s:
+            touched.update(adj.pop(v))
+        touched -= s
+        low = self._low
+        if low is not None:
+            low -= s
+        for u in touched:  # only neighbours of removed vertices lose degree
+            ns = adj[u] = adj[u] - s
+            if low is not None and len(ns) <= 2:
+                low.add(u)
+        return touched
+
+    def add_edge(self, u: int, v: int) -> None:
+        """Join u and v, adding either when it is not yet a vertex."""
+        if u == v:
+            raise InputDomainError(f"self-loop at vertex {u}")
+        nu = self._adj.get(u, frozenset()) | {v}
+        nv = self._adj.get(v, frozenset()) | {u}
+        _check_degree(u, len(nu))
+        _check_degree(v, len(nv))
+        adj = self._edit()
+        adj[u], adj[v] = nu, nv
+        if self._low is not None:
+            for x in (u, v):
+                if len(adj[x]) <= 2:
+                    self._low.add(x)
+                else:
+                    self._low.discard(x)
+
+    def freeze(self) -> Graph:
+        """The graph as edited so far; later edits start from a new copy."""
+        if self._adj is not self._source._adj:
+            low = None if self._low is None else frozenset(self._low)
+            self._source = Graph._from_adj(self._adj, low)
+        return self._source
 
 
 def _check_degree(v: int, degree: int) -> None:
@@ -252,17 +320,58 @@ def enumerate_cycles(
     cycles all of whose canonical prefixes keep admits are found.  With
     starts, only the cycles whose smallest vertex is in starts are found.
     """
+    return _search_cycles(g, sorted(g.vertices if starts is None else starts), max_len, keep, None)
+
+
+def cycles_through(
+    g,
+    max_len: int,
+    keep: Callable[[list[int], int], bool],
+    through: Iterable[int],
+) -> list[tuple[int, ...]]:
+    """Every simple cycle of length 3..max_len with a vertex in through,
+    once, in canonical rotation, in no set order.  g is a Graph or a
+    WorkingGraph.
+
+    Each cycle is searched from its smallest vertex in through, so keep
+    must admit every rotation and direction of the cycles it keeps.
+    """
+    through = set(through)
+    found = _search_cycles(g, through, max_len, keep, through)
+    for i, cyc in enumerate(found):
+        j = cyc.index(min(cyc))
+        cyc = cyc[j:] + cyc[:j]
+        found[i] = cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1]
+    return found
+
+
+def _search_cycles(
+    g,
+    starts: Iterable[int],
+    max_len: int,
+    keep: Optional[Callable[[list[int], int], bool]],
+    barrier: Optional[set[int]],
+) -> list[tuple[int, ...]]:
+    """The cycles of length 3..max_len through each start in turn, each
+    once, as the walk from the start toward the smaller of its two cycle
+    neighbors.  A walk never enters a vertex below its start that is in
+    barrier, or any vertex below its start when barrier is None; only then
+    does it take neighbors in increasing order, which fixes the order of
+    enumerate_cycles' list (cycles_through promises no order)."""
     assert max_len <= 8, "cycle search is capped at length 8"
     cycles: list[tuple[int, ...]] = []
-    order = sorted(g.vertices if starts is None else starts)
 
     def extend(start: int, path: list[int], on_path: set[int]) -> None:
         last = path[-1]
-        for w in sorted(g.neighbors(last)):
+        for w in sorted(g.neighbors(last)) if barrier is None else g.neighbors(last):
             if w == start and len(path) >= 3:
                 if path[1] < path[-1]:  # each cycle found once per direction
                     cycles.append(tuple(path))
-            elif w > start and w not in on_path and len(path) < max_len:
+            elif (
+                (w > start or (barrier is not None and w not in barrier))
+                and w not in on_path
+                and len(path) < max_len
+            ):
                 if keep is not None and not keep(path, w):
                     continue
                 path.append(w)
@@ -271,7 +380,7 @@ def enumerate_cycles(
                 on_path.remove(w)
                 path.pop()
 
-    for s in order:
+    for s in starts:
         extend(s, [s], {s})
     return cycles
 

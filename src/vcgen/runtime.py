@@ -83,6 +83,8 @@ def _budget_cover(inst: Instance) -> Optional[frozenset[int]]:
         return None
     if g.edge_count() == 0:
         return frozenset()
+    if inst.budget == 0:
+        return None
     v = max(g.vertices, key=lambda x: (g.degree(x), -x))
     take = _budget_cover(Instance(g.without({v}), inst.budget - 1))
     if take is not None:
@@ -90,6 +92,11 @@ def _budget_cover(inst: Instance) -> Optional[frozenset[int]]:
     nbrs = g.neighbors(v)
     drop = _budget_cover(Instance(g.without(nbrs | {v}), inst.budget - len(nbrs)))
     return None if drop is None else drop | nbrs
+
+
+def _neighbours_left(g: Graph, take: frozenset[int]) -> frozenset[int]:
+    """The vertices whose neighbour sets removing take from g changes."""
+    return frozenset().union(*map(g.neighbors, take)) - take
 
 
 def is_vertex_cover(g: Graph, cover: frozenset[int]) -> bool:
@@ -144,18 +151,23 @@ class TableEngine:
             )
         return sid, leaf, phi
 
-    def _advance(self, inst: Instance, events: list):
+    def _advance(
+        self, inst: Instance, events: list, changed: Optional[frozenset[int]] = None
+    ):
         """Simplify, fall back and apply constant leaves until the instance
         is decided or a rule leaf matches, appending to the event log the
         simplification steps and (taken, None) for every take; lift_cover
         turns the log into a cover.
+
+        changed is as for simplify_fixpoint: the vertices whose neighbour
+        sets differ from those of a simplified graph, or None.
 
         Returns True when the log now holds a cover, False when no cover
         within budget exists, else (instance, subspace, leaf node, anchor
         map) for the rule leaf to branch on.
         """
         while True:
-            inst, steps = simplify_fixpoint(inst)
+            inst, steps = simplify_fixpoint(inst, changed)
             events.extend(steps)
             if inst.budget < 0:
                 return False
@@ -175,6 +187,7 @@ class TableEngine:
             comp_cover = _component_cover(inst.graph, comp)
             events.append((comp_cover, None))
             inst = Instance(inst.graph.without(comp), inst.budget - len(comp_cover))
+            changed = frozenset()  # a whole component went: no vertex left lost a neighbour
 
     # -- deterministic mode --------------------------------------------------
 
@@ -192,16 +205,18 @@ class TableEngine:
             raise CertificateViolation("constructed set is not a budget cover")
         return cover
 
-    def _det_search(self, inst: Instance, events: list) -> bool:
+    def _det_search(
+        self, inst: Instance, events: list, changed: Optional[frozenset[int]] = None
+    ) -> bool:
         """Try every branch of each rule leaf; on success the log holds a cover."""
-        step = self._advance(inst, events)
+        step = self._advance(inst, events, changed)
         if isinstance(step, bool):
             return step
         inst, _, leaf, phi = step
         mark = len(events)
         for _, take, child in _branches(inst, leaf, phi):
             events.append((take, None))
-            if self._det_search(child, events):
+            if self._det_search(child, events, _neighbours_left(inst.graph, take)):
                 return True
             del events[mark:]
         return False
@@ -215,8 +230,9 @@ class TableEngine:
         rng = random.Random(seed)
         original = inst
         events: list = []
+        changed = None
         while True:
-            step = self._advance(inst, events)
+            step = self._advance(inst, events, changed)
             if step is False:
                 return None
             if step is True:
@@ -243,7 +259,7 @@ class TableEngine:
             if trace is not None:
                 trace.append(TraceStep(sid, leaf.node_id, tuple(sorted(take)), probs[pick]))
             events.append((take, None))
-            inst = child
+            inst, changed = child, _neighbours_left(inst.graph, take)
         cover = lift_cover(events, frozenset())
         if not is_vertex_cover(original.graph, cover) or len(cover) > original.budget:
             return None

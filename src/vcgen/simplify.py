@@ -18,9 +18,12 @@ component with the measure intact instead.  Together the two still
 eliminate every adjacent degree-2 pair, which the branch cost bounds
 assume.
 
-The same structural detectors run in two modes: on concrete instances
-(`find_site`) and on local configurations (`config_site`), where a rule is
-reported only when every host graph of the configuration must admit it.
+Each rule's condition is stated once (`_holds`).  The same scans run in
+two modes: on concrete instances (`find_site`) and on local
+configurations (`config_site`), where a rule is reported only when every
+host graph of the configuration must admit it.  `simplify_fixpoint` fires
+the sites repeated `find_site` calls would give, on one working copy of
+the graph, rescanning only where each firing changed it.
 
 Firing a rule yields a step (taken, fold): the vertices it puts into the
 cover, and for rule 4 the fold (u, v, a) of the contracted pair and u's
@@ -31,12 +34,13 @@ branch takes as steps with no fold.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .configs import LocalConfiguration
 from .errors import ContractError
-from .graphs import Graph, Instance, enumerate_cycles
+from .graphs import Graph, Instance, WorkingGraph, cycles_through, enumerate_cycles
 
 CYCLE_SEARCH_CAP = 8
 
@@ -47,37 +51,30 @@ class SimplificationSite:
     witness: tuple[int, ...]
 
 
-def _rule3_sites(g: Graph, low: dict[int, int]):
-    # both of the apex's edges must lie in g; on an instance low holds
-    # degrees in g, so the second test adds nothing there
-    for v, d in low.items():
-        if d != 2 or g.degree(v) != 2:
-            continue
-        u, w = sorted(g.neighbors(v))
-        if g.has_edge(u, w):
-            yield SimplificationSite(3, (v, u, w))
+# (rule_id, witness): as tuples, sites order as the rules fire them
+Site = tuple[int, tuple[int, ...]]
 
 
-def _rule4_outer(g: Graph, u: int, v: int) -> tuple[int, int]:
+def _rule3_pair(g, v: int) -> Optional[frozenset[int]]:
+    """v's neighbors in g when they are two and adjacent, so that v closes
+    a triangle with them; else None."""
+    ns = g.neighbors(v)
+    if len(ns) == 2:
+        u, x = ns
+        if g.has_edge(u, x):
+            return ns
+    return None
+
+
+def _rule4_outer(g, u: int, v: int) -> tuple[int, int]:
     """The outer neighbors a of u and b of v, for an adjacent degree-2 pair."""
     return next(iter(g.neighbors(u) - {v})), next(iter(g.neighbors(v) - {u}))
 
 
-def _rule4_blocked(g: Graph, a: int, b: int) -> bool:
+def _rule4_blocked(g, a: int, b: int) -> bool:
     """The outer neighbors a, b of a degree-2 pair close an isolated
     4-cycle: both are degree-2 and adjacent to each other."""
     return g.degree(a) == 2 and g.degree(b) == 2 and g.has_edge(a, b)
-
-
-def _rule4_sites(g: Graph, low: dict[int, int], skip_blocked: bool):
-    for u, d in low.items():
-        if d != 2:
-            continue
-        for v in sorted(g.neighbors(u)):
-            if v > u and low.get(v) == 2:
-                if skip_blocked and _rule4_blocked(g, *_rule4_outer(g, u, v)):
-                    continue
-                yield SimplificationSite(4, (u, v))
 
 
 def _rule5_take(cyc: tuple[int, ...], deg: Callable[[int], int]) -> Optional[tuple[int, ...]]:
@@ -94,55 +91,116 @@ def _rule5_take(cyc: tuple[int, ...], deg: Callable[[int], int]) -> Optional[tup
     return None
 
 
-def _rule5_sites(g: Graph, deg: Callable[[int], int]):
+def _holds(g, deg: Callable[[int], int], site: Site, instance: bool) -> bool:
+    """Whether site is a site of g (a Graph or a WorkingGraph) under the
+    degree function deg: the one statement of each rule's condition, which
+    the scans, the fixpoint's re-check and apply all ask.
+
+    On an instance, rule 4 leaves out a pair whose outer neighbors meet
+    (a triangle, which is rule 3's) or close an isolated 4-cycle (rule
+    5's).  Never raises for a witness of the rule's size.
+    """
+    rule_id, w = site
+    if rule_id == 1 or rule_id == 2:
+        return w[0] in g and deg(w[0]) == rule_id - 1
+    if rule_id == 3:
+        v, u, x = w
+        return v in g and deg(v) == 2 and _rule3_pair(g, v) == {u, x}
+    if rule_id == 4:
+        u, v = w  # has_edge holds only between vertices of g
+        if not (g.has_edge(u, v) and deg(u) == 2 and deg(v) == 2):
+            return False
+        if not instance:
+            return True
+        a, b = _rule4_outer(g, u, v)
+        return a != b and not _rule4_blocked(g, a, b)
+    if rule_id == 5:
+        return (
+            len(set(w)) == len(w) >= 4
+            and all(g.has_edge(w[i - 1], w[i]) for i in range(len(w)))
+            and _rule5_take(w, deg) is not None
+        )
+    return False
+
+
+def _candidates(g, deg: Callable[[int], int], low: dict[int, int]) -> Iterator[Site]:
+    """The witnesses that the vertices of low (vertex -> degree under deg,
+    at most 2) suggest, in no order: rule 1 or 2 at a vertex of degree 0
+    or 1, rule 3 at a degree-2 vertex on a triangle, and rule 4 at each
+    pair of adjacent degree-2 vertices.  _holds decides which are sites.
+
+    A pair is listed from its smaller end, or from the end in low when the
+    other is not, so that a scan of part of the graph still lists every
+    pair with an end in it.
+    """
+    for v, d in low.items():
+        if d == 0:
+            yield 1, (v,)
+        elif d == 1:
+            yield 2, (v,)
+        else:
+            pair = _rule3_pair(g, v)
+            if pair:
+                u, x = pair
+                yield 3, (v, u, x) if u < x else (v, x, u)
+            for y in g.neighbors(v):
+                dy = low.get(y)
+                if dy == 2 and y > v or dy is None and deg(y) == 2:
+                    yield 4, (v, y) if v < y else (y, v)
+
+
+def _rule5_sites(g, deg: Callable[[int], int], through: Optional[Iterable[int]] = None):
+    """The rule-5 sites of g, each once; with through, only those with a
+    vertex in through."""
+
     def fits(path: list[int], w: int) -> bool:
         # a site's degrees alternate 2 / >2 or are all 2, so its first two
-        # vertices fix the class of every later one; this only prunes
+        # vertices fix the class of every later one, wherever the path
+        # starts on it; this only prunes
         if len(path) == 1:
             return deg(path[0]) == 2 or deg(w) == 2
         return (deg(w) == 2) == (deg(path[len(path) % 2]) == 2)
 
-    # a site's smallest vertex has degree 2 or lies between two vertices of
-    # degree 2; the scan reads every vertex, not g.low_degree(), so that
-    # the configurations generation makes by the thousand stay without a
-    # cached degree set (it cost set-up time and memory)
-    twos = [v for v in g.vertices if deg(v) == 2]
-    starts = set(twos).union(*(g.neighbors(v) for v in twos))
-    for cyc in enumerate_cycles(g, CYCLE_SEARCH_CAP, fits, starts):
-        if _rule5_take(cyc, deg) is not None:
+    if through is not None:
+        # a vertex of a site has degree 2, or two neighbors of degree 2
+        through = [
+            t for t in through
+            if t in g and (deg(t) == 2 or list(map(deg, g.neighbors(t))).count(2) >= 2)
+        ]
+        cycles = cycles_through(g, CYCLE_SEARCH_CAP, fits, through) if through else ()
+    else:
+        # a site's smallest vertex has degree 2 or lies between two vertices
+        # of degree 2; the scan reads every vertex, not g.low_degree(), so
+        # that the configurations generation makes by the thousand stay
+        # without a cached degree set (it cost set-up time and memory)
+        twos = [v for v in g.vertices if deg(v) == 2]
+        starts = set(twos).union(*(g.neighbors(v) for v in twos))
+        cycles = enumerate_cycles(g, CYCLE_SEARCH_CAP, fits, starts)
+    for cyc in cycles:
+        if _holds(g, deg, (5, cyc), True):
             yield SimplificationSite(5, cyc)
 
 
 def _site(
-    g: Graph, deg: Callable[[int], int], scan: Iterable[int], skip_blocked: bool
+    g: Graph, deg: Callable[[int], int], scan: Iterable[int], instance: bool
 ) -> Optional[SimplificationSite]:
     """Lowest-numbered rule with a site under the degree function deg,
-    lexicographically smallest witness; skip_blocked leaves out rule-4
-    pairs that close an isolated 4-cycle.
+    lexicographically smallest witness.
 
     Every site has a vertex of degree at most 2 under deg, so scan need
-    only hold those vertices of g; it may hold more.  Rules 1-4 yield their
-    sites in witness order, so the first one found is the smallest.
+    only hold those vertices of g; it may hold more.
     """
-    low = {v: d for v in sorted(scan) if (d := deg(v)) <= 2}
-    for sites in (
-        (SimplificationSite(1, (v,)) for v, d in low.items() if d == 0),
-        (SimplificationSite(2, (v,)) for v, d in low.items() if d == 1),
-        _rule3_sites(g, low),
-        _rule4_sites(g, low, skip_blocked),
-    ):
-        hit = next(sites, None)
-        if hit:
-            return hit
-    if 2 not in low.values():  # every rule-5 cycle has a degree-2 vertex
-        return None
-    return min(_rule5_sites(g, deg), key=lambda s: s.witness, default=None)
+    low = {v: d for v in scan if (d := deg(v)) <= 2}
+    hit = min((s for s in _candidates(g, deg, low) if _holds(g, deg, s, instance)), default=None)
+    if hit is None and 2 in low.values():  # every rule-5 cycle has a degree-2 vertex
+        hit = min(((5, s.witness) for s in _rule5_sites(g, deg)), default=None)
+    return None if hit is None else SimplificationSite(*hit)
 
 
 def find_site(inst: Instance) -> Optional[SimplificationSite]:
     """Lowest-numbered applicable rule, lexicographically smallest witness."""
     g = inst.graph
-    return _site(g, g.degree, g.low_degree(), skip_blocked=True)
+    return _site(g, g.degree, g.low_degree(), instance=True)
 
 
 def config_site(l: LocalConfiguration) -> Optional[SimplificationSite]:
@@ -158,73 +216,52 @@ def config_site(l: LocalConfiguration) -> Optional[SimplificationSite]:
     cycle, rule 5 (or rule 3, for a shared neighbor) fires instead, so some
     simplification always applies.
     """
-    return _site(l.h, l.true_degree, l.h.vertices, skip_blocked=False)
-
-
-def _validate(inst: Instance, site: SimplificationSite) -> None:
-    g = inst.graph
-    w = site.witness
-    ok = all(v in g for v in w)
-    if ok:
-        if site.rule_id == 1:
-            ok = g.degree(w[0]) == 0
-        elif site.rule_id == 2:
-            ok = g.degree(w[0]) == 1
-        elif site.rule_id == 3:
-            v, u, x = w
-            ok = g.degree(v) == 2 and g.neighbors(v) == {u, x} and g.has_edge(u, x)
-        elif site.rule_id == 4:
-            u, v = w
-            ok = g.has_edge(u, v) and g.degree(u) == 2 and g.degree(v) == 2
-            if ok:
-                a, b = _rule4_outer(g, u, v)
-                # a shared neighbor is rule-3 territory; an isolated 4-cycle
-                # belongs to rule 5
-                ok = a != b and not _rule4_blocked(g, a, b)
-        elif site.rule_id == 5:
-            ok = (
-                len(set(w)) == len(w) >= 4
-                and all(g.has_edge(w[i - 1], w[i]) for i in range(len(w)))
-                and _rule5_take(w, g.degree) is not None
-            )
-        else:
-            ok = False
-    if not ok:
-        raise ContractError(f"site {site} is stale for {inst}")
+    return _site(l.h, l.true_degree, l.h.vertices, instance=False)
 
 
 Fold = tuple[int, int, int]
 Step = tuple[frozenset[int], Optional[Fold]]
 
 
-def _fire(inst: Instance, site: SimplificationSite) -> tuple[Instance, Step]:
-    """The reduced instance and the step that undoes it: the vertices the
-    rule takes into the cover, or, for rule 4, the fold (u, v, a) of the
-    pair u, v and u's outer neighbor a."""
-    g, w = inst.graph, site.witness
-    if site.rule_id == 4:
+def _fire(work: WorkingGraph, site: Site) -> tuple[Step, set[int]]:
+    """Fire the rule on the working graph.  Returns the step that undoes
+    it and the vertices left whose neighbor sets changed.  The step holds
+    the vertices the rule takes into the cover and, for rule 4, the fold
+    (u, v, a) of the pair u, v and u's outer neighbor a."""
+    rule_id, w = site
+    if rule_id == 4:
         u, v = w
-        a, b = _rule4_outer(g, u, v)
-        reduced = g.without(w)
-        if not reduced.has_edge(a, b):  # merge parallel edges
-            reduced = reduced.with_edge(a, b)
-        return Instance(reduced, inst.budget - 1), (frozenset(), (u, v, a))
-    if site.rule_id == 1:
+        a, b = _rule4_outer(work, u, v)
+        touched = work.remove(w)
+        if not work.has_edge(a, b):  # merge parallel edges
+            work.add_edge(a, b)
+        return (frozenset(), (u, v, a)), touched
+    if rule_id == 1:
         taken = frozenset()
-    elif site.rule_id == 2:
-        taken = g.neighbors(w[0])
-    elif site.rule_id == 3:
+    elif rule_id == 2:
+        taken = work.neighbors(w[0])
+    elif rule_id == 3:
         taken = frozenset(w[1:])
     else:
-        taken = frozenset(_rule5_take(w, g.degree))
+        taken = frozenset(_rule5_take(w, work.degree))
     # every rule removes its witness and what it takes
-    return Instance(g.without(taken | set(w)), inst.budget - len(taken)), (taken, None)
+    return (taken, None), work.remove(taken.union(w))
+
+
+def _spent(step: Step) -> int:
+    """The budget a step spends: what it takes, and one for a fold."""
+    taken, fold = step
+    return len(taken) + (fold is not None)
 
 
 def apply(inst: Instance, site: SimplificationSite) -> Instance:
     """Reduced instance after firing the rule; YES/NO answer is unchanged."""
-    _validate(inst, site)
-    return _fire(inst, site)[0]
+    g = inst.graph
+    if not _holds(g, g.degree, (site.rule_id, site.witness), True):
+        raise ContractError(f"site {site} is stale for {inst}")
+    work = WorkingGraph(g)
+    step, _ = _fire(work, (site.rule_id, site.witness))
+    return Instance(work.freeze(), inst.budget - _spent(step))
 
 
 def lift_cover(steps: Sequence[Step], cover: frozenset[int]) -> frozenset[int]:
@@ -239,13 +276,69 @@ def lift_cover(steps: Sequence[Step], cover: frozenset[int]) -> frozenset[int]:
     return cover
 
 
-def simplify_fixpoint(inst: Instance) -> tuple[Instance, list[Step]]:
-    """Fire rules until none applies; returns the steps for lift_cover."""
+def simplify_fixpoint(
+    inst: Instance, changed: Optional[Iterable[int]] = None
+) -> tuple[Instance, list[Step]]:
+    """Fire rules until none applies; returns the reduced instance and the
+    steps for lift_cover.
+
+    The sites fire in the order that calling find_site until it finds none
+    would give, but on one working copy of the graph, frozen once at the
+    end.  A heap holds candidate sites, lowest rule and smallest witness
+    first, and _holds checks each when it comes up, since a firing after
+    it was queued may have spoilt it.  A firing can make or spoil a site
+    only through the vertices whose neighbor sets it changed, so after it
+    only the degree-<=2 vertices within distance 1 of those are scanned for
+    rules 1-4.  The rule-5 cycle search runs only when no rule 1-4 site is
+    left, and then only through the vertices changed since it last ran.
+
+    changed holds the vertices whose neighbor sets differ from those in a
+    graph on which no rule applies, such as the neighbors of the vertices
+    a branch took; only they are scanned at the start.  None scans the
+    whole graph.
+    """
+    g = inst.graph
+    work = WorkingGraph(g)
+    deg = work.degree
+    heap: list[Site] = []
+    queued: set[Site] = set()
+
+    def queue(sites: Iterable[Site]) -> None:
+        for s in sites:
+            if s not in queued:
+                queued.add(s)
+                heapq.heappush(heap, s)
+
+    def scan(vs: Iterable[int]) -> None:
+        """Queue the witnesses rules 1-4 may have at the degree-<=2 vertices of vs."""
+        queue(_candidates(work, deg, {v: d for v in vs if (d := deg(v)) <= 2}))
+
+    # the vertices the rule-5 search has yet to look through; None: all
+    due: Optional[set[int]] = None
+    if changed is None:
+        scan(g.low_degree())
+    else:
+        due = {v for v in changed if v in work}
+        scan(due.union(*map(work.neighbors, due)))
     steps: list[Step] = []
+    budget = inst.budget
     while True:
-        site = find_site(inst)
-        if site is None:
-            return inst, steps
-        _validate(inst, site)
-        inst, step = _fire(inst, site)
+        while heap and not _holds(work, deg, heap[0], True):
+            queued.discard(heapq.heappop(heap))
+        if (not heap or heap[0][0] == 5) and (due is None or due):
+            queue((5, s.witness) for s in _rule5_sites(work, deg, due))
+            due = set()
+            continue
+        if not heap:
+            break
+        site = heapq.heappop(heap)
+        queued.discard(site)
+        step, touched = _fire(work, site)
         steps.append(step)
+        budget -= _spent(step)
+        if due is not None:
+            due |= touched
+        scan(touched.union(*map(work.neighbors, touched)))
+    if not steps:
+        return inst, steps
+    return Instance(work.freeze(), budget), steps

@@ -5,7 +5,8 @@ tests/test_simplify_differential.py.
 apply re-derives each rule's effect from the graph, and the fixpoint logs a
 snapshot of the graph before every simplification, so that lift_cover can
 re-derive the same facts (rule 4's outer neighbour, rule 5's high-degree
-half) when it undoes the step.
+half) when it undoes the step.  step re-derives from the same snapshot the
+(taken, fold) step that vcgen.simplify logs instead.
 """
 
 from __future__ import annotations
@@ -103,6 +104,26 @@ def lift_cover(
     parity = 0 if g_before.degree(w[0]) == 2 else 1
     highs = {x for i, x in enumerate(w) if i % 2 != parity}
     return cover_after | highs
+
+
+def step(site: SimplificationSite, g_before: Graph) -> tuple[frozenset[int], tuple | None]:
+    """The step (taken, fold) that vcgen.simplify logs for the site, as
+    re-derived from the graph before it fired: the vertices the rule takes,
+    and for rule 4 the fold (u, v, a) of the pair and u's outer neighbor."""
+    w = site.witness
+    if site.rule_id == 1:
+        return frozenset(), None
+    if site.rule_id == 2:
+        return g_before.neighbors(w[0]), None
+    if site.rule_id == 3:
+        return frozenset({w[1], w[2]}), None
+    if site.rule_id == 4:
+        u, v = w
+        return frozenset(), (u, v, next(iter(g_before.neighbors(u) - {v})))
+    if all(g_before.degree(x) == 2 for x in w):
+        return frozenset(w[1::2]), None  # isolated cycle: alternate vertices
+    parity = 0 if g_before.degree(w[0]) == 2 else 1
+    return frozenset(x for i, x in enumerate(w) if i % 2 != parity), None
 
 
 def simplify_fixpoint(

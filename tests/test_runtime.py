@@ -244,6 +244,21 @@ def test_budget_cover_fallback_paths():
     assert _budget_cover(Instance(g, 9)) is None
 
 
+def test_budget_cover_at_zero_budget_builds_no_graph(monkeypatch):
+    # with an edge left and k = 0 no cover fits: the fallback says so at
+    # once instead of building both children of a branch first
+    from vcgen.runtime import _budget_cover
+
+    inst = Instance(Graph(range(2), [(0, 1)]), 0)
+    removed = []
+    without = Graph.without
+    monkeypatch.setattr(Graph, "without", lambda g, vs: removed.append(vs) or without(g, vs))
+    assert _budget_cover(inst) is None
+    assert removed == []
+    assert _budget_cover(Instance(inst.graph, 1)) == {0}
+    assert removed == [{0}]
+
+
 def test_mu2_low_measure_fallback_before_tables():
     # with mu <= 0 and edges remaining, the engine answers via the fallback
     # without consulting any table (k-mode measures can bottom out early)

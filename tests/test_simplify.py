@@ -12,6 +12,7 @@ from vcgen.graphs import (
     complete_graph,
     cycle_graph,
     path_graph,
+    petersen_graph,
     vc_oracle,
 )
 from vcgen.simplify import (
@@ -244,3 +245,36 @@ def test_fixpoint_has_no_sites_and_lifts_cover():
         cover = lift_cover(steps, VertexCoverSolver(reduced.graph).cover())
         assert is_cover(g, cover)
         assert len(cover) <= inst.budget
+
+
+def petersen_with_pendant_tree(depth: int) -> Graph:
+    """The Petersen graph with its edge (0, 1) subdivided by vertex 10, and
+    a complete binary tree of the given depth hung from 10 by its root 11."""
+    edges = [e for e in petersen_graph().edges() if e != (0, 1)] + [(0, 10), (1, 10), (10, 11)]
+    edges += [(v, 2 * v - 10 + i) for v in range(11, 2 ** depth + 10) for i in (0, 1)]
+    return Graph(range(2 ** (depth + 1) + 10), edges)
+
+
+@pytest.mark.parametrize("g, fires", [
+    (path_graph(60), 30),  # rule 2, thirty times along the path
+    (cycle_graph(41), 20),  # rule 4 contracts the cycle down to a triangle
+    (petersen_with_pendant_tree(4), 20),  # rules 1 and 2 strip the tree
+], ids=["path", "cycle", "pendant-tree"])
+def test_fixpoint_edits_one_copy_of_the_graph(monkeypatch, g, fires):
+    # the rules edit one working copy, so the fixpoint builds one Graph for
+    # its result however many rules fire, and copies no graph per firing
+    built = []
+    init, from_adj = Graph.__init__, Graph._from_adj
+
+    def copies(*args):
+        raise AssertionError("the fixpoint copied the graph")
+
+    inst = Instance(g, len(g))
+    # a Graph is made by its constructor or, from an adjacency map, by _from_adj
+    monkeypatch.setattr(Graph, "__init__", lambda self, *a: built.append(self) or init(self, *a))
+    monkeypatch.setattr(Graph, "_from_adj", classmethod(lambda cls, *a: built.append(cls) or from_adj(*a)))
+    monkeypatch.setattr(Graph, "without", copies)
+    monkeypatch.setattr(Graph, "with_edge", copies)
+    _, steps = simplify_fixpoint(inst)
+    assert len(steps) >= fires
+    assert len(built) == 1

@@ -2,9 +2,13 @@
 that logged a graph snapshot per simplification and re-derived each rule's
 effect from it to lift a cover.
 
-On two seeded corpora the fixpoint must fire the same sites, leave the same
-instance, and lift every cover of the reduced graph it is given, a minimum
-one or a larger one, to the same cover of the original.
+On two seeded corpora the fixpoint must log the steps the reference's
+sites imply, one for one, leave the same instance, and lift every cover of
+the reduced graph it is given, a minimum one or a larger one, to the same
+cover of the original.  Told which vertices changed since a graph on which
+no rule applied, it must still fire exactly what the reference's full scan
+fires, both on such graphs less random vertex sets and at every fixpoint
+of a run of each solve engine.
 """
 
 import random
@@ -14,8 +18,9 @@ import pytest
 
 import reference_simplify as ref
 from corpus import is_cover, random_cubic, random_subcubic
-from vcgen import simplify
+from vcgen import runtime, simplify
 from vcgen.graphs import Graph, Instance, VertexCoverSolver
+from vcgen.runtime import TrialPlan
 
 
 def subdivided_cubic(rng: random.Random, n: int) -> Graph:
@@ -56,27 +61,16 @@ def ref_lift(events, cover: frozenset) -> frozenset:
     return cover
 
 
-def test_fixpoint_and_lift_match_reference(monkeypatch):
-    fired = []
-    find_site = simplify.find_site
-
-    def recording(inst):
-        site = find_site(inst)
-        fired.append(site)
-        return site
-
-    # simplify_fixpoint looks find_site up in its module; the reference
-    # bound its own at import, so only the new fixpoint is recorded
-    monkeypatch.setattr(simplify, "find_site", recording)
+def test_fixpoint_and_lift_match_reference():
+    # the steps and the reduced instance are all that the fixpoint hands
+    # back; step for step they must be what the reference's sites imply
     rng = random.Random(59)
     seen: Counter = Counter()
     for inst in corpus():
-        fired.clear()
         reduced, steps = simplify.simplify_fixpoint(inst)
         want_reduced, events = ref.simplify_fixpoint(inst)
-        assert fired == [site for site, _ in events] + [None]
+        assert steps == [ref.step(site, g_before) for site, g_before in events], inst.graph
         assert reduced == want_reduced
-        assert len(steps) == len(events)
         seen.update(kind(site, g_before) for site, g_before in events)
 
         base = VertexCoverSolver(reduced.graph).cover()
@@ -102,3 +96,49 @@ def test_apply_matches_reference_at_each_first_site(rule):
         assert simplify.apply(inst, site) == ref.apply(inst, site)
         checked += 1
     assert checked >= 5
+
+
+def assert_matches_full_scan(inst: Instance, reduced: Instance, steps) -> int:
+    """The fixpoint's result on inst is the reference's; the number of
+    rules the reference fired."""
+    want_reduced, events = ref.simplify_fixpoint(inst)
+    assert steps == [ref.step(site, g_before) for site, g_before in events], inst.graph
+    assert reduced == want_reduced, inst.graph
+    return len(events)
+
+
+def test_fixpoint_from_the_changed_vertices_matches_the_full_scan():
+    # a graph on which no rule applies, less a vertex set X: only the
+    # vertices of N(X) - X have other neighbours than before
+    rng = random.Random(61)
+    fixpoints = [ref.simplify_fixpoint(inst)[0] for inst in corpus()]
+    fixpoints += [Instance(random_cubic(rng, n), n) for n in (8, 10, 12, 14, 16) * 10]
+    fired = 0
+    for fixed in fixpoints:
+        g = fixed.graph
+        for _ in range(3 if len(g) > 1 else 0):
+            xs = set(rng.sample(sorted(g.vertices), rng.randint(1, min(3, len(g) - 1))))
+            changed = set().union(*(g.neighbors(v) for v in xs)) - xs
+            inst = Instance(g.without(xs), fixed.budget)
+            reduced, steps = simplify.simplify_fixpoint(inst, changed)
+            fired += assert_matches_full_scan(inst, reduced, steps) > 0
+    assert fired >= 150
+
+
+def test_engine_fixpoints_match_the_full_scan(monkeypatch, det_engine, rand_engine):
+    # every fixpoint of one deterministic search and one randomized solve,
+    # most of them told only what the last branch changed
+    fixpoint = runtime.simplify_fixpoint
+    told: Counter = Counter()
+
+    def checked(inst, changed=None):
+        reduced, steps = fixpoint(inst, changed)
+        told[changed is not None] += assert_matches_full_scan(inst, reduced, steps) > 0
+        return reduced, steps
+
+    monkeypatch.setattr(runtime, "simplify_fixpoint", checked)
+    rng = random.Random(67)
+    # 29 vertices cover at most 87 of the 90 edges: a search of every branch
+    assert det_engine.deterministic_cover(Instance(random_cubic(rng, 60), 29)) is None
+    rand_engine.solve_randomized(Instance(random_cubic(rng, 60), 34), TrialPlan(10, 71))
+    assert told[True] >= 200, told
