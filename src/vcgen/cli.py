@@ -39,8 +39,13 @@ EXIT_INPUT = 3
 DEFAULT_SEED = 2024
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+def _read(path: str | Path) -> str:
+    """The text of an input file; a file that cannot be read as UTF-8
+    text is an input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputDomainError(f"cannot read {path}: {exc}") from None
 
 
 def _load_instance(path: str) -> Instance:
@@ -118,7 +123,7 @@ def _load_tables(paths: list[str]) -> dict:
             files.append(path)
     tables = {}
     for f in files:
-        table = table_from_json(f.read_text())
+        table = table_from_json(_read(f))
         if table.subspace_id is None:
             raise VcgenError(f"{f}: table has no subspace id")
         tables[table.subspace_id] = table
@@ -299,9 +304,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except VcgenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -17,6 +17,7 @@ from .errors import CapacityError, InputDomainError
 
 ORACLE_CAP = 24
 MAX_DEGREE = 3  # every graph and configuration vcgen handles is subcubic
+CYCLE_SEARCH_CAP = 8  # the longest cycle enumerate_cycles searches for
 
 
 class Graph:
@@ -307,68 +308,33 @@ def vc_oracle(g: Graph) -> int:
 
 
 def enumerate_cycles(
-    g: Graph,
+    g,
     max_len: int,
     keep: Optional[Callable[[list[int], int], bool]] = None,
-    starts: Optional[Iterable[int]] = None,
+    through: Optional[Iterable[int]] = None,
 ) -> list[tuple[int, ...]]:
-    """Every simple cycle of length 3..max_len, once, in canonical rotation.
+    """Every simple cycle of length 3..max_len with a vertex in through
+    (default: every vertex), once, in canonical rotation, sorted.  g is a
+    Graph or a WorkingGraph.
 
     Canonical form: the sequence starts at the cycle's smallest vertex and
-    proceeds toward the smaller of its two cycle neighbors.  With keep, a
-    search path is extended by w only when keep(path, w) holds, so only the
-    cycles all of whose canonical prefixes keep admits are found.  With
-    starts, only the cycles whose smallest vertex is in starts are found.
+    proceeds toward the smaller of its two cycle neighbors.  Each cycle is
+    searched from its smallest vertex in through, and a search path is
+    extended by w only when keep(path, w) holds, so keep must admit every
+    rotation and direction of the cycles it keeps.
     """
-    return _search_cycles(g, sorted(g.vertices if starts is None else starts), max_len, keep, None)
-
-
-def cycles_through(
-    g,
-    max_len: int,
-    keep: Callable[[list[int], int], bool],
-    through: Iterable[int],
-) -> list[tuple[int, ...]]:
-    """Every simple cycle of length 3..max_len with a vertex in through,
-    once, in canonical rotation, in no set order.  g is a Graph or a
-    WorkingGraph.
-
-    Each cycle is searched from its smallest vertex in through, so keep
-    must admit every rotation and direction of the cycles it keeps.
-    """
-    through = set(through)
-    found = _search_cycles(g, through, max_len, keep, through)
-    for i, cyc in enumerate(found):
-        j = cyc.index(min(cyc))
-        cyc = cyc[j:] + cyc[:j]
-        found[i] = cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1]
-    return found
-
-
-def _search_cycles(
-    g,
-    starts: Iterable[int],
-    max_len: int,
-    keep: Optional[Callable[[list[int], int], bool]],
-    barrier: Optional[set[int]],
-) -> list[tuple[int, ...]]:
-    """The cycles of length 3..max_len through each start in turn, each
-    once, as the walk from the start toward the smaller of its two cycle
-    neighbors.  A walk never enters a vertex below its start that is in
-    barrier, or any vertex below its start when barrier is None; only then
-    does it take neighbors in increasing order, which fixes the order of
-    enumerate_cycles' list (cycles_through promises no order)."""
-    assert max_len <= 8, "cycle search is capped at length 8"
+    assert max_len <= CYCLE_SEARCH_CAP, f"cycle search is capped at length {CYCLE_SEARCH_CAP}"
+    through = g.vertices if through is None else set(through)
     cycles: list[tuple[int, ...]] = []
 
     def extend(start: int, path: list[int], on_path: set[int]) -> None:
         last = path[-1]
-        for w in sorted(g.neighbors(last)) if barrier is None else g.neighbors(last):
+        for w in g.neighbors(last):
             if w == start and len(path) >= 3:
                 if path[1] < path[-1]:  # each cycle found once per direction
                     cycles.append(tuple(path))
             elif (
-                (w > start or (barrier is not None and w not in barrier))
+                (w > start or w not in through)
                 and w not in on_path
                 and len(path) < max_len
             ):
@@ -380,8 +346,13 @@ def _search_cycles(
                 on_path.remove(w)
                 path.pop()
 
-    for s in starts:
+    for s in through:
         extend(s, [s], {s})
+    for i, cyc in enumerate(cycles):
+        j = cyc.index(min(cyc))
+        cyc = cyc[j:] + cyc[:j]
+        cycles[i] = cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1]
+    cycles.sort()
     return cycles
 
 

@@ -40,9 +40,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .configs import LocalConfiguration
 from .errors import ContractError
-from .graphs import Graph, Instance, WorkingGraph, cycles_through, enumerate_cycles
-
-CYCLE_SEARCH_CAP = 8
+from .graphs import CYCLE_SEARCH_CAP, Graph, Instance, WorkingGraph, enumerate_cycles
 
 
 @dataclass(frozen=True)
@@ -149,9 +147,8 @@ def _candidates(g, deg: Callable[[int], int], low: dict[int, int]) -> Iterator[S
                     yield 4, (v, y) if v < y else (y, v)
 
 
-def _rule5_sites(g, deg: Callable[[int], int], through: Optional[Iterable[int]] = None):
-    """The rule-5 sites of g, each once; with through, only those with a
-    vertex in through."""
+def _rule5_sites(g, deg: Callable[[int], int], through: Iterable[int]) -> list[Site]:
+    """The rule-5 sites of g with a vertex in through, each once, sorted."""
 
     def fits(path: list[int], w: int) -> bool:
         # a site's degrees alternate 2 / >2 or are all 2, so its first two
@@ -161,24 +158,13 @@ def _rule5_sites(g, deg: Callable[[int], int], through: Optional[Iterable[int]] 
             return deg(path[0]) == 2 or deg(w) == 2
         return (deg(w) == 2) == (deg(path[len(path) % 2]) == 2)
 
-    if through is not None:
-        # a vertex of a site has degree 2, or two neighbors of degree 2
-        through = [
-            t for t in through
-            if t in g and (deg(t) == 2 or list(map(deg, g.neighbors(t))).count(2) >= 2)
-        ]
-        cycles = cycles_through(g, CYCLE_SEARCH_CAP, fits, through) if through else ()
-    else:
-        # a site's smallest vertex has degree 2 or lies between two vertices
-        # of degree 2; the scan reads every vertex, not g.low_degree(), so
-        # that the configurations generation makes by the thousand stay
-        # without a cached degree set (it cost set-up time and memory)
-        twos = [v for v in g.vertices if deg(v) == 2]
-        starts = set(twos).union(*(g.neighbors(v) for v in twos))
-        cycles = enumerate_cycles(g, CYCLE_SEARCH_CAP, fits, starts)
-    for cyc in cycles:
-        if _holds(g, deg, (5, cyc), True):
-            yield SimplificationSite(5, cyc)
+    # a vertex of a site has degree 2, or two neighbors of degree 2
+    through = [
+        t for t in through
+        if t in g and (deg(t) == 2 or list(map(deg, g.neighbors(t))).count(2) >= 2)
+    ]
+    cycles = enumerate_cycles(g, CYCLE_SEARCH_CAP, fits, through) if through else []
+    return [(5, c) for c in cycles if _holds(g, deg, (5, c), True)]
 
 
 def _site(
@@ -192,8 +178,8 @@ def _site(
     """
     low = {v: d for v in scan if (d := deg(v)) <= 2}
     hit = min((s for s in _candidates(g, deg, low) if _holds(g, deg, s, instance)), default=None)
-    if hit is None and 2 in low.values():  # every rule-5 cycle has a degree-2 vertex
-        hit = min(((5, s.witness) for s in _rule5_sites(g, deg)), default=None)
+    if hit is None:  # every rule-5 cycle has a degree-2 vertex
+        hit = min(_rule5_sites(g, deg, [v for v, d in low.items() if d == 2]), default=None)
     return None if hit is None else SimplificationSite(*hit)
 
 
@@ -294,8 +280,9 @@ def simplify_fixpoint(
 
     changed holds the vertices whose neighbor sets differ from those in a
     graph on which no rule applies, such as the neighbors of the vertices
-    a branch took; only they are scanned at the start.  None scans the
-    whole graph.
+    a branch took; the first scans and rule-5 search start from them.
+    When changed is None they start from the degree-<=2 vertices instead,
+    since every site has one.
     """
     g = inst.graph
     work = WorkingGraph(g)
@@ -313,20 +300,16 @@ def simplify_fixpoint(
         """Queue the witnesses rules 1-4 may have at the degree-<=2 vertices of vs."""
         queue(_candidates(work, deg, {v: d for v in vs if (d := deg(v)) <= 2}))
 
-    # the vertices the rule-5 search has yet to look through; None: all
-    due: Optional[set[int]] = None
-    if changed is None:
-        scan(g.low_degree())
-    else:
-        due = {v for v in changed if v in work}
-        scan(due.union(*map(work.neighbors, due)))
+    # the vertices the rule-5 search has yet to look through
+    due = set(g.low_degree()) if changed is None else {v for v in changed if v in g}
+    scan(due.union(*map(work.neighbors, due)))
     steps: list[Step] = []
     budget = inst.budget
     while True:
         while heap and not _holds(work, deg, heap[0], True):
             queued.discard(heapq.heappop(heap))
-        if (not heap or heap[0][0] == 5) and (due is None or due):
-            queue((5, s.witness) for s in _rule5_sites(work, deg, due))
+        if (not heap or heap[0][0] == 5) and due:
+            queue(_rule5_sites(work, deg, due))
             due = set()
             continue
         if not heap:
@@ -336,8 +319,7 @@ def simplify_fixpoint(
         step, touched = _fire(work, site)
         steps.append(step)
         budget -= _spent(step)
-        if due is not None:
-            due |= touched
+        due |= touched
         scan(touched.union(*map(work.neighbors, touched)))
     if not steps:
         return inst, steps

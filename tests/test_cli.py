@@ -155,6 +155,10 @@ MALFORMED_TABLES = {
     "measure beyond a float": lambda doc: json.dumps(
         {**doc, "measure": {**doc["measure"], "alpha": "1e400"}}),
 }
+UNREADABLE = {
+    "a directory": lambda path: path.mkdir(),
+    "bytes that are not UTF-8": lambda path: path.write_bytes(K4.encode() + b"c \xff\n"),
+}
 MALFORMED_ARGUMENTS = {
     "measure field not a number": ["feasibility", "--measure", "n", "b3=abc"],
     "measure field divided by zero": ["feasibility", "--measure", "n", "b3=1/0"],
@@ -172,6 +176,9 @@ MALFORMED_ARGUMENTS = {
       for cmd in ("solve", "classify", "oracle")],
     *[("table", name, cmd) for name in MALFORMED_TABLES for cmd in ("solve", "verify")],
     *[("arguments", name, None) for name in MALFORMED_ARGUMENTS],
+    *[("unreadable instance", name, cmd) for name in UNREADABLE
+      for cmd in ("solve", "classify", "oracle")],
+    *[("unreadable table", name, cmd) for name in UNREADABLE for cmd in ("solve", "verify")],
 ])
 def test_malformed_input_exits_3_with_one_line(tmp_path, capsys, case):
     kind, name, cmd = case
@@ -182,8 +189,17 @@ def test_malformed_input_exits_3_with_one_line(tmp_path, capsys, case):
     elif kind == "table":
         inst.write_text(K4)
         table.write_text(MALFORMED_TABLES[name](_p19_table_doc()))
+    elif kind == "unreadable instance":
+        UNREADABLE[name](inst)
+        table.write_text(json.dumps(_p19_table_doc()))
+    elif kind == "unreadable table":
+        inst.write_text(K4)
+        UNREADABLE[name](table)
+    # solve reads the tables of a directory, so that it also meets a
+    # directory named P19.json as a table
+    tables = tmp_path if kind == "unreadable table" else table
     argv = MALFORMED_ARGUMENTS[name] if kind == "arguments" else {
-        "solve": ["solve", "--instance", str(inst), "--tables", str(table), "--mode", "det"],
+        "solve": ["solve", "--instance", str(inst), "--tables", str(tables), "--mode", "det"],
         "classify": ["classify", "--instance", str(inst)],
         "oracle": ["oracle", "--instance", str(inst)],
         "verify": ["verify", "--table", str(table)],

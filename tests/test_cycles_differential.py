@@ -15,7 +15,7 @@ from corpus import random_cubic, random_subcubic
 from vcgen import simplify
 from vcgen.configs import LocalConfiguration, expand
 from vcgen.graphs import Graph, Instance
-from vcgen.simplify import config_site, find_site
+from vcgen.simplify import SimplificationSite, config_site, find_site
 from vcgen.subspaces import assertions_for, classify, forbidden_by, root_config
 
 
@@ -64,7 +64,7 @@ def test_rule5_sites_match_reference():
     found = set()
     for g, l in site_cases():
         for deg in (g.degree, l.true_degree):
-            sites = list(simplify._rule5_sites(g, deg))
+            sites = [SimplificationSite(*s) for s in simplify._rule5_sites(g, deg, g.vertices)]
             assert sites == list(ref.rule5_sites(g, deg)), (g, deg)
             found |= {"all-2" if all(deg(x) == 2 for x in s.witness) else "alternating"
                       for s in sites}
@@ -78,7 +78,8 @@ def test_find_site_and_config_site_match_reference(monkeypatch):
         return [(find_site(Instance(g, 5)), config_site(l)) for g, l in cases]
 
     got = sites()
-    monkeypatch.setattr(simplify, "_rule5_sites", ref.rule5_sites)
+    monkeypatch.setattr(simplify, "_rule5_sites", lambda g, deg, through: [
+        (5, s.witness) for s in ref.rule5_sites(g, deg)])
     assert got == sites()
     assert any(s is not None and s.rule_id == 5 for pair in got for s in pair)
 

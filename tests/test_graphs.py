@@ -8,6 +8,7 @@ from vcgen.graphs import (
     Graph,
     Instance,
     VertexCoverSolver,
+    WorkingGraph,
     complete_graph,
     cycle_graph,
     enumerate_cycles,
@@ -188,6 +189,63 @@ def test_cycles_are_canonical_and_valid():
             assert c[1] < c[-1]
             for i in range(len(c)):
                 assert g.has_edge(c[i], c[(i + 1) % len(c)])
+
+
+def cycle_search_cases(rng: random.Random):
+    """Seeded subcubic graphs, every other one as dense as degree 3 allows,
+    each followed by a working graph made from it by a few vertex deletions
+    and edge insertions."""
+    for i in range(60):
+        n = rng.randint(6, 16)
+        g = random_subcubic(rng, n, (3 * n) // 2 if i % 2 else None)
+        yield g
+        work = WorkingGraph(g)
+        for _ in range(4):
+            vs = sorted(work.vertices)
+            if rng.random() < 0.4:
+                work.remove([rng.choice(vs)])
+                continue
+            free = [v for v in vs if work.degree(v) < 3]
+            pairs = [(u, v) for u in free for v in free if u < v and not work.has_edge(u, v)]
+            if pairs:
+                work.add_edge(*rng.choice(pairs))
+        yield work
+
+
+def walks(c: tuple[int, ...]):
+    """The cycle c from each of its vertices, in both directions."""
+    for r in (c, c[::-1]):
+        for i in range(len(r)):
+            yield r[i:] + r[:i]
+
+
+def test_cycles_through_vertices_and_kept_filter_the_full_list():
+    rng = random.Random(37)
+    met = kept_some = 0
+    for g in cycle_search_cases(rng):
+        vs = sorted(g.vertices)
+        for length in (5, 8):
+            full = enumerate_cycles(g, length)
+            if isinstance(g, WorkingGraph):
+                assert full == enumerate_cycles(g.freeze(), length)
+            through = set(rng.sample(vs, rng.randint(0, len(vs) // 2)))
+            meet = [c for c in full if through.intersection(c)]
+            assert enumerate_cycles(g, length, through=through) == meet
+            met += len(full) > len(meet) > 0
+
+            # whether keep admits a walk depends on the cycle alone
+            allowed = set(rng.sample(vs, rng.randint(len(vs) // 2, len(vs))))
+
+            def keep(path: list[int], w: int) -> bool:
+                return path[0] in allowed and w in allowed
+
+            kept = [c for c in full
+                    if all(keep(list(r[:i]), r[i]) for r in walks(c) for i in range(1, len(c)))]
+            assert enumerate_cycles(g, length, keep) == kept
+            assert enumerate_cycles(g, length, keep, through) == [
+                c for c in kept if through.intersection(c)]
+            kept_some += len(full) > len(kept) > 0
+    assert met >= 50 and kept_some >= 50, (met, kept_some)
 
 
 def test_petersen_girth_five():

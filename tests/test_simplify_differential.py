@@ -122,6 +122,9 @@ def test_fixpoint_from_the_changed_vertices_matches_the_full_scan():
             inst = Instance(g.without(xs), fixed.budget)
             reduced, steps = simplify.simplify_fixpoint(inst, changed)
             fired += assert_matches_full_scan(inst, reduced, steps) > 0
+            # told that every vertex changed, the fixpoint starts as at the root
+            everything = simplify.simplify_fixpoint(inst, inst.graph.vertices)
+            assert everything == simplify.simplify_fixpoint(inst), inst.graph
     assert fired >= 150
 
 
