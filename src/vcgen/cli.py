@@ -71,7 +71,10 @@ def cmd_generate(args) -> int:
     limits = GenLimits(args.depth, args.nodes, args.seconds)
     mode = {"det": "deterministic", "rand": "randomized"}[args.mode]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputDomainError(f"cannot write tables to {out_dir}: {exc}") from None
     all_ok = True
     print(f"measure: {format_measure(measure)}  mode: {mode}")
     for sid in sids:
@@ -98,7 +101,10 @@ def cmd_generate(args) -> int:
             continue
         cert = verify_table(table)
         path = out_dir / f"{name}.json"
-        path.write_text(table_to_json(table))
+        try:
+            path.write_text(table_to_json(table))
+        except OSError as exc:
+            raise InputDomainError(f"cannot write {path}: {exc}") from None
         rules = sum(1 for n in table.tree.nodes if n.kind == "leaf" and n.leaf.kind == "rule")
         worst = max(cert.leaf_objectives.values(), default=Fraction(0))
         status = "certified" if cert.ok else "CERTIFICATE FAILED"
@@ -134,8 +140,7 @@ def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     tables = _load_tables(args.tables)
     if not tables:
-        print("no tables found")
-        return EXIT_INPUT
+        raise InputDomainError("no tables found")
     measure = next(iter(tables.values())).measure
     try:
         engine = TableEngine(tables, measure)
@@ -202,8 +207,7 @@ def cmd_bound(args) -> int:
                 raise InputDomainError(f"{key} must be finite, got {val!r}")
         missing = {"a", "b", "base_n"} - set(values)
         if missing:
-            print(f"missing combine fields: {sorted(missing)}")
-            return EXIT_INPUT
+            raise InputDomainError(f"missing combine fields: {sorted(missing)}")
         if values["base_n"] <= 0:
             raise InputDomainError(f"base_n must be positive, got {values['base_n']}")
         c = math.log(values["base_n"])
@@ -221,8 +225,7 @@ def cmd_bound(args) -> int:
         x = branching_number(BranchVector(tuple(entries)))
         print(f"branching number = {x:.6f}")
         return EXIT_OK
-    print("bound needs --combine or --vector")
-    return EXIT_INPUT
+    raise InputDomainError("bound needs --combine or --vector")
 
 
 def cmd_feasibility(args) -> int:

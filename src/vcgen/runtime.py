@@ -4,9 +4,10 @@ A solve step simplifies to a fixpoint, classifies the residual instance
 into its subspace, anchors that subspace's table, walks the expansion tree
 to a leaf and applies the leaf's rule: the randomized engine samples one
 branch with probability proportional to weight times measure shrinkage,
-the deterministic engine explores every selected branch.  YES answers are
-only ever reported with an explicitly verified cover in hand, so NO-side
-errors cannot occur.
+the deterministic engine explores every selected branch.  Both run one
+recursive search, in which a branch's take is the first step of the next
+fixpoint.  YES answers are only ever reported with an explicitly verified
+cover in hand, so NO-side errors cannot occur.
 """
 
 from __future__ import annotations
@@ -94,11 +95,6 @@ def _budget_cover(inst: Instance) -> Optional[frozenset[int]]:
     return None if drop is None else drop | nbrs
 
 
-def _neighbours_left(g: Graph, take: frozenset[int]) -> frozenset[int]:
-    """The vertices whose neighbour sets removing take from g changes."""
-    return frozenset().union(*map(g.neighbors, take)) - take
-
-
 def is_vertex_cover(g: Graph, cover: frozenset[int]) -> bool:
     return all(u in cover or v in cover for u, v in g.edges())
 
@@ -151,23 +147,18 @@ class TableEngine:
             )
         return sid, leaf, phi
 
-    def _advance(
-        self, inst: Instance, events: list, changed: Optional[frozenset[int]] = None
-    ):
-        """Simplify, fall back and apply constant leaves until the instance
-        is decided or a rule leaf matches, appending to the event log the
-        simplification steps and (taken, None) for every take; lift_cover
-        turns the log into a cover.
-
-        changed is as for simplify_fixpoint: the vertices whose neighbour
-        sets differ from those of a simplified graph, or None.
+    def _advance(self, inst: Instance, take: Optional[frozenset[int]], events: list):
+        """Take take (when given), simplify, fall back and apply constant
+        leaves until the instance is decided or a rule leaf matches,
+        appending every step to the event log; lift_cover turns the log
+        into a cover.
 
         Returns True when the log now holds a cover, False when no cover
         within budget exists, else (instance, subspace, leaf node, anchor
         map) for the rule leaf to branch on.
         """
         while True:
-            inst, steps = simplify_fixpoint(inst, changed)
+            inst, steps = simplify_fixpoint(inst, take)
             events.extend(steps)
             if inst.budget < 0:
                 return False
@@ -183,43 +174,49 @@ class TableEngine:
             sid, leaf, phi = self._match_leaf(inst)
             if leaf.leaf.kind != "constant":
                 return inst, sid, leaf, phi
-            comp = frozenset(phi.values())
-            comp_cover = _component_cover(inst.graph, comp)
-            events.append((comp_cover, None))
-            inst = Instance(inst.graph.without(comp), inst.budget - len(comp_cover))
-            changed = frozenset()  # a whole component went: no vertex left lost a neighbour
+            # the cover isolates the rest of its component, which rule 1 drops
+            take = _component_cover(inst.graph, frozenset(phi.values()))
 
-    # -- deterministic mode --------------------------------------------------
+    def _search(
+        self, inst: Instance, take: Optional[frozenset[int]], events: list, choose
+    ) -> bool:
+        """Advance after take, then try each take that choose(instance,
+        subspace, leaf node, anchor map) yields for the rule leaf reached,
+        truncating the log between tries; on success the log holds a cover."""
+        step = self._advance(inst, take, events)
+        if isinstance(step, bool):
+            return step
+        inst = step[0]
+        mark = len(events)
+        for take in choose(*step):
+            if self._search(inst, take, events, choose):
+                return True
+            del events[mark:]
+        return False
 
-    def deterministic_cover(self, inst: Instance) -> Optional[frozenset[int]]:
-        for sid, t in self.tables.items():
-            if t.rule_mode != "deterministic":
-                raise ContractError(
-                    f"table P{sid} is randomized; deterministic search needs ILP tables"
-                )
+    def _cover(self, inst: Instance, choose) -> Optional[frozenset[int]]:
+        """The cover that a search with choose finds, or None; raises
+        CertificateViolation when the lifted set is not a budget cover."""
         events: list = []
-        if not self._det_search(inst, events):
+        if not self._search(inst, None, events, choose):
             return None
         cover = lift_cover(events, frozenset())
         if not is_vertex_cover(inst.graph, cover) or len(cover) > inst.budget:
             raise CertificateViolation("constructed set is not a budget cover")
         return cover
 
-    def _det_search(
-        self, inst: Instance, events: list, changed: Optional[frozenset[int]] = None
-    ) -> bool:
-        """Try every branch of each rule leaf; on success the log holds a cover."""
-        step = self._advance(inst, events, changed)
-        if isinstance(step, bool):
-            return step
-        inst, _, leaf, phi = step
-        mark = len(events)
-        for _, take, child in _branches(inst, leaf, phi):
-            events.append((take, None))
-            if self._det_search(child, events, _neighbours_left(inst.graph, take)):
-                return True
-            del events[mark:]
-        return False
+    # -- deterministic mode --------------------------------------------------
+
+    def deterministic_cover(self, inst: Instance) -> Optional[frozenset[int]]:
+        """A cover within budget, trying every branch of each rule leaf,
+        or None when there is none."""
+        for sid, t in self.tables.items():
+            if t.rule_mode != "deterministic":
+                raise ContractError(
+                    f"table P{sid} is randomized; deterministic search needs ILP tables"
+                )
+        return self._cover(inst, lambda inst, sid, leaf, phi: (
+            take for _, take in _branches(leaf, phi)))
 
     # -- randomized mode -----------------------------------------------------
 
@@ -228,24 +225,17 @@ class TableEngine:
     ) -> Optional[frozenset[int]]:
         """One random root-to-leaf walk; a cover on success, else None."""
         rng = random.Random(seed)
-        original = inst
-        events: list = []
-        changed = None
-        while True:
-            step = self._advance(inst, events, changed)
-            if step is False:
-                return None
-            if step is True:
-                break
-            inst, sid, leaf, phi = step
+
+        def choose(inst, sid, leaf, phi):
             # weighted random branch choice per the measure shrinkage
-            children = [
-                (take, child, float(entry.weight) * 2.0 ** float(evaluate(self.measure, child)))
-                for entry, take, child in _branches(inst, leaf, phi)
-            ]
-            total = sum(share for _, _, share in children)
+            children = []
+            for entry, take in _branches(leaf, phi):
+                child = Instance(inst.graph.without(take), inst.budget - len(take))
+                share = float(entry.weight) * 2.0 ** float(evaluate(self.measure, child))
+                children.append((take, share))
+            total = sum(share for _, share in children)
             assert total > 0
-            probs = [share / total for _, _, share in children]
+            probs = [share / total for _, share in children]
             assert abs(sum(probs) - 1.0) <= PROBABILITY_TOL
             r = rng.random()
             cum = 0.0
@@ -255,15 +245,12 @@ class TableEngine:
                 if r < cum:
                     pick = i
                     break
-            take, child, _ = children[pick]
+            take = children[pick][0]
             if trace is not None:
                 trace.append(TraceStep(sid, leaf.node_id, tuple(sorted(take)), probs[pick]))
-            events.append((take, None))
-            inst, changed = child, _neighbours_left(inst.graph, take)
-        cover = lift_cover(events, frozenset())
-        if not is_vertex_cover(original.graph, cover) or len(cover) > original.budget:
-            return None
-        return cover
+            return [take]
+
+        return self._cover(inst, choose)
 
     def solve_randomized(
         self,
@@ -288,10 +275,7 @@ class TableEngine:
         return RandomizedResult(witness is not None, plan.trials, successes, mu, witness)
 
 
-def _branches(inst: Instance, leaf, phi: dict[int, int]):
-    """Each entry of a rule leaf, with the vertices it takes in the instance
-    and the instance that remains.  Lazy: a search that stops at one branch
-    builds no graph for the next."""
+def _branches(leaf, phi: dict[int, int]):
+    """Each entry of a rule leaf, with the vertices it takes in the instance."""
     for entry in leaf.leaf.entries:
-        take = frozenset(phi[v] for v in entry.take)
-        yield entry, take, Instance(inst.graph.without(take), inst.budget - len(take))
+        yield entry, frozenset(phi[v] for v in entry.take)

@@ -28,8 +28,10 @@ the graph, rescanning only where each firing changed it.
 Firing a rule yields a step (taken, fold): the vertices it puts into the
 cover, and for rule 4 the fold (u, v, a) of the contracted pair and u's
 outer neighbor.  `lift_cover` turns a cover of the reduced graph back into
-one of the original from these steps alone; the solve engines log their
-branch takes as steps with no fold.
+one of the original from these steps alone.  A branch's take is a step
+with no fold: given one, `simplify_fixpoint` removes it as its first step
+and then simplifies from where it changed the graph, so a solve's whole
+log is fixpoint steps.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ def lift_cover(steps: Sequence[Step], cover: frozenset[int]) -> frozenset[int]:
 
 
 def simplify_fixpoint(
-    inst: Instance, changed: Optional[Iterable[int]] = None
+    inst: Instance, take: Optional[frozenset[int]] = None
 ) -> tuple[Instance, list[Step]]:
     """Fire rules until none applies; returns the reduced instance and the
     steps for lift_cover.
@@ -278,11 +280,11 @@ def simplify_fixpoint(
     rules 1-4.  The rule-5 cycle search runs only when no rule 1-4 site is
     left, and then only through the vertices changed since it last ran.
 
-    changed holds the vertices whose neighbor sets differ from those in a
-    graph on which no rule applies, such as the neighbors of the vertices
-    a branch took; the first scans and rule-5 search start from them.
-    When changed is None they start from the degree-<=2 vertices instead,
-    since every site has one.
+    take, when given, is a branch's take on an instance on which no rule
+    applies: the fixpoint first removes it, logs the step (take, None) and
+    spends len(take), and its first scans and rule-5 search start from the
+    vertices that lost a neighbor.  Without take they start from the
+    degree-<=2 vertices, since every site has one.
     """
     g = inst.graph
     work = WorkingGraph(g)
@@ -300,11 +302,16 @@ def simplify_fixpoint(
         """Queue the witnesses rules 1-4 may have at the degree-<=2 vertices of vs."""
         queue(_candidates(work, deg, {v: d for v in vs if (d := deg(v)) <= 2}))
 
-    # the vertices the rule-5 search has yet to look through
-    due = set(g.low_degree()) if changed is None else {v for v in changed if v in g}
-    scan(due.union(*map(work.neighbors, due)))
     steps: list[Step] = []
     budget = inst.budget
+    # the vertices the rule-5 search has yet to look through
+    if take is None:
+        due = set(g.low_degree())
+    else:
+        due = work.remove(take)
+        steps.append((take, None))
+        budget -= len(take)
+    scan(due.union(*map(work.neighbors, due)))
     while True:
         while heap and not _holds(work, deg, heap[0], True):
             queued.discard(heapq.heappop(heap))

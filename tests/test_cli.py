@@ -168,6 +168,8 @@ MALFORMED_ARGUMENTS = {
     "branch decrease not a number": ["bound", "--vector", "1:x"],
     "branch entry without a decrease": ["bound", "--vector", "1"],
     "combine field beyond a float": ["bound", "--combine", "a=1e400", "b=1", "base_n=2"],
+    "combine fields missing": ["bound", "--combine", "a=1"],
+    "bound with neither option": ["bound"],
 }
 
 
@@ -207,6 +209,25 @@ def test_malformed_input_exits_3_with_one_line(tmp_path, capsys, case):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_solve_without_tables_exits_3_with_one_line(tmp_path, capsys, k4_instance):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["solve", "--instance", str(k4_instance), "--tables", str(empty)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: no tables found\n", captured.err
+    assert captured.out == ""
+
+
+def test_generate_into_a_file_exits_3_with_one_line(tmp_path, capsys):
+    out = tmp_path / "tables"
+    out.write_text("not a directory\n")
+    assert main(["generate", "--measure", "k-mode", "a=1", "--mode", "det",
+                 "--subspace", "P19", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert out.read_text() == "not a directory\n"
 
 
 def run_cli(*argv: str, timeout: float = 60) -> "subprocess.CompletedProcess":

@@ -6,7 +6,7 @@ import pytest
 
 from corpus import MU_N20, build_tables, is_cover, random_cubic, random_subcubic
 from vcgen.configs import instance_as_config
-from vcgen.errors import ContractError, InputDomainError
+from vcgen.errors import CertificateViolation, ContractError, InputDomainError
 from vcgen.graphs import (
     Graph,
     Instance,
@@ -102,6 +102,36 @@ def test_rsearch_deterministic_given_seed(rand_engine):
     a = rand_engine.rsearch_cover(inst, seed=42)
     b = rand_engine.rsearch_cover(inst, seed=42)
     assert a == b
+
+
+def test_rsearch_never_returns_a_non_cover_silently(monkeypatch, rand_engine):
+    # a lift that loses a vertex leaves at most 5 of the Petersen graph's
+    # vertices, never a cover: a walk that reaches a cover must raise
+    import vcgen.runtime
+
+    lift = vcgen.runtime.lift_cover
+    monkeypatch.setattr(vcgen.runtime, "lift_cover",
+                        lambda steps, cover: frozenset(sorted(lift(steps, cover))[1:]))
+    inst = Instance(petersen_graph(), 6)
+    raised = 0
+    for seed in range(20):
+        try:
+            assert rand_engine.rsearch_cover(inst, seed) is None
+        except CertificateViolation:
+            raised += 1
+    assert raised > 0
+
+
+def test_deterministic_search_builds_no_graph_per_branch(monkeypatch, det_engine):
+    # a branch's take is the first step of the child's fixpoint, on the
+    # fixpoint's own working graph
+    built = []
+    without = Graph.without
+    monkeypatch.setattr(Graph, "without", lambda g, vs: built.append(vs) or without(g, vs))
+    assert det_engine.deterministic_cover(Instance(petersen_graph(), 5)) is None
+    assert built == []
+    assert det_engine.deterministic_cover(Instance(petersen_graph(), 6)) is not None
+    assert built == []
 
 
 def test_per_trial_success_bound_small(rand_engine):

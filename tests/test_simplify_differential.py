@@ -5,10 +5,10 @@ effect from it to lift a cover.
 On two seeded corpora the fixpoint must log the steps the reference's
 sites imply, one for one, leave the same instance, and lift every cover of
 the reduced graph it is given, a minimum one or a larger one, to the same
-cover of the original.  Told which vertices changed since a graph on which
-no rule applied, it must still fire exactly what the reference's full scan
-fires, both on such graphs less random vertex sets and at every fixpoint
-of a run of each solve engine.
+cover of the original.  Given a set to take from a graph on which no rule
+applied, it must log the take first and then fire exactly what the
+reference's full scan of the rest fires, both on such graphs with random
+takes and at every fixpoint of a run of each solve engine.
 """
 
 import random
@@ -107,9 +107,16 @@ def assert_matches_full_scan(inst: Instance, reduced: Instance, steps) -> int:
     return len(events)
 
 
-def test_fixpoint_from_the_changed_vertices_matches_the_full_scan():
-    # a graph on which no rule applies, less a vertex set X: only the
-    # vertices of N(X) - X have other neighbours than before
+def after_take(inst: Instance, take, steps):
+    """The instance a take leaves, and the fixpoint steps after the take,
+    which must come first."""
+    assert steps[0] == (take, None), inst.graph
+    return Instance(inst.graph.without(take), inst.budget - len(take)), steps[1:]
+
+
+def test_fixpoint_after_a_take_matches_the_full_scan():
+    # a graph on which no rule applies, less a vertex set X that a branch
+    # takes: only the vertices of N(X) - X have other neighbours than before
     rng = random.Random(61)
     fixpoints = [ref.simplify_fixpoint(inst)[0] for inst in corpus()]
     fixpoints += [Instance(random_cubic(rng, n), n) for n in (8, 10, 12, 14, 16) * 10]
@@ -117,26 +124,23 @@ def test_fixpoint_from_the_changed_vertices_matches_the_full_scan():
     for fixed in fixpoints:
         g = fixed.graph
         for _ in range(3 if len(g) > 1 else 0):
-            xs = set(rng.sample(sorted(g.vertices), rng.randint(1, min(3, len(g) - 1))))
-            changed = set().union(*(g.neighbors(v) for v in xs)) - xs
-            inst = Instance(g.without(xs), fixed.budget)
-            reduced, steps = simplify.simplify_fixpoint(inst, changed)
-            fired += assert_matches_full_scan(inst, reduced, steps) > 0
-            # told that every vertex changed, the fixpoint starts as at the root
-            everything = simplify.simplify_fixpoint(inst, inst.graph.vertices)
-            assert everything == simplify.simplify_fixpoint(inst), inst.graph
+            xs = frozenset(rng.sample(sorted(g.vertices), rng.randint(1, min(3, len(g) - 1))))
+            reduced, steps = simplify.simplify_fixpoint(fixed, xs)
+            rest, steps = after_take(fixed, xs, steps)
+            fired += assert_matches_full_scan(rest, reduced, steps) > 0
     assert fired >= 150
 
 
 def test_engine_fixpoints_match_the_full_scan(monkeypatch, det_engine, rand_engine):
     # every fixpoint of one deterministic search and one randomized solve,
-    # most of them told only what the last branch changed
+    # most of them after a branch's take
     fixpoint = runtime.simplify_fixpoint
     told: Counter = Counter()
 
-    def checked(inst, changed=None):
-        reduced, steps = fixpoint(inst, changed)
-        told[changed is not None] += assert_matches_full_scan(inst, reduced, steps) > 0
+    def checked(inst, take=None):
+        reduced, steps = fixpoint(inst, take)
+        rest, after = (inst, steps) if take is None else after_take(inst, take, steps)
+        told[take is not None] += assert_matches_full_scan(rest, reduced, after) > 0
         return reduced, steps
 
     monkeypatch.setattr(runtime, "simplify_fixpoint", checked)
