@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import CapacityError, ContractError, InputDomainError
 from .graphs import MAX_DEGREE, Graph, format_graph
@@ -69,8 +69,12 @@ class LocalConfiguration:
 
 
 def instance_as_config(g: Graph) -> LocalConfiguration:
-    """View a subcubic graph as a configuration with no incomplete edges."""
-    return LocalConfiguration(g, {})
+    """View a graph as a configuration with no incomplete edges.  A Graph
+    is subcubic by construction, so there is nothing to check."""
+    view = LocalConfiguration.__new__(LocalConfiguration)
+    view.h = g
+    view.d = dict.fromkeys(g.vertices, 0)
+    return view
 
 
 def select_expansion_vertex(l: LocalConfiguration) -> int:
@@ -108,24 +112,33 @@ def expand(l: LocalConfiguration) -> list[tuple[ChildLabel, LocalConfiguration]]
     return children
 
 
-def is_expansion(big: LocalConfiguration, small: LocalConfiguration) -> Optional[dict[int, int]]:
+def is_expansion(
+    big: LocalConfiguration,
+    small: LocalConfiguration,
+    starts: Optional[Iterable[int]] = None,
+) -> Optional[dict[int, int]]:
     """Injective embedding of small into big conserving true degree.
 
     Edges of small must map onto edges of big, each mapped vertex must keep
     its true degree, and its plain degree may only grow (incomplete edges
     resolve, they never appear).  Returns the lexicographically first mapping
-    found, or None.
+    found, or None.  starts, when given, holds every vertex of big that
+    small's smallest vertex can map to (it may hold more), and only those
+    are tried for it; the mapping found is the same.
     """
     small_vs = sorted(small.h.vertices)
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
     def candidates(v: int):
-        """big's vertices that v may map to, in sorted order: the neighbours
-        of a mapped neighbour's image, else every vertex that can carry
-        v's true degree (one of degree <= 2 in h lies in h's low set)."""
+        """big's vertices that v may map to, in sorted order: the given
+        starts for small's smallest vertex, else the neighbours of a mapped
+        neighbour's image, else every vertex that can carry v's true degree
+        (one of degree <= 2 in h lies in h's low set)."""
         mapped = [mapping[u] for u in small.h.neighbors(v) if u in mapping]
-        if mapped:
+        if starts is not None and v == small_vs[0]:
+            pool = starts
+        elif mapped:
             pool = big.h.neighbors(mapped[0])
         elif small.true_degree(v) <= 2:
             pool = big.h.low_degree()

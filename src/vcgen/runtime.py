@@ -6,8 +6,12 @@ to a leaf and applies the leaf's rule: the randomized engine samples one
 branch with probability proportional to weight times measure shrinkage,
 the deterministic engine explores every selected branch.  Both run one
 recursive search, in which a branch's take is the first step of the next
-fixpoint.  YES answers are only ever reported with an explicitly verified
-cover in hand, so NO-side errors cannot occur.
+fixpoint, and keep the measure as an integer over the common denominator
+of its weights.  The randomized engine reads each child's measure off the
+degree changes around its take, so it builds no child graph, and a trial
+plan runs the first step, which every trial shares, once.  YES answers
+are only ever reported with an explicitly verified cover in hand, so
+NO-side errors cannot occur.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CertificateViolation, ContractError, InputDomainError
 from .graphs import Graph, Instance, VertexCoverSolver
@@ -24,7 +28,7 @@ from .measure import Measure, evaluate
 from .rulegen import RuleTable, verify_table
 from .simplify import lift_cover, simplify_fixpoint
 from .subspaces import classify
-from .tree import find_anchor, match_instance
+from .tree import TreeNode, find_anchor, match_instance
 
 PROBABILITY_TOL = 1e-12
 
@@ -42,8 +46,12 @@ class TrialPlan:
     def for_instance(
         m: Measure, inst: Instance, safety: int = 20, base_seed: int = 0
     ) -> "TrialPlan":
-        mu = float(evaluate(m, inst))
-        trials = max(1, math.ceil(2.0**mu * safety))
+        try:
+            trials = max(1, math.ceil(2.0 ** float(evaluate(m, inst)) * safety))
+        except OverflowError:
+            raise InputDomainError(
+                "the trial plan needs more trials than a float can count"
+            ) from None
         return TrialPlan(trials, base_seed)
 
 
@@ -65,6 +73,52 @@ class TraceStep:
 
     def format(self) -> str:
         return f"P{self.subspace} {self.leaf} {list(self.branch)} {self.probability:.6f}"
+
+
+class _RuleStep(NamedTuple):
+    """A solve step that reached a rule leaf: the simplified instance, its
+    number of vertices of each degree 0..3, its subspace, the leaf node and
+    the map of the leaf's configuration into the instance."""
+
+    inst: Instance
+    counts: list[int]
+    sid: int
+    leaf: TreeNode
+    phi: dict[int, int]
+
+
+def _degree_counts(g: Graph) -> list[int]:
+    """The number of vertices of g of each degree 0..3."""
+    counts = [0, 0, 0, 0]
+    for v in g.low_degree():
+        counts[g.degree(v)] += 1
+    counts[3] = len(g) - counts[0] - counts[1] - counts[2]
+    return counts
+
+
+def _counts_after(g: Graph, counts: list[int], take: frozenset[int]) -> list[int]:
+    """The degree counts of g.without(take), from g's counts: each taken
+    vertex leaves its class, and each neighbour left drops by its number of
+    taken neighbours."""
+    counts = list(counts)
+    lost: dict[int, int] = {}
+    for v in take:
+        counts[g.degree(v)] -= 1
+        for u in g.neighbors(v):
+            if u not in take:
+                lost[u] = lost.get(u, 0) + 1
+    for u, drop in lost.items():
+        d = g.degree(u)
+        counts[d] -= 1
+        counts[d - drop] += 1
+    return counts
+
+
+def _scaled_measure(m: Measure, budget: int, counts: list[int]) -> int:
+    """D times the measure of an instance with this budget and these degree
+    counts, for D = m.scaled[0]: an integer, of the sign of the measure."""
+    _, alpha, beta1, beta2, beta3 = m.scaled
+    return alpha * budget + beta1 * counts[1] + beta2 * counts[2] + beta3 * counts[3]
 
 
 def _trial_seed(base_seed: int, i: int) -> int:
@@ -131,9 +185,9 @@ class TableEngine:
     # -- the solve step shared by both modes ----------------------------------
 
     def _match_leaf(self, inst: Instance):
-        sid = classify(inst.graph)
+        sid, starts = classify(inst.graph, with_starts=True)
         table = self._table_for(sid)
-        anchor = find_anchor(inst, table.tree.root_config)
+        anchor = find_anchor(inst, table.tree.root_config, starts)
         if anchor is None:
             raise CertificateViolation(
                 f"subspace P{sid} root does not anchor the residual instance"
@@ -154,17 +208,18 @@ class TableEngine:
         into a cover.
 
         Returns True when the log now holds a cover, False when no cover
-        within budget exists, else (instance, subspace, leaf node, anchor
-        map) for the rule leaf to branch on.
+        within budget exists, else the _RuleStep to branch on.
         """
         while True:
             inst, steps = simplify_fixpoint(inst, take)
             events.extend(steps)
             if inst.budget < 0:
                 return False
-            if inst.graph.edge_count() == 0:
+            # a fixpoint leaves no isolated vertex, so no vertex means no edge
+            if len(inst.graph) == 0:
                 return True
-            if evaluate(self.measure, inst) <= 0:
+            counts = _degree_counts(inst.graph)
+            if _scaled_measure(self.measure, inst.budget, counts) <= 0:
                 self.fallbacks += 1
                 cover = _budget_cover(inst)
                 if cover is None:
@@ -173,32 +228,34 @@ class TableEngine:
                 return True
             sid, leaf, phi = self._match_leaf(inst)
             if leaf.leaf.kind != "constant":
-                return inst, sid, leaf, phi
+                return _RuleStep(inst, counts, sid, leaf, phi)
             # the cover isolates the rest of its component, which rule 1 drops
             take = _component_cover(inst.graph, frozenset(phi.values()))
 
-    def _search(
-        self, inst: Instance, take: Optional[frozenset[int]], events: list, choose
-    ) -> bool:
-        """Advance after take, then try each take that choose(instance,
-        subspace, leaf node, anchor map) yields for the rule leaf reached,
-        truncating the log between tries; on success the log holds a cover."""
-        step = self._advance(inst, take, events)
+    def _first_step(self, inst: Instance) -> tuple:
+        """_advance(inst, None) and the event log it fills."""
+        events: list = []
+        return self._advance(inst, None, events), events
+
+    def _search(self, step, events: list, choose) -> bool:
+        """From step, an _advance result, try each take that choose(step)
+        yields at the rule leaf reached, advancing after it and truncating
+        the log between tries; on success the log holds a cover."""
         if isinstance(step, bool):
             return step
-        inst = step[0]
         mark = len(events)
-        for take in choose(*step):
-            if self._search(inst, take, events, choose):
+        for take in choose(step):
+            if self._search(self._advance(step.inst, take, events), events, choose):
                 return True
             del events[mark:]
         return False
 
-    def _cover(self, inst: Instance, choose) -> Optional[frozenset[int]]:
-        """The cover that a search with choose finds, or None; raises
-        CertificateViolation when the lifted set is not a budget cover."""
-        events: list = []
-        if not self._search(inst, None, events, choose):
+    def _cover(self, inst: Instance, root, events: list, choose) -> Optional[frozenset[int]]:
+        """The cover that a search with choose finds from root, inst's
+        first step, with events holding that step's log; None when it finds
+        none.  Raises CertificateViolation when the lifted set is not a
+        budget cover."""
+        if not self._search(root, events, choose):
             return None
         cover = lift_cover(events, frozenset())
         if not is_vertex_cover(inst.graph, cover) or len(cover) > inst.budget:
@@ -215,8 +272,8 @@ class TableEngine:
                 raise ContractError(
                     f"table P{sid} is randomized; deterministic search needs ILP tables"
                 )
-        return self._cover(inst, lambda inst, sid, leaf, phi: (
-            take for _, take in _branches(leaf, phi)))
+        return self._cover(inst, *self._first_step(inst), lambda step: (
+            take for _, take in _branches(step.leaf, step.phi)))
 
     # -- randomized mode -----------------------------------------------------
 
@@ -224,14 +281,27 @@ class TableEngine:
         self, inst: Instance, seed: int, trace: Optional[list[TraceStep]] = None
     ) -> Optional[frozenset[int]]:
         """One random root-to-leaf walk; a cover on success, else None."""
-        rng = random.Random(seed)
+        return self._walk(inst, *self._first_step(inst), seed, trace)
 
-        def choose(inst, sid, leaf, phi):
-            # weighted random branch choice per the measure shrinkage
+    def _walk(
+        self, inst: Instance, root, events: list, seed: int, trace: Optional[list[TraceStep]]
+    ) -> Optional[frozenset[int]]:
+        """rsearch_cover from root, inst's first step, with events holding
+        that step's log."""
+        rng = random.Random(seed)
+        m = self.measure
+        scale = m.scaled[0]
+
+        def choose(step: _RuleStep):
+            # weighted random branch choice per the measure shrinkage; each
+            # child's measure comes from the degree changes around its take
+            g, budget = step.inst.graph, step.inst.budget
             children = []
-            for entry, take in _branches(leaf, phi):
-                child = Instance(inst.graph.without(take), inst.budget - len(take))
-                share = float(entry.weight) * 2.0 ** float(evaluate(self.measure, child))
+            for entry, take in _branches(step.leaf, step.phi):
+                counts = _counts_after(g, step.counts, take)
+                share = float(entry.weight) * 2.0 ** (
+                    _scaled_measure(m, budget - len(take), counts) / scale
+                )
                 children.append((take, share))
             total = sum(share for _, share in children)
             assert total > 0
@@ -247,10 +317,12 @@ class TableEngine:
                     break
             take = children[pick][0]
             if trace is not None:
-                trace.append(TraceStep(sid, leaf.node_id, tuple(sorted(take)), probs[pick]))
+                trace.append(
+                    TraceStep(step.sid, step.leaf.node_id, tuple(sorted(take)), probs[pick])
+                )
             return [take]
 
-        return self._cover(inst, choose)
+        return self._cover(inst, root, events, choose)
 
     def solve_randomized(
         self,
@@ -259,13 +331,19 @@ class TableEngine:
         trace: Optional[list[list[TraceStep]]] = None,
     ) -> RandomizedResult:
         """Run every trial of the plan.  When trace is a list, each trial's
-        steps are appended to it as one list, in trial order."""
+        steps are appended to it as one list, in trial order.
+
+        Every trial's walk starts with the same step, up to its first random
+        choice, so that step runs once and each trial starts from it with a
+        copy of its log."""
         mu = evaluate(self.measure, inst)
+        root, root_events = self._first_step(inst)
         successes = 0
         witness: Optional[frozenset[int]] = None
         for i in range(plan.trials):
             steps: Optional[list[TraceStep]] = None if trace is None else []
-            cover = self.rsearch_cover(inst, _trial_seed(plan.base_seed, i), steps)
+            seed = _trial_seed(plan.base_seed, i)
+            cover = self._walk(inst, root, list(root_events), seed, steps)
             if trace is not None:
                 trace.append(steps)
             if cover is not None:

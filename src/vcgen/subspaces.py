@@ -11,7 +11,8 @@ structure counts only when it is certain in every host graph.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional
 
 from .branching import SubspaceAssertions
 from .configs import LocalConfiguration
@@ -65,6 +66,11 @@ class _Structures:
 
     scan, by default every vertex, holds every vertex of degree at most 2
     under deg (it may hold more); the low-degree detectors look only there.
+
+    Each detector is a generator that yields a vertex each time it meets
+    its structure, so asking for the first yield stops where a yes/no
+    detector would.  Drawn to the end, its yields hold every vertex that
+    vertex 0 of the shape's root can map to; see starts.
     """
 
     def __init__(self, g: Graph, deg: DegreeFn, scan: Optional[Iterable[int]] = None):
@@ -75,6 +81,9 @@ class _Structures:
         self._cycles: dict[int, list[tuple[int, ...]]] = {}
 
     def has(self, shape: Shape) -> bool:
+        return next(self.find(shape), None) is not None
+
+    def find(self, shape: Shape) -> Iterator[int]:
         kind, *args = shape
         if kind == "vertex":
             return self._vertex(*args)
@@ -83,6 +92,16 @@ class _Structures:
         if kind == "cycle":
             return self._cycle(*args)
         return self._cycles_sharing(*args)
+
+    def starts(self, shape: Shape, found: Iterable[int]) -> set[int]:
+        """The vertices that vertex 0 of the shape's root can map to, and
+        maybe more, from the rest of a detector's yields: for a vertex
+        shape the smallest vertex of its degree, else all of them."""
+        if shape[0] == "vertex":
+            t = shape[1]
+            smallest = min((v for v in found if self.deg(v) == t), default=None)
+            return set() if smallest is None else {smallest}
+        return set(found)
 
     def cycles(self, length: int) -> list[tuple[int, ...]]:
         if length > self._searched:
@@ -94,11 +113,14 @@ class _Structures:
     def _all_deg3(self, c: Iterable[int]) -> bool:
         return all(self.deg(v) == 3 for v in c)
 
-    def _vertex(self, t: int) -> bool:
+    def _vertex(self, t: int) -> Iterator[int]:
+        """Vertices of degree t (for t = 1, also of degree 0)."""
         pool = self.low if t <= 2 else self.g.vertices
-        return any(self.deg(v) <= 1 if t == 1 else self.deg(v) == t for v in pool)
+        deg = self.deg
+        return (v for v in pool if (deg(v) <= 1 if t == 1 else deg(v) == t))
 
-    def _fork(self) -> bool:
+    def _fork(self) -> Iterator[int]:
+        """Degree-3 vertices, once per degree-2 neighbour after the first."""
         seen: set[int] = set()
         for u in self.low:
             if self.deg(u) != 2:
@@ -106,21 +128,24 @@ class _Structures:
             for v in self.g.neighbors(u):
                 if self.deg(v) == 3:
                     if v in seen:
-                        return True
+                        yield v
                     seen.add(v)
-        return False
 
-    def _cycle(self, length: int, twos: int) -> bool:
+    def _cycle(self, length: int, twos: int) -> Iterator[int]:
+        """With no degree-2 vertex, the vertices of each such cycle; with
+        one, that vertex."""
         if not twos:
-            return any(self._all_deg3(c) for c in self.cycles(length))
+            for c in self.cycles(length):
+                if self._all_deg3(c):
+                    yield from c
+            return
         # a degree-2 vertex on two edges of g, and a path of length - 2
         # edges between its neighbours
         for x in self.low:
             if self.deg(x) == 2 and self.g.degree(x) == 2:
                 a, b = self.g.neighbors(x)
                 if self.deg(a) == 3 and self._deg3_path(a, b, length - 2, {x, a}):
-                    return True
-        return False
+                    yield x
 
     def _deg3_path(self, u: int, end: int, edges: int, on_path: set[int]) -> bool:
         """A simple path of the given number of edges from u to end, off
@@ -135,28 +160,39 @@ class _Structures:
                 on_path.remove(w)
         return False
 
-    def _cycles_sharing(self, len_a: int, len_b: int, shared: int) -> bool:
-        """In a subcubic graph a vertex on two cycles touches an edge both
-        use, so `shared` common edges on shared + 1 common vertices form one
-        path, and the two cycles form exactly the shape's root."""
+    def _cycles_sharing(self, len_a: int, len_b: int, shared: int) -> Iterator[int]:
+        """The common vertices of each pair.  In a subcubic graph a vertex
+        on two cycles touches an edge both use, so `shared` common edges on
+        shared + 1 common vertices form one path, and the two cycles form
+        exactly the shape's root."""
         a_list = [c for c in self.cycles(len_a) if self._all_deg3(c)]
         b_list = a_list if len_a == len_b else [c for c in self.cycles(len_b) if self._all_deg3(c)]
         b_edges = [_cycle_edges(c) for c in b_list]
         for i, ca in enumerate(a_list):
             ea = _cycle_edges(ca)
             for j in range(i + 1 if len_a == len_b else 0, len(b_list)):
-                if len(ea & b_edges[j]) == shared and len(set(ca) & set(b_list[j])) == shared + 1:
-                    return True
-        return False
+                if len(ea & b_edges[j]) == shared:
+                    common = set(ca).intersection(b_list[j])
+                    if len(common) == shared + 1:
+                        yield from common
 
 
-def classify(g: Graph) -> int:
-    """Smallest subspace whose structure is present; 19 when none is."""
+def classify(g: Graph, with_starts: bool = False) -> int | tuple[int, set[int]]:
+    """Smallest subspace whose structure is present; 19 when none is.
+
+    with_starts adds the vertices of g that vertex 0 of the subspace's root
+    can map to (maybe more), which the detector that fired met on its way,
+    so that anchoring need not search for the structure again.
+    """
     s = _Structures(g, g.degree, g.low_degree())
-    for sid in SUBSPACE_IDS[:-1]:
-        if s.has(SHAPES[sid]):
-            return sid
-    return 19
+    for sid in SUBSPACE_IDS:
+        found = s.find(SHAPES[sid])
+        first = next(found, None)
+        if first is not None:
+            break
+    if not with_starts:
+        return sid
+    return sid, s.starts(SHAPES[sid], () if first is None else chain((first,), found))
 
 
 def forbidden_by(l: LocalConfiguration, a: SubspaceAssertions) -> Optional[int]:

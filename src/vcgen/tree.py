@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .configs import ChildLabel, LocalConfiguration, instance_as_config, is_expansion
 from .errors import CertificateViolation
@@ -63,9 +63,14 @@ class ExpansionTree:
         return self.nodes[self.root].config
 
 
-def find_anchor(inst: Instance, root: LocalConfiguration) -> Optional[dict[int, int]]:
-    """Embedding of the root configuration into the instance, if any."""
-    return is_expansion(instance_as_config(inst.graph), root)
+def find_anchor(
+    inst: Instance, root: LocalConfiguration, starts: Optional[Iterable[int]] = None
+) -> Optional[dict[int, int]]:
+    """Embedding of the root configuration into the instance, if any.
+    starts, when given, holds every vertex that the root's vertex 0 can map
+    to, as classify(g, with_starts=True) gives it; the embedding found is
+    the same."""
+    return is_expansion(instance_as_config(inst.graph), root, starts)
 
 
 def match_instance(

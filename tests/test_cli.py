@@ -86,6 +86,20 @@ def test_solve_randomized_with_trace(tmp_path, capsys):
     assert captured == (Path(__file__).parent / "golden" / "solve_trace.txt").read_text()
 
 
+@pytest.mark.parametrize("budget, safety", [("2000", "20"), ("3", "1" + "0" * 400)],
+                         ids=["mu", "safety"])
+def test_solve_rand_with_a_plan_beyond_a_float_exits_3(tmp_path, capsys, budget, safety):
+    # 2^mu * safety trials do not fit in a float: under pure k, mu = k
+    out = gen_tables(tmp_path)
+    inst = tmp_path / "k4.vc"
+    inst.write_text(format_instance(Instance(complete_graph(4), int(budget))))
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(inst), "--tables", str(out),
+                 "--mode", "rand", "--safety", safety]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_solve_refuses_tampered_table(tmp_path, capsys, k4_instance):
     out = gen_tables(tmp_path)
     path = out / "P19.json"

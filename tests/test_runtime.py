@@ -17,7 +17,7 @@ from vcgen.graphs import (
 )
 from vcgen.measure import MU2, Measure, evaluate, pure_k
 from vcgen.rulegen import gensa
-from vcgen.runtime import TableEngine, TraceStep, TrialPlan
+from vcgen.runtime import TableEngine, TraceStep, TrialPlan, _trial_seed
 from vcgen.subspaces import assertions_for, classify, root_config
 from vcgen.tree import find_anchor
 
@@ -27,6 +27,16 @@ def test_trial_plan():
     assert plan.trials == math.ceil(2 ** 0.8 * 20)
     with pytest.raises(InputDomainError):
         TrialPlan(0, 1)
+
+
+@pytest.mark.parametrize("budget, safety", [
+    (2000, 20),  # 2^mu beyond a float
+    (10, 10**400),  # a safety beyond a float
+    (10, 10**306),  # 2^mu * safety rounds to infinity
+], ids=["mu", "safety", "product"])
+def test_trial_plan_beyond_a_float_is_an_input_error(budget, safety):
+    with pytest.raises(InputDomainError, match="more trials than a float"):
+        TrialPlan.for_instance(pure_k(), Instance(complete_graph(4), budget), safety=safety)
 
 
 def test_deterministic_frozen_answers(det_engine):
@@ -132,6 +142,63 @@ def test_deterministic_search_builds_no_graph_per_branch(monkeypatch, det_engine
     assert built == []
     assert det_engine.deterministic_cover(Instance(petersen_graph(), 6)) is not None
     assert built == []
+
+
+def test_walks_build_no_graph_per_branch(monkeypatch, rand_engine):
+    # each child's measure comes from the degree changes around its take,
+    # and the take is the first step of the child's fixpoint
+    built = []
+    without = Graph.without
+    monkeypatch.setattr(Graph, "without", lambda g, vs: built.append(vs) or without(g, vs))
+    inst = Instance(petersen_graph(), 6)
+    assert any(rand_engine.rsearch_cover(inst, seed) is not None for seed in range(5))
+    assert rand_engine.solve_randomized(inst, TrialPlan(12, 7)).answer
+    assert built == []
+
+
+def decided_before_any_rule_leaf() -> Instance:
+    # a 7-vertex path: the simplification rules alone cover it
+    return Instance(Graph(range(7), [(i, i + 1) for i in range(6)]), 3)
+
+
+def test_solve_randomized_is_one_walk_per_trial(rand_engine):
+    # the plan's first step runs once; every trial must still give what
+    # its own walk from the input gives
+    rng = random.Random(47)
+    cases = [(Instance(petersen_graph(), 6), 12), (Instance(petersen_graph(), 5), 4),
+             (decided_before_any_rule_leaf(), 3),
+             (Instance(decided_before_any_rule_leaf().graph, 2), 3)]
+    for n in (12, 18, 24):
+        g = random_cubic(rng, n)
+        cases += [(Instance(g, vc_oracle(g) + extra), 10) for extra in (-1, 0, 1)]
+    answers = set()
+    for inst, trials in cases:
+        plan = TrialPlan(trials, rng.getrandbits(32))
+        traces: list[list[TraceStep]] = []
+        res = rand_engine.solve_randomized(inst, plan, traces)
+        walks, steps = [], []
+        for i in range(plan.trials):
+            steps.append([])
+            walks.append(rand_engine.rsearch_cover(inst, _trial_seed(plan.base_seed, i), steps[-1]))
+        wins = [c for c in walks if c is not None]
+        assert res.successes == len(wins) and res.answer == bool(wins)
+        assert res.cover == (wins[0] if wins else None)
+        assert traces == steps
+        answers.add(res.answer)
+    assert answers == {True, False}
+
+
+def test_solve_randomized_runs_the_root_step_once(monkeypatch, rand_engine):
+    import vcgen.runtime
+
+    g = petersen_graph()
+    at_root = []
+    classify_ = vcgen.runtime.classify
+    monkeypatch.setattr(vcgen.runtime, "classify",
+                        lambda h, **kw: at_root.append(h == g) or classify_(h, **kw))
+    rand_engine.solve_randomized(Instance(g, 6), TrialPlan(12, 7))
+    # once at the root; the walks classify only the graphs after a take
+    assert at_root.count(True) == 1 and len(at_root) > 1
 
 
 def test_per_trial_success_bound_small(rand_engine):
