@@ -31,7 +31,7 @@ print("=== branch costs under the pure budget measure (cost = 2^-|b|)")
 m = pure_k()
 for b in seed_branches(path3):
     cb = cost_bound(path3, b, m)
-    sats = [sorted(r) for r in ctx.eb(b, ctx.crucial_set())]
+    sats = [sorted(r) for r in ctx.crucial_set() if ctx.satisfies(b, r)]
     print(f"branch {sorted(b)}: exponent {cb.exponent}, satisfies {sats}")
 
 print("=== the generated deterministic table for P19")

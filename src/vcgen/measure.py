@@ -215,7 +215,3 @@ def parse_rational(text: str, what: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputDomainError(f"{what} must be a rational, got {text!r}") from None
-
-
-def parse_measure(text: str) -> Measure:
-    return parse_measure_tokens(text.split())

@@ -35,22 +35,48 @@ class RequirementContext:
         self._crucial: tuple[Requirement, ...] | None = None
         self._requirements: dict[Requirement, tuple[int, int]] = {}
 
-    def vc_minus(self, vs: Iterable[int]) -> int:
-        return self.solver.vc(self._full & ~self.solver.mask_of(vs))
-
     def _forced(self, req_mask: int, v_bit: int) -> bool:
         """True iff adding v to the requirement costs no extra cover vertex,
         which directs the DAG edge (R + v) -> R."""
         return self._vc_req[req_mask] == self._vc_req[req_mask | v_bit] + 1
+
+    def _vc_table(self) -> list[int]:
+        """vc(H - S) for every S within the boundary, indexed by S's bits
+        over self.delta.  A maximum independent set of H - S is an
+        independent J within delta - S plus one of I - N(J), I the interior;
+        so with f(J) = |J| + alpha(I - N(J)), and f = -1 (below every f >= 0)
+        on dependent J, alpha(H - S) is the maximum of f over the subsets of
+        delta - S, which one subset-maximum transform gives for every S."""
+        solver, n = self.solver, len(self.delta)
+        bits = [solver.mask_of((v,)) for v in self.delta]
+        nbrs = [solver.mask_of(self.config.h.neighbors(v)) for v in self.delta]
+        interior = self._full & ~solver.mask_of(self.delta)
+        size = 1 << n
+        f = [-1] * size
+        reach = [0] * size  # N(J), over the solver's bits
+        f[0] = interior.bit_count() - solver.vc(interior)
+        for j in range(1, size):
+            low = j & -j
+            rest, i = j ^ low, low.bit_length() - 1
+            if f[rest] < 0 or reach[rest] & bits[i]:
+                continue
+            reach[j] = reach[rest] | nbrs[i]
+            free = interior & ~reach[j]
+            f[j] = j.bit_count() + free.bit_count() - solver.vc(free)
+        for i in range(n):
+            bit = 1 << i
+            for j in range(size):
+                if j & bit and f[j ^ bit] > f[j]:
+                    f[j] = f[j ^ bit]
+        total = self._full.bit_count()
+        return [total - s.bit_count() - f[(size - 1) ^ s] for s in range(size)]
 
     def crucial_set(self) -> tuple[Requirement, ...]:
         if self._crucial is not None:
             return self._crucial
         d = self.delta
         n = len(d)
-        self._vc_req = [0] * (1 << n)
-        for mask in range(1 << n):
-            self._vc_req[mask] = self.vc_minus(d[i] for i in range(n) if mask >> i & 1)
+        self._vc_req = self._vc_table()
         crucial: list[Requirement] = []
         for mask in range(1 << n):
             incoming = False
@@ -90,7 +116,3 @@ class RequirementContext:
     def satisfies(self, b: Iterable[int], req: Requirement) -> bool:
         """Algorithm-3 test: b extends some minimum cover of H - req."""
         return self.cover_mask(b, (req,)) == 1
-
-    def eb(self, b: Iterable[int], reqs: Sequence[Requirement]) -> tuple[Requirement, ...]:
-        mask = self.cover_mask(b, reqs)
-        return tuple(r for i, r in enumerate(reqs) if mask >> i & 1)

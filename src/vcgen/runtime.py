@@ -46,7 +46,11 @@ class TrialPlan:
     def for_instance(
         m: Measure, inst: Instance, safety: int = 20, base_seed: int = 0
     ) -> "TrialPlan":
+        if safety < 1:
+            raise InputDomainError(f"the safety factor must be at least 1, got {safety}")
         try:
+            # 2^mu underflows to 0 where mu is far below zero; one trial
+            # still runs there
             trials = max(1, math.ceil(2.0 ** float(evaluate(m, inst)) * safety))
         except OverflowError:
             raise InputDomainError(

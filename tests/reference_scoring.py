@@ -5,7 +5,7 @@ first written, kept as the oracle of tests/test_scoring_differential.py.
 counts true degrees before and after over the whole graph, and reads the
 boundary profile off both configurations, all in `Fraction` arithmetic.
 `coverage_mask` runs the Algorithm-3 test once per requirement through
-`vc_minus`.  The package scores a branch from its vertices and their
+`reference_requirements.vc_minus`.  The package scores a branch from its vertices and their
 neighbours in integers, and tests coverage on vertex masks; both must agree
 with this module on every input.
 """
@@ -24,6 +24,7 @@ from vcgen.branching import (
 )
 from vcgen.configs import LocalConfiguration
 from vcgen.measure import Measure
+from reference_requirements import vc_minus
 from vcgen.requirements import Requirement, RequirementContext
 
 
@@ -103,7 +104,7 @@ def satisfies(ctx: RequirementContext, b: Iterable[int], req: Requirement) -> bo
     """Algorithm-3 test: b extends some minimum cover of H - req."""
     b = frozenset(b)
     extra = b - req
-    return ctx.vc_minus(req) == ctx.vc_minus(req | b) + len(extra)
+    return vc_minus(ctx, req) == vc_minus(ctx, req | b) + len(extra)
 
 
 def coverage_mask(ctx: RequirementContext, b: Iterable[int], reqs: Sequence[Requirement]) -> int:

@@ -12,6 +12,7 @@ import pytest
 
 from completions import completion_config, enumerate_completions, realized_exponent
 from corpus import is_cover, lp_ilp_pairs, random_subcubic
+from reference_requirements import vc_minus
 from vcgen.branching import SubspaceAssertions, cost_bound
 from vcgen.graphs import (
     Graph,
@@ -156,7 +157,7 @@ def test_criterion_05_crucial_sets_exhaustive():
             for v in delta:
                 if v in creq:
                     continue
-                forced = ctx.vc_minus(creq) == ctx.vc_minus(creq | {v}) + 1
+                forced = vc_minus(ctx, creq) == vc_minus(ctx, creq | {v}) + 1
                 up = sat[creq | {v}]
                 down = sat[creq]
                 if forced:

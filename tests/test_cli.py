@@ -100,6 +100,16 @@ def test_solve_rand_with_a_plan_beyond_a_float_exits_3(tmp_path, capsys, budget,
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("safety", ["0", "-5"])
+def test_solve_rand_with_a_safety_below_one_exits_3(tmp_path, capsys, k4_instance, safety):
+    out = gen_tables(tmp_path)
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(k4_instance), "--tables", str(out),
+                 "--mode", "rand", "--safety", safety]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: the safety factor must be at least 1, got {safety}\n", err
+
+
 def test_solve_refuses_tampered_table(tmp_path, capsys, k4_instance):
     out = gen_tables(tmp_path)
     path = out / "P19.json"

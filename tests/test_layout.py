@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import vcgen
@@ -62,3 +63,51 @@ def test_benchmark_spans_resolve():
         if not callable(getattr(getattr(module(key[0]), key[1], None), key[2], None))
     ]
     assert not missing, missing
+
+
+# Public names that the package itself never uses, each kept for a reason.
+TEST_ONLY_ALLOWED = {
+    "graphs.complete_graph": "public helper: builds a named graph for callers",
+    "graphs.path_graph": "public helper: builds a named graph for callers",
+    "graphs.petersen_graph": "public helper: builds a named graph for callers",
+    "graphs.format_instance": "public helper: writes the instance format the CLI reads",
+    "requirements.RequirementContext.satisfies": "bench/spans.py counts its calls",
+    "runtime.TableEngine.rsearch_cover": "one seeded walk; solve_randomized runs the same "
+                                         "walk per trial from a shared first step",
+}
+
+
+def _referenced_names(tree: ast.AST) -> list[str]:
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    ]
+
+
+def test_no_test_only_public_names():
+    # a public function, class or method that no module of the package uses
+    # belongs in tests/ (or on the allowlist); names in vcgen.__all__ are the
+    # package's interface, and the package's own re-exports count for nothing
+    modules = {p.stem: ast.parse(p.read_text(), str(p))
+               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    uses = Counter(name for tree in modules.values() for name in _referenced_names(tree))
+    defs = []
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{stem}.{node.name}", node))
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defs += [(f"{stem}.{node.name}.{sub.name}", sub)
+                         for sub in node.body if isinstance(sub, ast.FunctionDef)]
+    unused = [
+        qual for qual, node in defs
+        if not node.name.startswith("_")
+        and not (qual.count(".") == 1 and node.name in vcgen.__all__)
+        # uses inside the definition itself (recursion) do not count
+        and uses[node.name] <= _referenced_names(node).count(node.name)
+    ]
+    assert set(unused) == set(TEST_ONLY_ALLOWED), {
+        "unused by the package": sorted(set(unused) - set(TEST_ONLY_ALLOWED)),
+        "allowed but now used": sorted(set(TEST_ONLY_ALLOWED) - set(unused)),
+    }

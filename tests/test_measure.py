@@ -17,7 +17,6 @@ from vcgen.measure import (
     evaluate,
     format_measure,
     generation_admissible,
-    parse_measure,
     parse_measure_tokens,
     pure_k,
 )
@@ -172,7 +171,7 @@ def test_combine_bound_sanity_inequalities():
 
 def test_measure_text_roundtrip():
     for m in (MU1, MU2, pure_k()):
-        assert parse_measure(format_measure(m)) == m
+        assert parse_measure_tokens(format_measure(m).split()) == m
 
 
 def test_parse_measure_tokens_cli_style():

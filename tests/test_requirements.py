@@ -4,6 +4,7 @@ import random
 import pytest
 
 from corpus import config_corpus
+from reference_requirements import eb, vc_minus
 from vcgen.configs import LocalConfiguration
 from vcgen.errors import CapacityError
 from vcgen.graphs import Graph
@@ -46,9 +47,9 @@ def test_crucial_boundary_cap():
 def test_eb_examples():
     ctx = RequirementContext(edge22())
     r1 = ctx.crucial_set()
-    assert ctx.eb({0}, r1) == (frozenset({0}),)
-    assert ctx.eb({0, 1}, r1) == ()
-    assert ctx.eb(frozenset(), r1) == r1  # empty branch satisfies everything
+    assert eb(ctx, {0}, r1) == (frozenset({0}),)
+    assert eb(ctx, {0, 1}, r1) == ()
+    assert eb(ctx, frozenset(), r1) == r1  # empty branch satisfies everything
 
 
 def test_dag_acyclic_and_prop20_exhaustive():
@@ -69,7 +70,7 @@ def test_dag_acyclic_and_prop20_exhaustive():
                 for v in delta:
                     if v in creq:
                         continue
-                    forced = ctx.vc_minus(creq) == ctx.vc_minus(creq | {v}) + 1
+                    forced = vc_minus(ctx, creq) == vc_minus(ctx, creq | {v}) + 1
                     for b in branches:
                         sat_c = ctx.satisfies(b, creq)
                         sat_cv = ctx.satisfies(b, creq | {v})
@@ -122,7 +123,7 @@ def test_requirement_dag_acyclic():
         ctx = RequirementContext(l)
         delta = ctx.delta
         n = len(delta)
-        vc = [ctx.vc_minus(delta[i] for i in range(n) if mask >> i & 1)
+        vc = [vc_minus(ctx, (delta[i] for i in range(n) if mask >> i & 1))
               for mask in range(1 << n)]
         edges = []
         for mask in range(1 << n):

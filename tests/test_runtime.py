@@ -39,6 +39,19 @@ def test_trial_plan_beyond_a_float_is_an_input_error(budget, safety):
         TrialPlan.for_instance(pure_k(), Instance(complete_graph(4), budget), safety=safety)
 
 
+@pytest.mark.parametrize("safety", [0, -5])
+def test_trial_plan_needs_a_safety_of_at_least_one(safety):
+    with pytest.raises(InputDomainError, match="safety factor must be at least 1"):
+        TrialPlan.for_instance(MU_N20, Instance(complete_graph(4), 3), safety=safety)
+
+
+def test_trial_plan_far_below_zero_runs_one_trial():
+    # mu = -0.089 * 13,000 under MU2: 2^mu underflows to 0.0
+    inst = Instance(cycle_graph(13_000), 0)
+    assert 2.0 ** float(evaluate(MU2, inst)) == 0.0
+    assert TrialPlan.for_instance(MU2, inst, safety=20).trials == 1
+
+
 def test_deterministic_frozen_answers(det_engine):
     assert det_engine.deterministic_cover(Instance(complete_graph(4), 3)) is not None
     assert det_engine.deterministic_cover(Instance(complete_graph(4), 2)) is None

@@ -17,6 +17,7 @@ import pytest
 import reference_scoring as ref
 import vcgen.rulegen as rulegen
 from corpus import MU_N20, build_tables, config_corpus
+from reference_requirements import eb
 from vcgen.branching import NO_ASSERTIONS, SubspaceAssertions, cost_bound
 from vcgen.errors import InputDomainError
 from vcgen.measure import MU1, MU2, pure_k
@@ -85,7 +86,7 @@ def test_coverage_matches_reference_on_corpus():
             assert ctx.cover_mask(b, reqs) == want
             assert ctx.cover_mask(b, ctx.crucial_set()) == ref.coverage_mask(ctx, b, ctx.crucial_set())
             assert [ctx.satisfies(b, r) for r in reqs] == [bool(want >> i & 1) for i in range(len(reqs))]
-            assert ctx.eb(b, reqs) == tuple(r for i, r in enumerate(reqs) if want >> i & 1)
+            assert eb(ctx, b, reqs) == tuple(r for i, r in enumerate(reqs) if want >> i & 1)
 
 
 def test_cost_bound_rejects_unknown_vertices_like_reference():
