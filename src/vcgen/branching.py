@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .configs import LocalConfiguration
 from .errors import CapacityError, InputDomainError
-from .measure import Measure
+from .measure import Measure, degree_shift
 
 Branch = frozenset[int]
 
@@ -104,17 +104,9 @@ def cost_bound(
     h, d = l.h, l.d
     if not take <= h.vertices:
         raise InputDomainError(f"unknown vertices {sorted(take - h.vertices)}")
-    dn = [0, 0, 0, 0]  # change in the number of vertices of each true degree
-    lost: dict[int, int] = {}  # neighbour outside b -> its edges into b
-    for v in take:
-        dn[h.degree(v) + d[v]] -= 1
-        for u in h.neighbors(v):
-            if u not in take:
-                lost[u] = lost.get(u, 0) + 1
-    for u, k in lost.items():
-        td = h.degree(u) + d[u]
-        dn[td] -= 1
-        dn[td - k] += 1
+    # dn: change in the number of vertices of each true degree;
+    # lost: each neighbour outside b -> its edges into b
+    dn, lost = degree_shift(l.true_degree, h.neighbors, take)
     # boundary vertices by (true degree, d): taken ones before, survivors after
     taken = [(h.degree(v) + d[v], d[v]) for v in take if d[v]]
     kept = [(h.degree(v) + dv - lost.get(v, 0), dv) for v, dv in d.items() if dv and v not in take]
@@ -130,9 +122,9 @@ def cost_bound(
     else:
         lemma = 12
         correction_count = p.d31 + 2 * p.d32 + min(p.d21, r_capacity)
-    denominator, alpha, beta1, beta2, beta3 = m.scaled
+    denominator, _, beta1, beta2, _ = m.scaled
     correction = max(0, correction_count * max(beta1 - beta2, -beta1))
-    numerator = -alpha * len(take) + beta1 * dn[1] + beta2 * dn[2] + beta3 * dn[3] + correction
+    numerator = m.scaled_value(-len(take), dn) + correction
     return CostBound(Fraction(numerator, denominator), lemma, -len(take), dn[1], dn[2], dn[3], p)
 
 

@@ -63,10 +63,7 @@ def cmd_generate(args) -> int:
     measure = parse_measure_tokens(args.measure)
     adm = generation_admissible(measure)
     if not adm.ok:
-        print("infeasible measure:")
-        for v in adm.violations:
-            print("  " + v)
-        return EXIT_INPUT
+        raise InputDomainError("infeasible measure: " + "; ".join(adm.violations))
     sids = sorted({parse_subspace(s) for s in args.subspace}) if args.subspace else list(SUBSPACE_IDS)
     limits = GenLimits(args.depth, args.nodes, args.seconds)
     mode = {"det": "deterministic", "rand": "randomized"}[args.mode]
@@ -142,11 +139,7 @@ def cmd_solve(args) -> int:
     if not tables:
         raise InputDomainError("no tables found")
     measure = next(iter(tables.values())).measure
-    try:
-        engine = TableEngine(tables, measure)
-    except ContractError as exc:
-        print(f"refusing: {exc}")
-        return EXIT_INPUT
+    engine = TableEngine(tables, measure)
     if args.mode == "det":
         cover = engine.deterministic_cover(inst)
         answer = cover is not None

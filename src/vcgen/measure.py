@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import InputDomainError
-from .graphs import Instance
+from .graphs import Graph, Instance
 
 BISECTION_TOL = 1e-9
 
@@ -49,6 +49,14 @@ class Measure:
         dd = math.lcm(*(w.denominator for w in ws))
         return (dd, *(int(w * dd) for w in ws))
 
+    def scaled_value(self, budget: int, counts: Sequence[int]) -> int:
+        """D*(alpha*budget + sum beta_i*counts[i]) for D = scaled[0]: an
+        integer of the measure's sign.  With degree counts it is D times an
+        instance's measure; with -len(take) and take's degree shift, D times
+        the change that taking take makes to it."""
+        _, alpha, beta1, beta2, beta3 = self.scaled
+        return alpha * budget + beta1 * counts[1] + beta2 * counts[2] + beta3 * counts[3]
+
 
 MU1 = Measure(0, 0, 0, Fraction("0.106"), "n")
 MU2 = Measure(Fraction("0.178"), Fraction("-0.0445"), Fraction("-0.089"), 0, "k")
@@ -58,19 +66,41 @@ def pure_k(alpha="1") -> Measure:
     return Measure(Fraction(alpha), 0, 0, 0, "k")
 
 
-def evaluate(m: Measure, inst: Instance) -> Fraction:
-    """alpha*k + sum beta_i * (number of degree-i vertices)."""
-    g = inst.graph
+def degree_counts(g: Graph) -> list[int]:
+    """The number of vertices of g of each degree 0..3."""
     counts = [0, 0, 0, 0]
     for v in g.low_degree():
         counts[g.degree(v)] += 1
     counts[3] = len(g) - counts[0] - counts[1] - counts[2]
-    return (
-        m.alpha * inst.budget
-        + m.beta1 * counts[1]
-        + m.beta2 * counts[2]
-        + m.beta3 * counts[3]
-    )
+    return counts
+
+
+def degree_shift(
+    degree: Callable[[int], int],
+    neighbors: Callable[[int], Iterable[int]],
+    take: Collection[int],
+) -> tuple[list[int], dict[int, int]]:
+    """How removing take changes the number of vertices of each degree 0..3
+    under degree, and each neighbour left's number of edges into take: each
+    taken vertex leaves its class, and each neighbour left drops by its
+    edges into take."""
+    dn = [0, 0, 0, 0]
+    lost: dict[int, int] = {}
+    for v in take:
+        dn[degree(v)] -= 1
+        for u in neighbors(v):
+            if u not in take:
+                lost[u] = lost.get(u, 0) + 1
+    for u, k in lost.items():
+        d = degree(u)
+        dn[d] -= 1
+        dn[d - k] += 1
+    return dn, lost
+
+
+def evaluate(m: Measure, inst: Instance) -> Fraction:
+    """alpha*k + sum beta_i * (number of degree-i vertices)."""
+    return Fraction(m.scaled_value(inst.budget, degree_counts(inst.graph)), m.scaled[0])
 
 
 @dataclass(frozen=True)

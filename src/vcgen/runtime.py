@@ -7,11 +7,11 @@ branch with probability proportional to weight times measure shrinkage,
 the deterministic engine explores every selected branch.  Both run one
 recursive search, in which a branch's take is the first step of the next
 fixpoint, and keep the measure as an integer over the common denominator
-of its weights.  The randomized engine reads each child's measure off the
-degree changes around its take, so it builds no child graph, and a trial
-plan runs the first step, which every trial shares, once.  YES answers
-are only ever reported with an explicitly verified cover in hand, so
-NO-side errors cannot occur.
+of its weights.  The randomized engine reads each child's measure drop
+off the degree changes around its take, so it builds no child graph and
+no weight overflows, and a trial plan runs the first step, which every
+trial shares, once.  YES answers are only ever reported with an
+explicitly verified cover in hand, so NO-side errors cannot occur.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 from .errors import CertificateViolation, ContractError, InputDomainError
 from .graphs import Graph, Instance, VertexCoverSolver
-from .measure import Measure, evaluate
+from .measure import Measure, degree_counts, degree_shift, evaluate
 from .rulegen import RuleTable, verify_table
 from .simplify import lift_cover, simplify_fixpoint
 from .subspaces import classify
@@ -81,48 +81,13 @@ class TraceStep:
 
 class _RuleStep(NamedTuple):
     """A solve step that reached a rule leaf: the simplified instance, its
-    number of vertices of each degree 0..3, its subspace, the leaf node and
-    the map of the leaf's configuration into the instance."""
+    subspace, the leaf node and the map of the leaf's configuration into
+    the instance."""
 
     inst: Instance
-    counts: list[int]
     sid: int
     leaf: TreeNode
     phi: dict[int, int]
-
-
-def _degree_counts(g: Graph) -> list[int]:
-    """The number of vertices of g of each degree 0..3."""
-    counts = [0, 0, 0, 0]
-    for v in g.low_degree():
-        counts[g.degree(v)] += 1
-    counts[3] = len(g) - counts[0] - counts[1] - counts[2]
-    return counts
-
-
-def _counts_after(g: Graph, counts: list[int], take: frozenset[int]) -> list[int]:
-    """The degree counts of g.without(take), from g's counts: each taken
-    vertex leaves its class, and each neighbour left drops by its number of
-    taken neighbours."""
-    counts = list(counts)
-    lost: dict[int, int] = {}
-    for v in take:
-        counts[g.degree(v)] -= 1
-        for u in g.neighbors(v):
-            if u not in take:
-                lost[u] = lost.get(u, 0) + 1
-    for u, drop in lost.items():
-        d = g.degree(u)
-        counts[d] -= 1
-        counts[d - drop] += 1
-    return counts
-
-
-def _scaled_measure(m: Measure, budget: int, counts: list[int]) -> int:
-    """D times the measure of an instance with this budget and these degree
-    counts, for D = m.scaled[0]: an integer, of the sign of the measure."""
-    _, alpha, beta1, beta2, beta3 = m.scaled
-    return alpha * budget + beta1 * counts[1] + beta2 * counts[2] + beta3 * counts[3]
 
 
 def _trial_seed(base_seed: int, i: int) -> int:
@@ -222,8 +187,7 @@ class TableEngine:
             # a fixpoint leaves no isolated vertex, so no vertex means no edge
             if len(inst.graph) == 0:
                 return True
-            counts = _degree_counts(inst.graph)
-            if _scaled_measure(self.measure, inst.budget, counts) <= 0:
+            if self.measure.scaled_value(inst.budget, degree_counts(inst.graph)) <= 0:
                 self.fallbacks += 1
                 cover = _budget_cover(inst)
                 if cover is None:
@@ -232,7 +196,7 @@ class TableEngine:
                 return True
             sid, leaf, phi = self._match_leaf(inst)
             if leaf.leaf.kind != "constant":
-                return _RuleStep(inst, counts, sid, leaf, phi)
+                return _RuleStep(inst, sid, leaf, phi)
             # the cover isolates the rest of its component, which rule 1 drops
             take = _component_cover(inst.graph, frozenset(phi.values()))
 
@@ -297,15 +261,15 @@ class TableEngine:
         scale = m.scaled[0]
 
         def choose(step: _RuleStep):
-            # weighted random branch choice per the measure shrinkage; each
-            # child's measure comes from the degree changes around its take
-            g, budget = step.inst.graph, step.inst.budget
+            # weighted random branch choice per the measure shrinkage: each
+            # child is weighed by 2^(mu_child - mu_parent), read off the
+            # degree changes around its take, which normalises to the same
+            # probabilities as 2^mu_child and cannot overflow
+            g = step.inst.graph
             children = []
             for entry, take in _branches(step.leaf, step.phi):
-                counts = _counts_after(g, step.counts, take)
-                share = float(entry.weight) * 2.0 ** (
-                    _scaled_measure(m, budget - len(take), counts) / scale
-                )
+                dn, _ = degree_shift(g.degree, g.neighbors, take)
+                share = float(entry.weight) * 2.0 ** (m.scaled_value(-len(take), dn) / scale)
                 children.append((take, share))
             total = sum(share for _, share in children)
             assert total > 0

@@ -56,7 +56,8 @@ def test_generate_infeasible_measure_exits_3(tmp_path, capsys):
     rc = main(["generate", "--measure", "k-mode", "a=1", "b2=0.1",
                "--out", str(tmp_path / "t")])
     assert rc == 3
-    assert "infeasible measure" in capsys.readouterr().out
+    err = capsys.readouterr().err
+    assert err.startswith("error: infeasible measure: ") and err.count("\n") == 1, err
 
 
 def test_generate_weak_measure_fails_with_chain(tmp_path, capsys):
@@ -121,7 +122,8 @@ def test_solve_refuses_tampered_table(tmp_path, capsys, k4_instance):
     rc = main(["solve", "--instance", str(k4_instance), "--tables", str(out),
                "--mode", "det"])
     assert rc == 3
-    assert "refusing" in capsys.readouterr().out
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not certified" in err and err.count("\n") == 1, err
 
 
 def _p19_table_doc() -> dict:

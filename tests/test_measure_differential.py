@@ -1,10 +1,12 @@
-"""The solve step's integer measure against evaluate on built graphs.
+"""The integer measure and a take's measure drop against evaluate on built
+graphs.
 
 The engines keep the measure as an integer numerator over D, the common
-denominator of the measure's weights, and the randomized engine reads each
-child's measure off the degree changes around its take instead of
-building the child graph.  On seeded instances and takes, both must equal
-evaluate exactly.
+denominator of the measure's weights, and the randomized engine weighs
+each child by the measure drop it reads off the degree changes around its
+take instead of building the child graph.  On seeded instances and takes,
+both must equal evaluate exactly, and the drop must equal generation's
+cost exponent for the take on the instance's boundary-free view.
 """
 
 import random
@@ -13,9 +15,10 @@ from fractions import Fraction
 import pytest
 
 from corpus import MU_N20, random_subcubic
+from vcgen.branching import cost_bound
+from vcgen.configs import instance_as_config
 from vcgen.graphs import Instance
-from vcgen.measure import MU2, evaluate, pure_k
-from vcgen.runtime import _counts_after, _degree_counts, _scaled_measure
+from vcgen.measure import MU2, degree_counts, degree_shift, evaluate, pure_k
 
 MEASURES = {"n-mode b3=1/5": MU_N20, "pure k": pure_k(), "MU2": MU2}
 
@@ -39,15 +42,22 @@ def test_child_measure_from_degree_changes(m):
     for _ in range(150):
         g = random_subcubic(rng, rng.randint(1, 16))
         k = rng.randint(-2, len(g))
-        counts = _degree_counts(g)
-        parent = _scaled_measure(m, k, counts)
-        assert Fraction(parent, scale) == evaluate(m, Instance(g, k))
+        counts = degree_counts(g)
+        parent = Instance(g, k)
+        assert Fraction(m.scaled_value(k, counts), scale) == evaluate(m, parent)
+        view = instance_as_config(g)
         for take in takes(rng, g):
             child = Instance(g.without(take), k - len(take))
-            scaled = _scaled_measure(m, child.budget, _counts_after(g, counts, take))
-            assert Fraction(scaled, scale) == evaluate(m, child), (g, take)
-            # the float weight of the walk equals the one from evaluate
-            assert scaled / scale == float(evaluate(m, child))
+            dn, _ = degree_shift(g.degree, g.neighbors, take)
+            assert [c + d for c, d in zip(counts, dn)] == degree_counts(child.graph), (g, take)
+            drop = m.scaled_value(-len(take), dn)
+            exact = evaluate(m, child) - evaluate(m, parent)
+            assert Fraction(drop, scale) == exact, (g, take)
+            # the float exponent of the walk's weight equals the one from evaluate
+            assert drop / scale == float(exact)
+            # on a boundary-free view the correction is 0: generation's cost
+            # and the walk's weight are the same number
+            assert cost_bound(view, take, m).exponent == exact, (g, take)
             checked += 1
     assert checked > 1000
 
@@ -60,6 +70,6 @@ def test_measure_sign_agrees_with_evaluate(m):
         g = random_subcubic(rng, rng.randint(0, 14))
         inst = Instance(g, rng.randint(-3, len(g)))
         at_most_zero = evaluate(m, inst) <= 0
-        assert (_scaled_measure(m, inst.budget, _degree_counts(g)) <= 0) == at_most_zero
+        assert (m.scaled_value(inst.budget, degree_counts(g)) <= 0) == at_most_zero
         signs.add(at_most_zero)
     assert signs == {True, False}

@@ -127,6 +127,17 @@ def test_rsearch_deterministic_given_seed(rand_engine):
     assert a == b
 
 
+def test_walk_past_a_measure_of_1024_does_not_overflow(rand_engine):
+    # mu = n/5 = 1,200 here, so 2^mu is beyond a float; the walk weighs
+    # each child by its measure drop instead.  n stays well below where the
+    # search's recursion (about n/10 levels) would reach Python's limit.
+    g = random_cubic(random.Random(6000), 6000)
+    k = 3600
+    assert evaluate(MU_N20, Instance(g, k)) > 1024
+    cover = rand_engine.rsearch_cover(Instance(g, k), seed=1)
+    assert cover is None or (is_cover(g, cover) and len(cover) <= k)
+
+
 def test_rsearch_never_returns_a_non_cover_silently(monkeypatch, rand_engine):
     # a lift that loses a vertex leaves at most 5 of the Petersen graph's
     # vertices, never a cover: a walk that reaches a cover must raise
