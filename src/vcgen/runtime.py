@@ -4,9 +4,11 @@ A solve step simplifies to a fixpoint, classifies the residual instance
 into its subspace, anchors that subspace's table, walks the expansion tree
 to a leaf and applies the leaf's rule: the randomized engine samples one
 branch with probability proportional to weight times measure shrinkage,
-the deterministic engine explores every selected branch.  Both run one
-recursive search, in which a branch's take is the first step of the next
-fixpoint, and keep the measure as an integer over the common denominator
+the deterministic engine explores every selected branch.  Both are loops
+over one solve step, in which a branch's take is the first step of the
+next fixpoint: a walk holds only its current step, and the deterministic
+search keeps a stack of the rule steps on its path with their untried
+takes.  Both keep the measure as an integer over the common denominator
 of its weights.  The randomized engine reads each child's measure drop
 off the degree changes around its take, so it builds no child graph and
 no weight overflows, and a trial plan runs the first step, which every
@@ -122,6 +124,15 @@ def is_vertex_cover(g: Graph, cover: frozenset[int]) -> bool:
     return all(u in cover or v in cover for u, v in g.edges())
 
 
+def _checked_cover(inst: Instance, events: list) -> frozenset[int]:
+    """The cover that the event log lifts to.  Raises CertificateViolation
+    when it is not a budget cover of inst."""
+    cover = lift_cover(events, frozenset())
+    if not is_vertex_cover(inst.graph, cover) or len(cover) > inst.budget:
+        raise CertificateViolation("constructed set is not a budget cover")
+    return cover
+
+
 class TableEngine:
     """Loaded and certified tables, ready to solve instances.
 
@@ -205,31 +216,6 @@ class TableEngine:
         events: list = []
         return self._advance(inst, None, events), events
 
-    def _search(self, step, events: list, choose) -> bool:
-        """From step, an _advance result, try each take that choose(step)
-        yields at the rule leaf reached, advancing after it and truncating
-        the log between tries; on success the log holds a cover."""
-        if isinstance(step, bool):
-            return step
-        mark = len(events)
-        for take in choose(step):
-            if self._search(self._advance(step.inst, take, events), events, choose):
-                return True
-            del events[mark:]
-        return False
-
-    def _cover(self, inst: Instance, root, events: list, choose) -> Optional[frozenset[int]]:
-        """The cover that a search with choose finds from root, inst's
-        first step, with events holding that step's log; None when it finds
-        none.  Raises CertificateViolation when the lifted set is not a
-        budget cover."""
-        if not self._search(root, events, choose):
-            return None
-        cover = lift_cover(events, frozenset())
-        if not is_vertex_cover(inst.graph, cover) or len(cover) > inst.budget:
-            raise CertificateViolation("constructed set is not a budget cover")
-        return cover
-
     # -- deterministic mode --------------------------------------------------
 
     def deterministic_cover(self, inst: Instance) -> Optional[frozenset[int]]:
@@ -240,8 +226,22 @@ class TableEngine:
                 raise ContractError(
                     f"table P{sid} is randomized; deterministic search needs ILP tables"
                 )
-        return self._cover(inst, *self._first_step(inst), lambda step: (
-            take for _, take in _branches(step.leaf, step.phi)))
+        step, events = self._first_step(inst)
+        # per rule step on the current path: its instance, the log length
+        # before its first take, and its untried takes, in table order
+        stack: list = []
+        while step is not True:
+            if step is not False:
+                takes = (take for _, take in _branches(step.leaf, step.phi))
+                stack.append((step.inst, len(events), takes))
+            while stack and (take := next(stack[-1][2], None)) is None:
+                stack.pop()
+            if not stack:
+                return None
+            parent, mark, _ = stack[-1]
+            del events[mark:]
+            step = self._advance(parent, take, events)
+        return _checked_cover(inst, events)
 
     # -- randomized mode -----------------------------------------------------
 
@@ -252,15 +252,14 @@ class TableEngine:
         return self._walk(inst, *self._first_step(inst), seed, trace)
 
     def _walk(
-        self, inst: Instance, root, events: list, seed: int, trace: Optional[list[TraceStep]]
+        self, inst: Instance, step, events: list, seed: int, trace: Optional[list[TraceStep]]
     ) -> Optional[frozenset[int]]:
-        """rsearch_cover from root, inst's first step, with events holding
+        """rsearch_cover from step, inst's first step, with events holding
         that step's log."""
         rng = random.Random(seed)
         m = self.measure
         scale = m.scaled[0]
-
-        def choose(step: _RuleStep):
+        while not isinstance(step, bool):
             # weighted random branch choice per the measure shrinkage: each
             # child is weighed by 2^(mu_child - mu_parent), read off the
             # degree changes around its take, which normalises to the same
@@ -288,9 +287,8 @@ class TableEngine:
                 trace.append(
                     TraceStep(step.sid, step.leaf.node_id, tuple(sorted(take)), probs[pick])
                 )
-            return [take]
-
-        return self._cover(inst, root, events, choose)
+            step = self._advance(step.inst, take, events)
+        return _checked_cover(inst, events) if step else None
 
     def solve_randomized(
         self,

@@ -1,5 +1,8 @@
+import contextlib
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -129,13 +132,40 @@ def test_rsearch_deterministic_given_seed(rand_engine):
 
 def test_walk_past_a_measure_of_1024_does_not_overflow(rand_engine):
     # mu = n/5 = 1,200 here, so 2^mu is beyond a float; the walk weighs
-    # each child by its measure drop instead.  n stays well below where the
-    # search's recursion (about n/10 levels) would reach Python's limit.
+    # each child by its measure drop instead.
     g = random_cubic(random.Random(6000), 6000)
     k = 3600
     assert evaluate(MU_N20, Instance(g, k)) > 1024
     cover = rand_engine.rsearch_cover(Instance(g, k), seed=1)
     assert cover is None or (is_cover(g, cover) and len(cover) <= k)
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames: int):
+    """Python's recursion limit set to frames above the current depth."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_walk_depth_is_not_bounded_by_the_recursion_limit(rand_engine):
+    # about 180 branching steps, far more than 80 frames of headroom
+    g = random_cubic(random.Random(2000), 2000)
+    with recursion_headroom(80):
+        cover = rand_engine.rsearch_cover(Instance(g, 1200), seed=1)
+    assert cover is not None and is_cover(g, cover) and len(cover) <= 1200
+
+
+def test_deterministic_depth_is_not_bounded_by_the_recursion_limit(det_engine):
+    # a YES instance that the search answers without backtracking, along
+    # a path of about 270 rule steps, far more than 80 frames of headroom
+    g = random_cubic(random.Random(2000), 2000)
+    with recursion_headroom(80):
+        cover = det_engine.deterministic_cover(Instance(g, 2000))
+    assert cover is not None and is_cover(g, cover)
 
 
 def test_rsearch_never_returns_a_non_cover_silently(monkeypatch, rand_engine):
