@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ContractError, InputDomainError, VcgenError
-from .graphs import Instance, parse_graph, parse_instance, vc_oracle
+from .graphs import Graph, Instance, parse_graph, parse_instance, vc_oracle
 from .measure import (
     BranchVector,
     branching_number,
@@ -52,11 +52,8 @@ def _load_instance(path: str) -> Instance:
     return parse_instance(_read(path))
 
 
-def _load_graph(path: str) -> "Graph":
-    text = _read(path)
-    if any(line.strip().startswith("k ") for line in text.splitlines()):
-        return parse_instance(text).graph
-    return parse_graph(text)
+def _load_graph(path: str) -> Graph:
+    return parse_graph(_read(path))
 
 
 def cmd_generate(args) -> int:

@@ -49,6 +49,10 @@ class LocalConfiguration:
             tuple(sorted(self.d.items())),
         )
 
+    @cached_property
+    def _canonical(self) -> tuple[bytes, list[int]]:
+        return _canonical_form(self)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, LocalConfiguration) and self._key == other._key
 
@@ -211,13 +215,9 @@ def _encode(l: LocalConfiguration, perm: list[int]) -> bytes:
     return header + bytes(bits)
 
 
-def canonical_key(l: LocalConfiguration) -> bytes:
-    """Equal keys iff configurations are isomorphic respecting d.
-
-    Minimizes the adjacency encoding over all orderings compatible with the
-    refined color classes; refinement only prunes the permutation search and
-    never changes the result.
-    """
+def _canonical_form(l: LocalConfiguration) -> tuple[bytes, list[int]]:
+    """canonical_key(l) and the first vertex order found that realizes it
+    (position -> vertex)."""
     if len(l.h) > CANONICAL_CAP:
         raise CapacityError(f"canonicalization capped at {CANONICAL_CAP} vertices")
     _, blocks = _canonical_order(l)
@@ -235,23 +235,24 @@ def canonical_key(l: LocalConfiguration) -> bytes:
         if best is None or enc < best:
             best, best_perm = enc, perm
     assert best is not None and best_perm is not None
-    l.__dict__["_canonical_perm"] = best_perm
-    return best
+    return best, best_perm
 
 
-def canonical_perm(l: LocalConfiguration) -> list[int]:
-    """Vertex order realizing canonical_key(l) (position -> vertex)."""
-    if "_canonical_perm" not in l.__dict__:
-        canonical_key(l)
-    return l.__dict__["_canonical_perm"]
+def canonical_key(l: LocalConfiguration) -> bytes:
+    """Equal keys iff configurations are isomorphic respecting d.
+
+    Minimizes the adjacency encoding over all orderings compatible with the
+    refined color classes; refinement only prunes the permutation search and
+    never changes the result.  The search runs once per configuration.
+    """
+    return l._canonical[0]
 
 
 def isomorphism(a: LocalConfiguration, b: LocalConfiguration) -> Optional[dict[int, int]]:
     """Vertex map a -> b respecting adjacency and d, via canonical orders."""
     if len(a.h) != len(b.h) or canonical_key(a) != canonical_key(b):
         return None
-    pa, pb = canonical_perm(a), canonical_perm(b)
-    return {va: vb for va, vb in zip(pa, pb)}
+    return dict(zip(a._canonical[1], b._canonical[1]))
 
 
 # -- text form, for failure reports -------------------------------------------

@@ -380,11 +380,11 @@ def format_instance(inst: Instance) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    return _parse(text, want_budget=False)[0]
+    return _parse(text)[0]
 
 
 def parse_instance(text: str) -> Instance:
-    g, budget = _parse(text, want_budget=True)
+    g, budget = _parse(text)
     if budget is None:
         raise InputDomainError("instance file is missing a 'k <budget>' line")
     return Instance(g, budget)
@@ -397,7 +397,7 @@ def _int_field(field: str, lineno: int, line: str) -> int:
         raise InputDomainError(f"line {lineno}: {field!r} is not an integer in {line!r}") from None
 
 
-def _parse(text: str, want_budget: bool) -> tuple[Graph, int | None]:
+def _parse(text: str) -> tuple[Graph, int | None]:
     n = m = None
     edges: list[tuple[int, int]] = []
     seen: set[frozenset[int]] = set()

@@ -8,6 +8,7 @@ to certify every branch; those sources are the crucial set.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .configs import LocalConfiguration
@@ -32,15 +33,10 @@ class RequirementContext:
             )
         self.solver = VertexCoverSolver(l.h)
         self._full = self.solver.full_mask
-        self._crucial: tuple[Requirement, ...] | None = None
         self._requirements: dict[Requirement, tuple[int, int]] = {}
 
-    def _forced(self, req_mask: int, v_bit: int) -> bool:
-        """True iff adding v to the requirement costs no extra cover vertex,
-        which directs the DAG edge (R + v) -> R."""
-        return self._vc_req[req_mask] == self._vc_req[req_mask | v_bit] + 1
-
-    def _vc_table(self) -> list[int]:
+    @cached_property
+    def vc_table(self) -> list[int]:
         """vc(H - S) for every S within the boundary, indexed by S's bits
         over self.delta.  A maximum independent set of H - S is an
         independent J within delta - S plus one of I - N(J), I the interior;
@@ -72,42 +68,33 @@ class RequirementContext:
         return [total - s.bit_count() - f[(size - 1) ^ s] for s in range(size)]
 
     def crucial_set(self) -> tuple[Requirement, ...]:
-        if self._crucial is not None:
-            return self._crucial
-        d = self.delta
-        n = len(d)
-        self._vc_req = self._vc_table()
+        """The sources of the exact-cover DAG.  Removing one vertex from a
+        requirement changes vc(H - R) by 0 or 1, and R has no incoming edge
+        iff dropping any v of R raises it by one (v is forced at R - v) and
+        adding any other boundary v leaves it as it is (v is not forced at
+        R)."""
+        vc, d, n = self.vc_table, self.delta, len(self.delta)
         crucial: list[Requirement] = []
-        for mask in range(1 << n):
-            incoming = False
+        for r in range(1 << n):
             for i in range(n):
-                bit = 1 << i
-                if mask & bit:
-                    # edge (mask - v) -> mask unless v is forced there
-                    if not self._forced(mask & ~bit, bit):
-                        incoming = True
-                        break
-                else:
-                    # edge (mask + v) -> mask iff v is forced at mask
-                    if self._forced(mask, bit):
-                        incoming = True
-                        break
-            if not incoming:
-                crucial.append(frozenset(d[i] for i in range(n) if mask >> i & 1))
-        self._crucial = tuple(crucial)
-        return self._crucial
+                if vc[r ^ 1 << i] - vc[r] != r >> i & 1:
+                    break
+            else:
+                crucial.append(frozenset(d[i] for i in range(n) if r >> i & 1))
+        return tuple(crucial)
 
     def cover_mask(self, b: Iterable[int], reqs: Sequence[Requirement]) -> int:
         """Bit i set iff b satisfies reqs[i] (the Algorithm-3 test): b extends
         some minimum cover of H - R, that is vc(H - R) = vc(H - R - b) + |b - R|.
-        Each requirement's mask and vc(H - R) are computed once."""
+        Each requirement's mask and vc(H - R), read off vc_table, are looked
+        up once."""
         solver, full, known = self.solver, self._full, self._requirements
         b_mask = solver.mask_of(b)
         out = 0
         for i, req in enumerate(reqs):
             if req not in known:
-                r_mask = solver.mask_of(req)
-                known[req] = (r_mask, solver.vc(full & ~r_mask))
+                r = sum(1 << self.delta.index(v) for v in req)
+                known[req] = (solver.mask_of(req), self.vc_table[r])
             r_mask, base = known[req]
             if base == solver.vc(full & ~(r_mask | b_mask)) + (b_mask & ~r_mask).bit_count():
                 out |= 1 << i

@@ -29,7 +29,7 @@ from .graphs import Graph, Instance, VertexCoverSolver
 from .measure import Measure, degree_counts, degree_shift, evaluate
 from .rulegen import RuleTable, verify_table
 from .simplify import lift_cover, simplify_fixpoint
-from .subspaces import classify
+from .subspaces import SUBSPACE_IDS, classify, root_config
 from .tree import TreeNode, find_anchor, match_instance
 
 PROBABILITY_TOL = 1e-12
@@ -139,6 +139,11 @@ class TableEngine:
     Building one verifies every table.  It raises ContractError for a table
     that fails verification, was generated for another measure, or is keyed
     by a subspace other than its own.
+
+    classify's starts are the images of vertex 0 of root_config(sid), so
+    anchoring tries only them for a table whose root is that configuration
+    itself, as a generated table's is; a table with a relabelled root, or a
+    generic one loaded under any key, searches from every vertex.
     """
 
     def __init__(self, tables: dict[int, RuleTable], m: Measure):
@@ -155,6 +160,11 @@ class TableEngine:
                 raise ContractError(
                     f"table P{sid} is not certified: " + "; ".join(cert.failures[:3])
                 )
+        self._exact_roots = {
+            sid
+            for sid, t in self.tables.items()
+            if sid in SUBSPACE_IDS and t.tree.root_config == root_config(sid)
+        }
 
     def _table_for(self, sid: int) -> RuleTable:
         try:
@@ -167,6 +177,8 @@ class TableEngine:
     def _match_leaf(self, inst: Instance):
         sid, starts = classify(inst.graph, with_starts=True)
         table = self._table_for(sid)
+        if sid not in self._exact_roots:
+            starts = None
         anchor = find_anchor(inst, table.tree.root_config, starts)
         if anchor is None:
             raise CertificateViolation(

@@ -67,9 +67,10 @@ def find_anchor(
     inst: Instance, root: LocalConfiguration, starts: Optional[Iterable[int]] = None
 ) -> Optional[dict[int, int]]:
     """Embedding of the root configuration into the instance, if any.
-    starts, when given, holds every vertex that the root's vertex 0 can map
-    to, as classify(g, with_starts=True) gives it; the embedding found is
-    the same."""
+    starts, when given, must hold every vertex that the root's smallest
+    vertex can map to; the embedding found is the same.  The starts of
+    classify(g, with_starts=True) are such a set only for root_config(sid)
+    itself, not for a relabelled copy of it."""
     return is_expansion(instance_as_config(inst.graph), root, starts)
 
 

@@ -376,14 +376,16 @@ def test_verify_fails_a_table_relabelled_to_another_subspace(tmp_path, capsys):
 
 
 def test_classify_and_oracle_commands(tmp_path, capsys):
-    c8 = tmp_path / "c8.vc"
-    c8.write_text(format_graph(cycle_graph(8)))
-    assert main(["classify", "--instance", str(c8)]) == 0
-    assert capsys.readouterr().out.strip() == "P6"
-    c5 = tmp_path / "c5.vc"
-    c5.write_text(format_graph(cycle_graph(5)))
-    assert main(["oracle", "--instance", str(c5)]) == 0
-    assert capsys.readouterr().out.strip() == "3"
+    # an instance file's budget line changes nothing
+    for fmt in (format_graph, lambda g: format_instance(Instance(g, 2))):
+        c8 = tmp_path / "c8.vc"
+        c8.write_text(fmt(cycle_graph(8)))
+        assert main(["classify", "--instance", str(c8)]) == 0
+        assert capsys.readouterr().out.strip() == "P6"
+        c5 = tmp_path / "c5.vc"
+        c5.write_text(fmt(cycle_graph(5)))
+        assert main(["oracle", "--instance", str(c5)]) == 0
+        assert capsys.readouterr().out.strip() == "3"
 
 
 def test_bound_command(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import vcgen.configs as configs
 from corpus import random_config, random_subcubic, relabel
 from vcgen.configs import (
     LocalConfiguration,
@@ -224,6 +225,21 @@ def test_isomorphism_mapping_valid():
             assert l2.h.has_edge(phi[u], phi[v])
         for v in vs:
             assert l.d[v] == l2.d[phi[v]]
+
+
+def test_isomorphism_reuses_the_canonical_forms(monkeypatch):
+    l = LocalConfiguration(cycle_graph(5), {v: 1 for v in range(1, 5)})
+    a, b = l, relabel(l, {v: (v + 2) % 5 for v in range(5)})
+    key_a, key_b = canonical_key(a), canonical_key(b)
+    assert key_a == key_b
+    encoded = []
+    encode = configs._encode
+    monkeypatch.setattr(configs, "_encode", lambda *args: encoded.append(args) or encode(*args))
+    phi = isomorphism(a, b)
+    assert encoded == []
+    assert canonical_key(a) == key_a and encoded == []
+    assert all(b.h.has_edge(phi[u], phi[v]) for u, v in a.h.edges())
+    assert all(a.d[v] == b.d[phi[v]] for v in a.h.vertices)
 
 
 def test_config_text_roundtrip():

@@ -21,7 +21,7 @@ def assert_same_crucial_set(l: LocalConfiguration):
     got = ctx.crucial_set()
     want = RequirementContext(l)
     assert got == ref.crucial_set(want), l
-    assert ctx._vc_req == ref.vc_table(want), l
+    assert ctx.vc_table == ref.vc_table(want), l
 
 
 def test_crucial_sets_match_reference_up_to_the_cap():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import MU_N20, build_tables, is_cover, random_cubic, random_subcubic
+from corpus import MU_N20, build_tables, is_cover, random_cubic, random_subcubic, relabel
 from vcgen.configs import instance_as_config
 from vcgen.errors import CertificateViolation, ContractError, InputDomainError
 from vcgen.graphs import (
@@ -311,6 +311,29 @@ def test_engine_refuses_a_table_under_another_key(det_engine):
     # not run on P3 instances
     with pytest.raises(ContractError, match="table for P19 loaded as P3"):
         TableEngine({3: det_engine.tables[19]}, pure_k())
+
+
+@pytest.mark.parametrize("engine, m, mode", [
+    ("rand_engine", MU_N20, "randomized"),
+    ("det_engine", pure_k(), "deterministic"),
+], ids=["rand", "det"])
+def test_a_relabelled_root_anchors(engine, m, mode, request):
+    # classify's starts are images of root_config(3)'s vertex 0, the
+    # 4-cycle's degree-2 vertex; this root names that vertex 3, so the
+    # anchor search must not take them for its own vertex 0
+    root = relabel(root_config(3), {v: (v - 1) % 4 for v in range(4)})
+    assert root != root_config(3)
+    table = gensa(root, m, rule_mode=mode, assertions=assertions_for(3), subspace_id=3)
+    engine = TableEngine({**request.getfixturevalue(engine).tables, 3: table}, m)
+    g = Graph(range(5), [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)])
+    assert classify(g) == 3 and vc_oracle(g) == 3
+    for k in (2, 3):
+        if mode == "deterministic":
+            cover = engine.deterministic_cover(Instance(g, k))
+        else:
+            cover = engine.solve_randomized(Instance(g, k), TrialPlan(20, 0)).cover
+        assert (cover is not None) == (k == 3)
+        assert cover is None or is_cover(g, cover) and len(cover) <= k
 
 
 def test_solve_randomized_hands_out_each_trials_trace(rand_engine):
