@@ -4,7 +4,8 @@ A solve step simplifies to a fixpoint, classifies the residual instance
 into its subspace, anchors that subspace's table, walks the expansion tree
 to a leaf and applies the leaf's rule: the randomized engine samples one
 branch with probability proportional to weight times measure shrinkage,
-the deterministic engine explores every selected branch.  Both are loops
+the deterministic engine explores every selected branch of each rule step
+whose budget a cover lower bound does not already exceed.  Both are loops
 over one solve step, in which a branch's take is the first step of the
 next fixpoint: a walk holds only its current step, and the deterministic
 search keeps a stack of the rule steps on its path with their untried
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import CertificateViolation, ContractError, InputDomainError
-from .graphs import Graph, Instance, VertexCoverSolver
+from .graphs import MAX_DEGREE, Graph, Instance, VertexCoverSolver
 from .measure import Measure, degree_counts, degree_shift, evaluate
 from .rulegen import RuleTable, verify_table
 from .simplify import lift_cover, simplify_fixpoint
@@ -101,6 +102,20 @@ def _component_cover(g: Graph, comp: frozenset[int]) -> frozenset[int]:
     return VertexCoverSolver(sub).cover()
 
 
+def _cover_lower_bound(g: Graph) -> int:
+    """A lower bound on vc(g): the larger of a greedy maximal matching's
+    size, since a cover holds an end of every matched edge, and
+    ceil(m / MAX_DEGREE), since no vertex covers more edges than that."""
+    matched: set[int] = set()
+    for u in g.vertices:
+        if u not in matched:
+            for v in g.neighbors(u):
+                if v not in matched:
+                    matched.update((u, v))
+                    break
+    return max(len(matched) // 2, -(-g.edge_count() // MAX_DEGREE))
+
+
 def _budget_cover(inst: Instance) -> Optional[frozenset[int]]:
     """Fallback decision when the measure bottoms out with edges remaining:
     plain two-way branching on a vertex of largest degree."""
@@ -109,7 +124,7 @@ def _budget_cover(inst: Instance) -> Optional[frozenset[int]]:
         return None
     if g.edge_count() == 0:
         return frozenset()
-    if inst.budget == 0:
+    if _cover_lower_bound(g) > inst.budget:
         return None
     v = max(g.vertices, key=lambda x: (g.degree(x), -x))
     take = _budget_cover(Instance(g.without({v}), inst.budget - 1))
@@ -232,7 +247,12 @@ class TableEngine:
 
     def deterministic_cover(self, inst: Instance) -> Optional[frozenset[int]]:
         """A cover within budget, trying every branch of each rule leaf,
-        or None when there is none."""
+        or None when there is none.
+
+        A rule step whose graph has a cover lower bound above its budget
+        is a dead end: its subtree holds no cover within budget, so
+        skipping it leaves the first cover found, and every NO, as they
+        are."""
         for sid, t in self.tables.items():
             if t.rule_mode != "deterministic":
                 raise ContractError(
@@ -243,7 +263,7 @@ class TableEngine:
         # before its first take, and its untried takes, in table order
         stack: list = []
         while step is not True:
-            if step is not False:
+            if step is not False and _cover_lower_bound(step.inst.graph) <= step.inst.budget:
                 takes = (take for _, take in _branches(step.leaf, step.phi))
                 stack.append((step.inst, len(events), takes))
             while stack and (take := next(stack[-1][2], None)) is None:

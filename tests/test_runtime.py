@@ -20,7 +20,7 @@ from vcgen.graphs import (
 )
 from vcgen.measure import MU2, Measure, evaluate, pure_k
 from vcgen.rulegen import gensa
-from vcgen.runtime import TableEngine, TraceStep, TrialPlan, _trial_seed
+from vcgen.runtime import TableEngine, TraceStep, TrialPlan, _cover_lower_bound, _trial_seed
 from vcgen.subspaces import assertions_for, classify, root_config
 from vcgen.tree import find_anchor
 
@@ -74,6 +74,55 @@ def test_deterministic_matches_oracle(det_engine):
                 assert got is not None and is_cover(g, got) and len(got) <= k
             else:
                 assert got is None
+
+
+
+def test_cover_lower_bound_is_sound():
+    rng = random.Random(21)
+    graphs = [random_subcubic(rng, rng.randint(1, 20)) for _ in range(300)]
+    graphs += [complete_graph(4), cycle_graph(5), petersen_graph()]
+    for g in graphs:
+        assert _cover_lower_bound(g) <= vc_oracle(g)
+    # neither term is trivial: every maximal matching of C5 has two edges,
+    # and Petersen's 15 edges need at least five vertices
+    assert _cover_lower_bound(cycle_graph(5)) == 2
+    assert _cover_lower_bound(petersen_graph()) == 5
+
+
+def test_pruned_search_returns_the_unpruned_cover(monkeypatch, det_engine):
+    rng = random.Random(23)
+    cases = []
+    for _ in range(120):
+        g = random_subcubic(rng, rng.randint(4, 18))
+        vc = vc_oracle(g)
+        cases += [Instance(g, k) for k in range(vc - 2, vc + 2)]
+    for n in range(30, 51, 2):
+        g = random_cubic(rng, n)
+        bound = _cover_lower_bound(g)
+        cases += [Instance(g, k) for k in range(bound - 1, bound + 5)]
+    pruned = [det_engine.deterministic_cover(inst) for inst in cases]
+    # a bound of 0 prunes nothing
+    monkeypatch.setattr("vcgen.runtime._cover_lower_bound", lambda g: 0)
+    assert [det_engine.deterministic_cover(inst) for inst in cases] == pruned
+    assert any(c is None for c in pruned) and any(c is not None for c in pruned)
+
+
+def test_deterministic_search_prunes_below_the_bound(monkeypatch, det_engine):
+    # a cubic graph at k = vc - 1: the pruned search classifies fewer
+    # residual instances than the full one
+    g = random_cubic(random.Random(1), 50)
+    k = _cover_lower_bound(g)
+    while det_engine.deterministic_cover(Instance(g, k)) is None:
+        k += 1
+    calls = []
+    monkeypatch.setattr(
+        "vcgen.runtime.classify", lambda h, **kw: calls.append(h) or classify(h, **kw)
+    )
+    assert det_engine.deterministic_cover(Instance(g, k - 1)) is None
+    pruned = len(calls)
+    monkeypatch.setattr("vcgen.runtime._cover_lower_bound", lambda h: 0)
+    assert det_engine.deterministic_cover(Instance(g, k - 1)) is None
+    assert 0 < pruned < len(calls) - pruned
 
 
 def test_randomized_one_sided_error(rand_engine):
