@@ -7,18 +7,23 @@ branch with probability proportional to weight times measure shrinkage,
 the deterministic engine explores every selected branch of each rule step
 whose budget a cover lower bound does not already exceed.  Both are loops
 over one solve step, in which a branch's take is the first step of the
-next fixpoint: a walk holds only its current step, and the deterministic
-search keeps a stack of the rule steps on its path with their untried
-takes.  Both keep the measure as an integer over the common denominator
+next fixpoint: the deterministic search keeps a stack of the rule steps
+on its path with their untried takes, and the randomized engine runs a
+block of walks, one seeded trial each, as one depth-first traversal of
+the tree of their choices, so a step that several trials reach by the
+same path runs once for all of them and a single walk holds only its
+current step.  A plan decided by its first step answers for every trial
+at once.  Both keep the measure as an integer over the common denominator
 of its weights.  The randomized engine reads each child's measure drop
 off the degree changes around its take, so it builds no child graph and
-no weight overflows, and a trial plan runs the first step, which every
-trial shares, once.  YES answers are only ever reported with an
+no weight overflows.  YES answers are only ever reported with an
 explicitly verified cover in hand, so NO-side errors cannot occur.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -34,6 +39,9 @@ from .subspaces import SUBSPACE_IDS, classify, root_config
 from .tree import TreeNode, find_anchor, match_instance
 
 PROBABILITY_TOL = 1e-12
+# trials per depth-first traversal of a plan: bounds the generators and
+# pending steps alive at once, whatever the plan's size
+TRIAL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -71,7 +79,7 @@ class RandomizedResult:
     cover: Optional[frozenset[int]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceStep:
     subspace: int
     leaf: int
@@ -159,6 +167,9 @@ class TableEngine:
     anchoring tries only them for a table whose root is that configuration
     itself, as a generated table's is; a table with a relabelled root, or a
     generic one loaded under any key, searches from every vertex.
+
+    fallbacks counts the _budget_cover fallbacks run; a fallback step that
+    several trials of a plan share runs, and counts, once.
     """
 
     def __init__(self, tables: dict[int, RuleTable], m: Measure):
@@ -281,46 +292,83 @@ class TableEngine:
         self, inst: Instance, seed: int, trace: Optional[list[TraceStep]] = None
     ) -> Optional[frozenset[int]]:
         """One random root-to-leaf walk; a cover on success, else None."""
-        return self._walk(inst, *self._first_step(inst), seed, trace)
+        root, events = self._first_step(inst)
+        traces = None if trace is None else [trace]
+        return self._walks(inst, root, events, [random.Random(seed)], traces)[0]
 
-    def _walk(
-        self, inst: Instance, step, events: list, seed: int, trace: Optional[list[TraceStep]]
-    ) -> Optional[frozenset[int]]:
-        """rsearch_cover from step, inst's first step, with events holding
-        that step's log."""
-        rng = random.Random(seed)
+    def _probabilities(self, step: _RuleStep) -> tuple[list, list[float]]:
+        """The takes of a rule step's branches and the probability of each:
+        weight times measure shrinkage.  Each child is weighed by
+        2^(mu_child - mu_parent), read off the degree changes around its
+        take, which normalises to the same probabilities as 2^mu_child and
+        cannot overflow."""
         m = self.measure
         scale = m.scaled[0]
-        while not isinstance(step, bool):
-            # weighted random branch choice per the measure shrinkage: each
-            # child is weighed by 2^(mu_child - mu_parent), read off the
-            # degree changes around its take, which normalises to the same
-            # probabilities as 2^mu_child and cannot overflow
-            g = step.inst.graph
-            children = []
-            for entry, take in _branches(step.leaf, step.phi):
-                dn, _ = degree_shift(g.degree, g.neighbors, take)
-                share = float(entry.weight) * 2.0 ** (m.scaled_value(-len(take), dn) / scale)
-                children.append((take, share))
-            total = sum(share for _, share in children)
-            assert total > 0
-            probs = [share / total for _, share in children]
-            assert abs(sum(probs) - 1.0) <= PROBABILITY_TOL
-            r = rng.random()
-            cum = 0.0
-            pick = len(children) - 1
-            for i, p in enumerate(probs):
-                cum += p
-                if r < cum:
-                    pick = i
-                    break
-            take = children[pick][0]
-            if trace is not None:
-                trace.append(
-                    TraceStep(step.sid, step.leaf.node_id, tuple(sorted(take)), probs[pick])
-                )
-            step = self._advance(step.inst, take, events)
-        return _checked_cover(inst, events) if step else None
+        g = step.inst.graph
+        takes, shares = [], []
+        for entry, take in _branches(step.leaf, step.phi):
+            dn, _ = degree_shift(g.degree, g.neighbors, take)
+            takes.append(take)
+            shares.append(float(entry.weight) * 2.0 ** (m.scaled_value(-len(take), dn) / scale))
+        total = sum(shares)
+        assert total > 0
+        probs = [share / total for share in shares]
+        assert abs(sum(probs) - 1.0) <= PROBABILITY_TOL
+        return takes, probs
+
+    def _walks(
+        self,
+        inst: Instance,
+        root,
+        events: list,
+        rngs: list[random.Random],
+        traces: Optional[list[list[TraceStep]]],
+    ) -> list[Optional[frozenset[int]]]:
+        """One random walk per generator in rngs, from root, inst's first
+        step, with events holding root's log: each walk's cover, or None
+        where it fails.  When traces is a list, walk i's steps are appended
+        to traces[i].
+
+        A walk's path depends only on its draws, and every part of a step
+        but the draw depends only on the path so far.  So the walks run as
+        one depth-first traversal of the tree of their choices: each step
+        runs once for all walks through it, each walk draws one number per
+        rule step on its path, and each decided path lifts its cover once.
+        Every pending child holds at least one walk, so at most len(rngs)
+        are pending at once."""
+        covers: list[Optional[frozenset[int]]] = [None] * len(rngs)
+        # per pending child: its parent rule step, the log length at the
+        # parent, its take, and the walks that take it
+        stack: list = []
+        step, walks = root, range(len(rngs))
+        while True:
+            if step is True:
+                cover = _checked_cover(inst, events)
+                for i in walks:
+                    covers[i] = cover
+            elif step is not False:
+                takes, probs = self._probabilities(step)
+                # a draw picks the first branch whose cumulative probability
+                # exceeds it, the last when rounding leaves none
+                cums = list(itertools.accumulate(probs))
+                picked: dict[int, list[int]] = {}
+                for i in walks:
+                    pick = min(bisect.bisect_right(cums, rngs[i].random()), len(takes) - 1)
+                    picked.setdefault(pick, []).append(i)
+                for pick, group in sorted(picked.items(), reverse=True):
+                    take = takes[pick]
+                    if traces is not None:
+                        traced = TraceStep(
+                            step.sid, step.leaf.node_id, tuple(sorted(take)), probs[pick]
+                        )
+                        for i in group:
+                            traces[i].append(traced)
+                    stack.append((step, len(events), take, group))
+            if not stack:
+                return covers
+            parent, mark, take, walks = stack.pop()
+            del events[mark:]
+            step = self._advance(parent.inst, take, events)
 
     def solve_randomized(
         self,
@@ -331,24 +379,40 @@ class TableEngine:
         """Run every trial of the plan.  When trace is a list, each trial's
         steps are appended to it as one list, in trial order.
 
-        Every trial's walk starts with the same step, up to its first random
-        choice, so that step runs once and each trial starts from it with a
-        copy of its log."""
+        The trials run in blocks of TRIAL_BLOCK, each block as one _walks
+        traversal from the plan's first step, which runs once; so a step
+        that several trials of a block share runs once, and no more than
+        TRIAL_BLOCK generators and pending steps are alive at once.  A plan
+        whose first step decides the instance has no random choice to make:
+        every trial gives that answer, at once."""
         mu = evaluate(self.measure, inst)
         root, root_events = self._first_step(inst)
+        n = plan.trials
+        if isinstance(root, bool):
+            if trace is not None:
+                trace.extend([] for _ in range(n))
+            cover = _checked_cover(inst, root_events) if root else None
+            return RandomizedResult(root, n, n if root else 0, mu, cover)
         successes = 0
         witness: Optional[frozenset[int]] = None
-        for i in range(plan.trials):
-            steps: Optional[list[TraceStep]] = None if trace is None else []
-            seed = _trial_seed(plan.base_seed, i)
-            cover = self._walk(inst, root, list(root_events), seed, steps)
+        for start in range(0, n, TRIAL_BLOCK):
+            block = range(start, min(start + TRIAL_BLOCK, n))
+            steps = None if trace is None else [[] for _ in block]
+            covers = self._walks(
+                inst,
+                root,
+                list(root_events),
+                [random.Random(_trial_seed(plan.base_seed, i)) for i in block],
+                steps,
+            )
             if trace is not None:
-                trace.append(steps)
-            if cover is not None:
-                successes += 1
-                if witness is None:
-                    witness = cover
-        return RandomizedResult(witness is not None, plan.trials, successes, mu, witness)
+                trace.extend(steps)
+            for cover in covers:
+                if cover is not None:
+                    successes += 1
+                    if witness is None:
+                        witness = cover
+        return RandomizedResult(witness is not None, n, successes, mu, witness)
 
 
 def _branches(leaf, phi: dict[int, int]):

@@ -35,7 +35,7 @@ from vcgen.measure import (
 )
 from vcgen.requirements import RequirementContext
 from vcgen.rulegen import gensa, verify_table
-from vcgen.runtime import TableEngine
+from vcgen.runtime import TableEngine, TrialPlan
 from vcgen.simplify import apply, config_site, find_site
 from vcgen.subspaces import assertions_for, forbidden_by, root_config
 
@@ -341,18 +341,14 @@ def test_criterion_09_randomized_guarantee(randomized_engine):
     for idx, inst in enumerate(deck):
         mu = float(evaluate(m, inst))
         bound = 2.0 ** (-mu)
-        wins = sum(
-            1
-            for i in range(trials)
-            if engine.rsearch_cover(inst, seed=(idx << 20) + i) is not None
-        )
+        wins = engine.solve_randomized(inst, TrialPlan(trials, idx)).successes
         sigma = math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
         assert wins / trials >= bound - 3 * sigma, (idx, wins / trials, bound)
     # one-sided error: no-instances never answer YES
     for idx, inst in enumerate(deck):
         below = Instance(inst.graph, vc_oracle(inst.graph) - 1)
-        for i in range(300):
-            assert engine.rsearch_cover(below, seed=(idx << 12) + i) is None
+        res = engine.solve_randomized(below, TrialPlan(300, idx))
+        assert not res.answer and res.successes == 0
     verdict(9, f"randomized per-trial bound (20 instances x {trials} trials) + one-sided error")
 
 

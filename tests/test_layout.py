@@ -72,8 +72,8 @@ TEST_ONLY_ALLOWED = {
     "graphs.petersen_graph": "public helper: builds a named graph for callers",
     "graphs.format_instance": "public helper: writes the instance format the CLI reads",
     "requirements.RequirementContext.satisfies": "bench/spans.py counts its calls",
-    "runtime.TableEngine.rsearch_cover": "one seeded walk; solve_randomized runs the same "
-                                         "walk per trial from a shared first step",
+    "runtime.TableEngine.rsearch_cover": "one seeded walk: the traversal that solve_randomized "
+                                         "runs per block of trials, with one generator",
 }
 
 

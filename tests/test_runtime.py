@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +21,14 @@ from vcgen.graphs import (
 )
 from vcgen.measure import MU2, Measure, evaluate, pure_k
 from vcgen.rulegen import gensa
-from vcgen.runtime import TableEngine, TraceStep, TrialPlan, _cover_lower_bound, _trial_seed
+from vcgen.runtime import (
+    TRIAL_BLOCK,
+    TableEngine,
+    TraceStep,
+    TrialPlan,
+    _cover_lower_bound,
+    _trial_seed,
+)
 from vcgen.subspaces import assertions_for, classify, root_config
 from vcgen.tree import find_anchor
 
@@ -265,10 +273,12 @@ def decided_before_any_rule_leaf() -> Instance:
 
 
 def test_solve_randomized_is_one_walk_per_trial(rand_engine):
-    # the plan's first step runs once; every trial must still give what
-    # its own walk from the input gives
+    # trials share the steps of their common path; every trial must still
+    # give what its own walk from the input gives, also past the end of a
+    # block of trials
     rng = random.Random(47)
     cases = [(Instance(petersen_graph(), 6), 12), (Instance(petersen_graph(), 5), 4),
+             (Instance(petersen_graph(), 6), 2 * TRIAL_BLOCK + 5),
              (decided_before_any_rule_leaf(), 3),
              (Instance(decided_before_any_rule_leaf().graph, 2), 3)]
     for n in (12, 18, 24):
@@ -299,9 +309,53 @@ def test_solve_randomized_runs_the_root_step_once(monkeypatch, rand_engine):
     classify_ = vcgen.runtime.classify
     monkeypatch.setattr(vcgen.runtime, "classify",
                         lambda h, **kw: at_root.append(h == g) or classify_(h, **kw))
-    rand_engine.solve_randomized(Instance(g, 6), TrialPlan(12, 7))
+    fixpoints = []
+    simplify_ = vcgen.runtime.simplify_fixpoint
+    monkeypatch.setattr(vcgen.runtime, "simplify_fixpoint",
+                        lambda inst, take=None: fixpoints.append(take) or simplify_(inst, take))
+    traces: list[list[TraceStep]] = []
+    rand_engine.solve_randomized(Instance(g, 6), TrialPlan(TRIAL_BLOCK, 7), traces)
     # once at the root; the walks classify only the graphs after a take
     assert at_root.count(True) == 1 and len(at_root) > 1
+    # within one block every step runs once: the root's fixpoint, and one
+    # per distinct path of takes, which the traces name
+    prefixes = {tuple(steps[:j]) for steps in traces for j in range(1, len(steps) + 1)}
+    assert len(fixpoints) == 1 + len(prefixes)
+    assert len(prefixes) < sum(map(len, traces))
+
+
+def test_solve_randomized_keeps_one_block_of_generators(monkeypatch, rand_engine):
+    import vcgen.runtime
+
+    alive, peak, made = 0, 0, 0
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            nonlocal alive, peak, made
+            super().__init__(seed)
+            alive, made = alive + 1, made + 1
+            peak = max(peak, alive)
+
+        def __del__(self):
+            nonlocal alive
+            alive -= 1
+
+    monkeypatch.setattr(vcgen.runtime, "random", SimpleNamespace(Random=Counted))
+    plan = TrialPlan(5 * TRIAL_BLOCK, 3)
+    assert rand_engine.solve_randomized(Instance(petersen_graph(), 6), plan).answer
+    assert (alive, peak, made) == (0, TRIAL_BLOCK, plan.trials)
+
+
+def test_plan_decided_by_its_first_step_answers_at_once(rand_engine):
+    plan = TrialPlan(10**18, 0)
+    res = rand_engine.solve_randomized(decided_before_any_rule_leaf(), plan)
+    assert res.answer and res.trials_run == res.successes == plan.trials
+    assert is_cover(decided_before_any_rule_leaf().graph, res.cover)
+    res = rand_engine.solve_randomized(Instance(decided_before_any_rule_leaf().graph, 2), plan)
+    assert not res.answer and res.successes == 0 and res.cover is None
+    traces: list[list[TraceStep]] = []
+    res = rand_engine.solve_randomized(decided_before_any_rule_leaf(), TrialPlan(3, 0), traces)
+    assert res.successes == 3 and traces == [[], [], []]
 
 
 def test_per_trial_success_bound_small(rand_engine):
