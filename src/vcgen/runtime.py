@@ -5,9 +5,12 @@ into its subspace, anchors that subspace's table, walks the expansion tree
 to a leaf and applies the leaf's rule: the randomized engine samples one
 branch with probability proportional to weight times measure shrinkage,
 the deterministic engine explores every selected branch of each rule step
-whose budget a cover lower bound does not already exceed.  Both are loops
-over one solve step, in which a branch's take is the first step of the
-next fixpoint: the deterministic search keeps a stack of the rule steps
+whose budget a cover lower bound does not already exceed.  That bound is
+ceil(nu(B) / 2) for a matching of size nu(B) of the graph's bipartite
+double cover B; every matching of B has at most 2 vc edges, so a step it
+cuts off holds no cover within budget.  Both engines are loops over one
+solve step, in which a branch's take is the first step of the next
+fixpoint: the deterministic search keeps a stack of the rule steps
 on its path with their untried takes, and the randomized engine runs a
 block of walks, one seeded trial each, as one depth-first traversal of
 the tree of their choices, so a step that several trials reach by the
@@ -31,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import CertificateViolation, ContractError, InputDomainError
-from .graphs import MAX_DEGREE, Graph, Instance, VertexCoverSolver
+from .graphs import Graph, Instance, VertexCoverSolver
 from .measure import Measure, degree_counts, degree_shift, evaluate
 from .rulegen import RuleTable, verify_table
 from .simplify import lift_cover, simplify_fixpoint
@@ -111,22 +114,59 @@ def _component_cover(g: Graph, comp: frozenset[int]) -> frozenset[int]:
 
 
 def _cover_lower_bound(g: Graph) -> int:
-    """A lower bound on vc(g): the larger of a greedy maximal matching's
-    size, since a cover holds an end of every matched edge, and
-    ceil(m / MAX_DEGREE), since no vertex covers more edges than that."""
-    matched: set[int] = set()
+    """A lower bound on vc(g): ceil(nu(B) / 2), the vertex-cover LP
+    optimum rounded up, where nu(B) is the size of a maximum matching of
+    g's bipartite double cover B, with an edge uL-vR and vL-uR per edge
+    uv of g.  Any cover C of g gives the cover C_L | C_R of B, so every
+    matching of B has at most 2 vc(g) edges: the bound is sound for any
+    matching the search below ends with, maximum or not.
+
+    The matching starts from a greedy maximal matching of g, each edge uv
+    giving the pairs uL-vR and vL-uR, and grows by Kuhn's augmenting-path
+    search, run depth-first on an explicit stack."""
+    mate_l: dict[int, int] = {}  # left copy -> its right partner
+    mate_r: dict[int, int] = {}  # right copy -> its left partner
     for u in g.vertices:
-        if u not in matched:
+        if u not in mate_l:
             for v in g.neighbors(u):
-                if v not in matched:
-                    matched.update((u, v))
+                if v not in mate_l:
+                    mate_l[u] = mate_r[u] = v
+                    mate_l[v] = mate_r[v] = u
                     break
-    return max(len(matched) // 2, -(-g.edge_count() // MAX_DEGREE))
+    for root in g.vertices:
+        if root in mate_l:
+            continue
+        # the alternating path: its left vertices, the right vertex that
+        # leads from each to the next, and each left vertex's untried edges
+        lefts, rights, edges = [root], [], [iter(g.neighbors(root))]
+        seen: set[int] = set()
+        while edges:
+            v = next(edges[-1], None)
+            if v is None:
+                edges.pop()
+                lefts.pop()
+                if rights:
+                    rights.pop()
+            elif v not in seen:
+                seen.add(v)
+                u = mate_r.get(v)
+                if u is None:
+                    rights.append(v)
+                    for left, right in zip(lefts, rights):
+                        mate_l[left] = right
+                        mate_r[right] = left
+                    break
+                lefts.append(u)
+                rights.append(v)
+                edges.append(iter(g.neighbors(u)))
+    return (len(mate_l) + 1) // 2
 
 
 def _budget_cover(inst: Instance) -> Optional[frozenset[int]]:
     """Fallback decision when the measure bottoms out with edges remaining:
-    plain two-way branching on a vertex of largest degree."""
+    plain two-way branching on a vertex of largest degree, answering NO
+    wherever _cover_lower_bound exceeds the budget; no matching of the
+    double cover has more than 2 vc edges, so that NO is always right."""
     g = inst.graph
     if inst.budget < 0:
         return None
@@ -261,7 +301,8 @@ class TableEngine:
         or None when there is none.
 
         A rule step whose graph has a cover lower bound above its budget
-        is a dead end: its subtree holds no cover within budget, so
+        is a dead end: the bound's matching of the double cover has at
+        most 2 vc edges, so its subtree holds no cover within budget and
         skipping it leaves the first cover found, and every NO, as they
         are."""
         for sid, t in self.tables.items():

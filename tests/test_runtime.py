@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from corpus import MU_N20, build_tables, is_cover, random_cubic, random_subcubic, relabel
+from reference_lp import solve_cover_lp
 from vcgen.configs import instance_as_config
 from vcgen.errors import CertificateViolation, ContractError, InputDomainError
 from vcgen.graphs import (
@@ -85,15 +86,41 @@ def test_deterministic_matches_oracle(det_engine):
 
 
 
+def _matching_or_degree_bound(g):
+    """The cover lower bound the LP bound replaced: the larger of a greedy
+    maximal matching's size and ceil(m / 3)."""
+    matched = set()
+    for u in g.vertices:
+        if u not in matched:
+            for v in g.neighbors(u):
+                if v not in matched:
+                    matched.update((u, v))
+                    break
+    return max(len(matched) // 2, -(-g.edge_count() // 3))
+
+
+def _cover_lp(g):
+    """The vertex-cover LP optimum of g by the Fraction simplex: one
+    unit-cost branch per vertex, one requirement per edge."""
+    vertices, edges = sorted(g.vertices), list(g.edges())
+    masks = [sum(1 << r for r, e in enumerate(edges) if v in e) for v in vertices]
+    return solve_cover_lp([Fraction(1)] * len(vertices), masks, len(edges)).objective
+
+
 def test_cover_lower_bound_is_sound():
     rng = random.Random(21)
     graphs = [random_subcubic(rng, rng.randint(1, 20)) for _ in range(300)]
     graphs += [complete_graph(4), cycle_graph(5), petersen_graph()]
+    stronger = 0
     for g in graphs:
-        assert _cover_lower_bound(g) <= vc_oracle(g)
-    # neither term is trivial: every maximal matching of C5 has two edges,
-    # and Petersen's 15 edges need at least five vertices
-    assert _cover_lower_bound(cycle_graph(5)) == 2
+        bound, old = _cover_lower_bound(g), _matching_or_degree_bound(g)
+        assert old <= bound <= vc_oracle(g)
+        assert bound == math.ceil(_cover_lp(g))
+        stronger += bound > old
+    assert stronger > 0
+    # C5's LP optimum is 5/2, so the bound is vc(C5) = 3, one above every
+    # maximal matching; Petersen's is 15/3 = 5
+    assert _cover_lower_bound(cycle_graph(5)) == 3
     assert _cover_lower_bound(petersen_graph()) == 5
 
 
@@ -131,6 +158,24 @@ def test_deterministic_search_prunes_below_the_bound(monkeypatch, det_engine):
     monkeypatch.setattr("vcgen.runtime._cover_lower_bound", lambda h: 0)
     assert det_engine.deterministic_cover(Instance(g, k - 1)) is None
     assert 0 < pruned < len(calls) - pruned
+
+
+def test_lp_bound_prunes_more_than_the_matching_bound(monkeypatch, det_engine):
+    # a cubic graph at k = vc - 1: the LP bound classifies fewer residual
+    # instances than the matching-or-degree bound it replaced
+    g = random_cubic(random.Random(5), 60)
+    k = _cover_lower_bound(g)
+    while det_engine.deterministic_cover(Instance(g, k)) is None:
+        k += 1
+    calls = []
+    monkeypatch.setattr(
+        "vcgen.runtime.classify", lambda h, **kw: calls.append(h) or classify(h, **kw)
+    )
+    assert det_engine.deterministic_cover(Instance(g, k - 1)) is None
+    lp_calls = len(calls)
+    monkeypatch.setattr("vcgen.runtime._cover_lower_bound", _matching_or_degree_bound)
+    assert det_engine.deterministic_cover(Instance(g, k - 1)) is None
+    assert 0 < lp_calls < len(calls) - lp_calls
 
 
 def test_randomized_one_sided_error(rand_engine):
