@@ -186,16 +186,21 @@ def cmd_oracle(args) -> int:
 
 def cmd_bound(args) -> int:
     if args.combine:
+        fields = ("a", "b", "base_n")
         values = {}
         for tok in args.combine:
             key, _, val = tok.partition("=")
+            if key not in fields:
+                raise InputDomainError(f"unknown combine field {key!r}")
+            if key in values:
+                raise InputDomainError(f"combine field {key} given twice")
             try:
                 values[key] = float(val)
             except ValueError:
                 raise InputDomainError(f"{key} must be a number, got {val!r}") from None
             if not math.isfinite(values[key]):
                 raise InputDomainError(f"{key} must be finite, got {val!r}")
-        missing = {"a", "b", "base_n"} - set(values)
+        missing = set(fields) - set(values)
         if missing:
             raise InputDomainError(f"missing combine fields: {sorted(missing)}")
         if values["base_n"] <= 0:

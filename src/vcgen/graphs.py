@@ -279,10 +279,9 @@ class VertexCoverSolver:
         self._memo[mask] = result
         return result
 
-    def cover(self, mask: int | None = None) -> frozenset[int]:
-        """A deterministic minimum vertex cover of the masked subgraph."""
-        if mask is None:
-            mask = self.full_mask
+    def cover(self) -> frozenset[int]:
+        """A deterministic minimum vertex cover of the graph."""
+        mask = self.full_mask
         chosen: set[int] = set()
         while True:
             target = self.vc(mask)

@@ -256,21 +256,6 @@ def _iso_valid(a: LocalConfiguration, b: LocalConfiguration, iso: dict[int, int]
     return all(a.d[v] == b.d[iso[v]] for v in iso)
 
 
-def _is_root_of(config: LocalConfiguration, sid: int) -> bool:
-    """Whether config is root_config(sid) up to isomorphism.
-
-    Generated tables carry root_config(sid) itself, and equality settles
-    them; only a relabelled root pays for the canonical keys of
-    isomorphism."""
-    expected = root_config(sid)
-    if config == expected:
-        return True
-    try:
-        return isomorphism(config, expected) is not None
-    except CapacityError:
-        return False
-
-
 def verify_table(t: RuleTable) -> Certificate:
     """Recompute everything a leaf claims and every node's cover; pass iff
     all checks pass.  Failure tables never certify."""
@@ -290,9 +275,7 @@ def verify_table(t: RuleTable) -> Certificate:
         fail("missing root node")
         return Certificate(False, tuple(failures), objectives)
     assertions = NO_ASSERTIONS if t.subspace_id is None else assertions_for(t.subspace_id)
-    if t.subspace_id is not None and not _is_root_of(
-        t.tree.nodes[t.tree.root].config, t.subspace_id
-    ):
+    if t.subspace_id is not None and t.tree.root_config != root_config(t.subspace_id):
         fail(f"root configuration is not the root of {subspace_name(t.subspace_id)}")
 
     for node in t.tree.nodes:
@@ -435,7 +418,8 @@ def _config_obj(l: LocalConfiguration) -> dict:
 
 
 def _config_from_obj(obj: dict) -> LocalConfiguration:
-    g = Graph(obj["vertices"], [tuple(e) for e in obj["edges"]])
+    g = Graph([_int(v, "vertex") for v in obj["vertices"]],
+              [tuple(_int(x, "edge end") for x in e) for e in obj["edges"]])
     d = {int(v): _int(c, "d value") for v, c in obj["d"].items()}
     _degree_bound(obj["delta"])
     return LocalConfiguration(g, d)
@@ -555,12 +539,13 @@ def _table_from_doc(doc) -> RuleTable:
                 ChildRef(
                     _label(ref["label"]),
                     None if ref["node"] is None else _int(ref["node"], "child node"),
-                    ref.get("pruned_by"),
+                    None if ref.get("pruned_by") is None else _int(ref["pruned_by"], "pruned_by"),
                 )
                 for ref in obj["children"]
             )
             nodes.append(TreeNode(node_id, config, kind,
-                                  selected=obj["selected"], children=children))
+                                  selected=_int(obj["selected"], "selected vertex"),
+                                  children=children))
         elif kind == "leaf":
             lobj = obj["leaf"]
             if lobj["kind"] == "rule":
@@ -571,9 +556,11 @@ def _table_from_doc(doc) -> RuleTable:
                 )
                 leaf = Leaf("rule", entries=entries)
             elif lobj["kind"] == "simplification":
-                leaf = Leaf("simplification", rule_id=lobj["rule"])
-            else:
+                leaf = Leaf("simplification", rule_id=_int(lobj["rule"], "simplification rule"))
+            elif lobj["kind"] == "constant":
                 leaf = Leaf("constant")
+            else:
+                raise InputDomainError(f"malformed rule table: unknown leaf kind {lobj['kind']!r}")
             nodes.append(TreeNode(node_id, config, kind, leaf=leaf))
         elif kind == "alias":
             nodes.append(

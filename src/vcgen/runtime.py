@@ -38,7 +38,7 @@ from .graphs import Graph, Instance, VertexCoverSolver
 from .measure import Measure, degree_counts, degree_shift, evaluate
 from .rulegen import RuleTable, verify_table
 from .simplify import lift_cover, simplify_fixpoint
-from .subspaces import SUBSPACE_IDS, classify, root_config
+from .subspaces import classify
 from .tree import TreeNode, find_anchor, match_instance
 
 PROBABILITY_TOL = 1e-12
@@ -201,12 +201,9 @@ class TableEngine:
 
     Building one verifies every table.  It raises ContractError for a table
     that fails verification, was generated for another measure, or is keyed
-    by a subspace other than its own.
-
-    classify's starts are the images of vertex 0 of root_config(sid), so
-    anchoring tries only them for a table whose root is that configuration
-    itself, as a generated table's is; a table with a relabelled root, or a
-    generic one loaded under any key, searches from every vertex.
+    by a subspace other than its own, a generic table (no subspace) included.
+    A certified table of P<sid> is rooted at root_config(sid) itself, so
+    anchoring tries only classify's starts, the images of its vertex 0.
 
     fallbacks counts the _budget_cover fallbacks run; a fallback step that
     several trials of a plan share runs, and counts, once.
@@ -217,8 +214,9 @@ class TableEngine:
         self.tables = dict(tables)
         self.fallbacks = 0
         for sid, t in self.tables.items():
-            if t.subspace_id is not None and t.subspace_id != sid:
-                raise ContractError(f"table for P{t.subspace_id} loaded as P{sid}")
+            if t.subspace_id != sid:
+                name = "generic table" if t.subspace_id is None else f"table for P{t.subspace_id}"
+                raise ContractError(f"{name} loaded as P{sid}")
             if t.measure != m:
                 raise ContractError(f"table P{sid} was generated for another measure")
             cert = verify_table(t)
@@ -226,11 +224,6 @@ class TableEngine:
                 raise ContractError(
                     f"table P{sid} is not certified: " + "; ".join(cert.failures[:3])
                 )
-        self._exact_roots = {
-            sid
-            for sid, t in self.tables.items()
-            if sid in SUBSPACE_IDS and t.tree.root_config == root_config(sid)
-        }
 
     def _table_for(self, sid: int) -> RuleTable:
         try:
@@ -243,8 +236,6 @@ class TableEngine:
     def _match_leaf(self, inst: Instance):
         sid, starts = classify(inst.graph, with_starts=True)
         table = self._table_for(sid)
-        if sid not in self._exact_roots:
-            starts = None
         anchor = find_anchor(inst, table.tree.root_config, starts)
         if anchor is None:
             raise CertificateViolation(

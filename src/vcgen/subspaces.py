@@ -216,11 +216,11 @@ def subspace_name(sid: int) -> str:
 
 
 def parse_subspace(name: str) -> int:
-    text = name.upper().lstrip("P")
-    try:
-        sid = int(text)
-    except ValueError:
-        raise InputDomainError(f"bad subspace name {name!r}") from None
+    """The id named by an optional single P or p and ASCII digits."""
+    digits = name[1:] if name[:1] in ("P", "p") else name
+    if not (digits.isascii() and digits.isdigit()):
+        raise InputDomainError(f"bad subspace name {name!r}")
+    sid = int(digits)
     _shape(sid)
     return sid
 

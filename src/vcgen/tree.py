@@ -68,9 +68,7 @@ def find_anchor(
 ) -> Optional[dict[int, int]]:
     """Embedding of the root configuration into the instance, if any.
     starts, when given, must hold every vertex that the root's smallest
-    vertex can map to; the embedding found is the same.  The starts of
-    classify(g, with_starts=True) are such a set only for root_config(sid)
-    itself, not for a relabelled copy of it."""
+    vertex can map to; the embedding found is the same."""
     return is_expansion(instance_as_config(inst.graph), root, starts)
 
 

@@ -195,6 +195,8 @@ MALFORMED_ARGUMENTS = {
     "branch entry without a decrease": ["bound", "--vector", "1"],
     "combine field beyond a float": ["bound", "--combine", "a=1e400", "b=1", "base_n=2"],
     "combine fields missing": ["bound", "--combine", "a=1"],
+    "combine field unknown": ["bound", "--combine", "a=1", "b=2", "base_n=1.1", "bogus=7"],
+    "combine field repeated": ["bound", "--combine", "a=1", "b=2", "base_n=1.1", "a=3"],
     "bound with neither option": ["bound"],
 }
 
@@ -254,6 +256,15 @@ def test_generate_into_a_file_exits_3_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert out.read_text() == "not a directory\n"
+
+
+def test_generate_with_a_malformed_subspace_name_exits_3(tmp_path, capsys):
+    # a subspace is named by an optional single P or p and ASCII digits
+    assert main(["generate", "--measure", "k-mode", "a=1", "--mode", "det",
+                 "--subspace", "PP3", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not list(tmp_path.iterdir())
 
 
 def run_cli(*argv: str, timeout: float = 60) -> "subprocess.CompletedProcess":
@@ -373,6 +384,12 @@ def test_verify_fails_a_table_relabelled_to_another_subspace(tmp_path, capsys):
         assert main(["verify", "--table", str(path)]) == rc
     out = capsys.readouterr().out
     assert "(P19): FAIL" in out and "root configuration is not the root of P19" in out
+    # solve refuses to load it
+    instance = tmp_path / "k4.vc"
+    instance.write_text(K4)
+    assert main(["solve", "--instance", str(instance), "--tables", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "root configuration is not the root of P19" in err and err.count("\n") == 1, err
 
 
 def test_classify_and_oracle_commands(tmp_path, capsys):

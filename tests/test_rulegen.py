@@ -281,15 +281,14 @@ def test_verify_ties_the_root_to_its_subspace():
     assert verify_table(t).failures == ("root configuration is not the root of P19",)
 
 
-def test_verify_accepts_an_isomorphic_root():
-    # the tie is up to isomorphism: P1's one-node table with its root vertex
-    # renamed still certifies
+def test_verify_fails_a_relabelled_root():
+    # a table runs only from root_config(sid) itself: P1's one-node table
+    # with its root vertex renamed is isomorphic to P1's root, yet fails
     t = p1_pure_k()
     root = t.tree.nodes[t.tree.root]
     t.tree.nodes[t.tree.root] = dataclasses.replace(
         root, config=relabel(root.config, {0: 7}))
-    assert t.tree.nodes[t.tree.root].config != root_config(1)
-    assert verify_table(t).ok
+    assert "root configuration is not the root of P1" in verify_table(t).failures
 
 
 # the table `generate --delta 0` once wrote for P19: with no fresh vertex of
@@ -328,6 +327,44 @@ def test_reader_accepts_only_delta_3(tmp_path, capsys):
                 assert main(argv) == 3, (bad, where, argv)
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _p3_doc_with(edit) -> str:
+    """The beta3 = 1/5 P3 table's file text, with one node edited in place."""
+    doc = json.loads(table_to_json(
+        gensa(root_config(3), MU_N20, assertions=assertions_for(3), subspace_id=3)))
+    edit(doc["nodes"])
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _first_leaf(nodes, kind):
+    return next(n["leaf"] for n in nodes if n["kind"] == "leaf" and n["leaf"]["kind"] == kind)
+
+
+# each of these once read as a table that certifies: an unknown leaf kind as
+# a constant leaf, and values equal to the right integer (true == 1,
+# 3.0 == 3, 0.0 == 0) as that integer
+MALFORMED_NODES = {
+    "unknown leaf kind": lambda nodes: _first_leaf(nodes, "constant").update(kind="bogus"),
+    "selected vertex true": lambda nodes: nodes[-1].update(selected=True),
+    "simplification rule 3.0": lambda nodes: _first_leaf(nodes, "simplification").update(rule=3.0),
+    "pruned_by true": lambda nodes: nodes[-1]["children"][1].update(pruned_by=True),
+    "configuration vertex 0.0": lambda nodes: nodes[-1]["config"]["vertices"].__setitem__(0, 0.0),
+    "edge end true": lambda nodes: nodes[-1]["config"]["edges"][0].__setitem__(1, True),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_NODES)
+def test_reader_rejects_malformed_nodes(tmp_path, capsys, name):
+    assert verify_table(table_from_json(_p3_doc_with(lambda nodes: None))).ok
+    text = _p3_doc_with(MALFORMED_NODES[name])
+    with pytest.raises(InputDomainError):
+        table_from_json(text)
+    table = tmp_path / "P3.json"
+    table.write_text(text)
+    assert main(["verify", "--table", str(table)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_detects_objective_violation():

@@ -10,7 +10,6 @@ import pytest
 
 from corpus import MU_N20, build_tables, is_cover, random_cubic, random_subcubic, relabel
 from reference_lp import solve_cover_lp
-from vcgen.configs import instance_as_config
 from vcgen.errors import CertificateViolation, ContractError, InputDomainError
 from vcgen.graphs import (
     Graph,
@@ -21,12 +20,13 @@ from vcgen.graphs import (
     vc_oracle,
 )
 from vcgen.measure import MU2, Measure, evaluate, pure_k
-from vcgen.rulegen import gensa
+from vcgen.rulegen import gensa, verify_table
 from vcgen.runtime import (
     TRIAL_BLOCK,
     TableEngine,
     TraceStep,
     TrialPlan,
+    _component_cover,
     _cover_lower_bound,
     _trial_seed,
 )
@@ -417,18 +417,25 @@ def test_per_trial_success_bound_small(rand_engine):
     assert wins / trials >= bound - 3 * sigma
 
 
-def test_constant_leaf_path():
-    # a boundaryless root yields a constant-solvable leaf; the engine must
-    # decide the matched component by the exact oracle and carry on.  K4 is
-    # not P7's root, so the table is generic (no subspace, no assertions),
-    # which is sound for every instance its root anchors
-    m = pure_k()
-    table = gensa(instance_as_config(complete_graph(4)), m, rule_mode="deterministic")
-    engine = TableEngine({7: table}, m)
-    inst = Instance(complete_graph(4), 3)
-    cover = engine.deterministic_cover(inst)
-    assert cover is not None and len(cover) == 3
-    assert engine.deterministic_cover(Instance(complete_graph(4), 2)) is None
+def test_constant_leaf_path(monkeypatch, rand_engine):
+    # the beta3 = 1/5 P3 table's only constant leaf: this instance matches
+    # it at once, and the engine decides the whole matched component, all
+    # six vertices, by the exact oracle
+    table = rand_engine.tables[3]
+    (constant,) = (n.node_id for n in table.tree.nodes
+                   if n.kind == "leaf" and n.leaf.kind == "constant")
+    g = Graph(range(6), [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (4, 5)])
+    assert classify(g) == 3 and vc_oracle(g) == 3
+    assert rand_engine._match_leaf(Instance(g, 3))[1].node_id == constant
+    comps = []
+    real = _component_cover
+    monkeypatch.setattr("vcgen.runtime._component_cover",
+                        lambda h, comp: comps.append(comp) or real(h, comp))
+    for k in (2, 3):
+        cover = rand_engine.solve_randomized(Instance(g, k), TrialPlan(20, 0)).cover
+        assert (cover is not None) == (k == 3)
+        assert cover is None or is_cover(g, cover) and len(cover) == 3
+    assert comps and all(comp == frozenset(range(6)) for comp in comps)
 
 
 def test_engine_refuses_uncertified_tables():
@@ -461,27 +468,29 @@ def test_engine_refuses_a_table_under_another_key(det_engine):
         TableEngine({3: det_engine.tables[19]}, pure_k())
 
 
-@pytest.mark.parametrize("engine, m, mode", [
-    ("rand_engine", MU_N20, "randomized"),
-    ("det_engine", pure_k(), "deterministic"),
+@pytest.mark.parametrize("m, mode", [
+    (MU_N20, "randomized"),
+    (pure_k(), "deterministic"),
 ], ids=["rand", "det"])
-def test_a_relabelled_root_anchors(engine, m, mode, request):
-    # classify's starts are images of root_config(3)'s vertex 0, the
-    # 4-cycle's degree-2 vertex; this root names that vertex 3, so the
-    # anchor search must not take them for its own vertex 0
+def test_engine_refuses_a_relabelled_root(m, mode):
+    # a table of P3 runs only from root_config(3) itself: one generated from
+    # an isomorphic copy of it, with its vertices renamed, does not load
     root = relabel(root_config(3), {v: (v - 1) % 4 for v in range(4)})
     assert root != root_config(3)
     table = gensa(root, m, rule_mode=mode, assertions=assertions_for(3), subspace_id=3)
-    engine = TableEngine({**request.getfixturevalue(engine).tables, 3: table}, m)
-    g = Graph(range(5), [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)])
-    assert classify(g) == 3 and vc_oracle(g) == 3
-    for k in (2, 3):
-        if mode == "deterministic":
-            cover = engine.deterministic_cover(Instance(g, k))
-        else:
-            cover = engine.solve_randomized(Instance(g, k), TrialPlan(20, 0)).cover
-        assert (cover is not None) == (k == 3)
-        assert cover is None or is_cover(g, cover) and len(cover) <= k
+    with pytest.raises(ContractError, match="root configuration is not the root of P3"):
+        TableEngine({3: table}, m)
+
+
+@pytest.mark.parametrize("sid", [3, 7, 19])
+def test_engine_refuses_a_generic_table(sid):
+    # a table generated without a subspace carries no subspace's root or
+    # assertions, so it runs under no key, not even one whose root it has
+    m = pure_k()
+    table = gensa(root_config(sid), m, rule_mode="deterministic")
+    assert table.subspace_id is None and verify_table(table).ok
+    with pytest.raises(ContractError, match=f"generic table loaded as P{sid}"):
+        TableEngine({sid: table}, m)
 
 
 def test_solve_randomized_hands_out_each_trials_trace(rand_engine):

@@ -140,6 +140,10 @@ def test_names_roundtrip():
         parse_subspace("P20")
     with pytest.raises(InputDomainError):
         parse_subspace("Q1")
+    assert parse_subspace("p3") == parse_subspace("3") == parse_subspace("P03") == 3
+    for junk in ("PP3", "P+3", "p 3", " P3", "P\u0663", "P\u00b3", "P", ""):
+        with pytest.raises(InputDomainError):
+            parse_subspace(junk)
 
 
 def simplification_free_corpus(seed, count, n_lo=6, n_hi=14):
