@@ -27,7 +27,7 @@ from .measure import (
     parse_measure_tokens,
     parse_rational,
 )
-from .rulegen import GenLimits, gensa, table_from_json, table_to_json, verify_table
+from .rulegen import GenLimits, RuleTable, gensa, table_from_json, table_to_json, verify_table
 from .runtime import TableEngine, TraceStep, TrialPlan
 from .subspaces import SUBSPACE_IDS, assertions_for, classify, parse_subspace, root_config, subspace_name
 
@@ -40,12 +40,22 @@ DEFAULT_SEED = 2024
 
 
 def _read(path: str | Path) -> str:
-    """The text of an input file; a file that cannot be read as UTF-8
-    text is an input error."""
+    """The text of an input file, line ends as written; a file that cannot
+    be read as UTF-8 text is an input error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputDomainError(f"cannot read {path}: {exc}") from None
+
+
+def _load_table(path: str | Path) -> RuleTable:
+    """A table file, which must hold exactly the bytes table_to_json
+    writes for the table it reads as."""
+    text = _read(path)
+    table = table_from_json(text)
+    if table_to_json(table) != text:
+        raise InputDomainError(f"{path}: not a canonical table file")
+    return table
 
 
 def _load_instance(path: str) -> Instance:
@@ -123,7 +133,7 @@ def _load_tables(paths: list[str]) -> dict:
             files.append(path)
     tables = {}
     for f in files:
-        table = table_from_json(_read(f))
+        table = _load_table(f)
         if table.subspace_id is None:
             raise VcgenError(f"{f}: table has no subspace id")
         tables[table.subspace_id] = table
@@ -166,7 +176,7 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     ok = True
     for path in args.table:
-        table = table_from_json(_read(path))
+        table = _load_table(path)
         cert = verify_table(table)
         name = subspace_name(table.subspace_id) if table.subspace_id else "?"
         print(f"{path} ({name}): {'PASS' if cert.ok else 'FAIL'}")

@@ -4,12 +4,15 @@ A solve step simplifies to a fixpoint, classifies the residual instance
 into its subspace, anchors that subspace's table, walks the expansion tree
 to a leaf and applies the leaf's rule: the randomized engine samples one
 branch with probability proportional to weight times measure shrinkage,
-the deterministic engine explores every selected branch of each rule step
-whose budget a cover lower bound does not already exceed.  That bound is
-ceil(nu(B) / 2) for a matching of size nu(B) of the graph's bipartite
-double cover B; every matching of B has at most 2 vc edges, so a step it
-cuts off holds no cover within budget.  Both engines are loops over one
-solve step, in which a branch's take is the first step of the next
+the deterministic engine explores every selected branch of each rule step.
+The deterministic engine also cuts off, right after each fixpoint and
+before classifying it, every instance whose budget is below a cover lower
+bound: the cycle-cover bound of a maximum matching of the graph's
+bipartite double cover, which splits the graph into vertex-disjoint cycles
+and paths.  The bound is sound, so what it cuts off holds no cover within
+budget.  Each rule step keeps its matching on the search's stack, and its
+children carry it over and only augment it.  Both engines are loops over
+one solve step, in which a branch's take is the first step of the next
 fixpoint: the deterministic search keeps a stack of the rule steps
 on its path with their untried takes, and the randomized engine runs a
 block of walks, one seeded trial each, as one depth-first traversal of
@@ -20,7 +23,9 @@ at once.  Both keep the measure as an integer over the common denominator
 of its weights.  The randomized engine reads each child's measure drop
 off the degree changes around its take, so it builds no child graph and
 no weight overflows.  YES answers are only ever reported with an
-explicitly verified cover in hand, so NO-side errors cannot occur.
+explicitly verified cover in hand, so no YES is wrong; a deterministic NO
+is exact, and a randomized NO is wrong with probability at most
+(1 - 2^-mu)^trials.
 """
 
 from __future__ import annotations
@@ -95,13 +100,15 @@ class TraceStep:
 
 class _RuleStep(NamedTuple):
     """A solve step that reached a rule leaf: the simplified instance, its
-    subspace, the leaf node and the map of the leaf's configuration into
-    the instance."""
+    subspace, the leaf node, the map of the leaf's configuration into the
+    instance and, in the deterministic search, a maximum matching of the
+    instance's double cover."""
 
     inst: Instance
     sid: int
     leaf: TreeNode
     phi: dict[int, int]
+    mate: Optional[dict[int, int]]
 
 
 def _trial_seed(base_seed: int, i: int) -> int:
@@ -113,26 +120,20 @@ def _component_cover(g: Graph, comp: frozenset[int]) -> frozenset[int]:
     return VertexCoverSolver(sub).cover()
 
 
-def _cover_lower_bound(g: Graph) -> int:
-    """A lower bound on vc(g): ceil(nu(B) / 2), the vertex-cover LP
-    optimum rounded up, where nu(B) is the size of a maximum matching of
-    g's bipartite double cover B, with an edge uL-vR and vL-uR per edge
-    uv of g.  Any cover C of g gives the cover C_L | C_R of B, so every
-    matching of B has at most 2 vc(g) edges: the bound is sound for any
-    matching the search below ends with, maximum or not.
+def _matching(g: Graph, mate_l: dict[int, int]) -> dict[int, int]:
+    """A maximum matching of g's bipartite double cover B, with an edge
+    uL-vR and vL-uR per edge uv of g, as the map from each matched left
+    copy to its right partner.
 
-    The matching starts from a greedy maximal matching of g, each edge uv
-    giving the pairs uL-vR and vL-uR, and grows by Kuhn's augmenting-path
-    search, run depth-first on an explicit stack."""
-    mate_l: dict[int, int] = {}  # left copy -> its right partner
-    mate_r: dict[int, int] = {}  # right copy -> its left partner
-    for u in g.vertices:
-        if u not in mate_l:
-            for v in g.neighbors(u):
-                if v not in mate_l:
-                    mate_l[u] = mate_r[u] = v
-                    mate_l[v] = mate_r[v] = u
-                    break
+    It grows from the pairs of mate_l, a matching of an earlier graph of
+    the search (or none), whose ends are still adjacent in g: a step only
+    removes vertices, and rule 4 adds an edge, so those pairs are a
+    matching of B.  Kuhn's augmenting-path search, run depth-first on an
+    explicit stack, then starts once from each free left vertex; one with
+    no augmenting path gains none from later augmentations, so the result
+    is maximum."""
+    mate_l = {u: v for u, v in mate_l.items() if g.has_edge(u, v)}
+    mate_r = {v: u for u, v in mate_l.items()}  # right copy -> its left partner
     for root in g.vertices:
         if root in mate_l:
             continue
@@ -159,20 +160,55 @@ def _cover_lower_bound(g: Graph) -> int:
                 lefts.append(u)
                 rights.append(v)
                 edges.append(iter(g.neighbors(u)))
-    return (len(mate_l) + 1) // 2
+    return mate_l
+
+
+def _cover_lower_bound(g: Graph, mate_l: dict[int, int]) -> int:
+    """The cycle-cover bound on vc(g) (Akiba and Iwata, TCS 609, 2016)
+    from mate_l, a matching of g's double cover B (see _matching).
+
+    Each vertex u has at most one partner mate_l[u], a neighbour, and no
+    two vertices share one, so the pairs split g into vertex-disjoint
+    cycles (u and v partners of each other make a cycle of 2) and paths.
+    A cover holds ceil(l / 2) vertices of a cycle of l vertices and
+    floor(t / 2) of a path of t, so their sum is a lower bound for any
+    matching.  It is never below ceil(|mate_l| / 2), which for a maximum
+    matching is the vertex-cover LP optimum rounded up: any cover C of g
+    gives the cover C_L | C_R of B, so nu(B) <= 2 vc(g)."""
+    entered = set(mate_l.values())
+    unwalked = dict(mate_l)
+    bound = 0
+    # each path from its first vertex, which no pair enters
+    for u in g.vertices:
+        if u not in entered and u in unwalked:
+            t = 1
+            while u in unwalked:
+                u = unwalked.pop(u)
+                t += 1
+            bound += t // 2
+    # every pair left lies on a cycle
+    while unwalked:
+        u, v = unwalked.popitem()
+        length = 1
+        while v != u:
+            v = unwalked.pop(v)
+            length += 1
+        bound += (length + 1) // 2
+    return bound
 
 
 def _budget_cover(inst: Instance) -> Optional[frozenset[int]]:
     """Fallback decision when the measure bottoms out with edges remaining:
     plain two-way branching on a vertex of largest degree, answering NO
-    wherever _cover_lower_bound exceeds the budget; no matching of the
-    double cover has more than 2 vc edges, so that NO is always right."""
+    wherever the cycle-cover bound of a fresh maximum matching of the
+    double cover exceeds the budget; the bound is sound, so that NO is
+    always right."""
     g = inst.graph
     if inst.budget < 0:
         return None
     if g.edge_count() == 0:
         return frozenset()
-    if _cover_lower_bound(g) > inst.budget:
+    if _cover_lower_bound(g, _matching(g, {})) > inst.budget:
         return None
     v = max(g.vertices, key=lambda x: (g.degree(x), -x))
     take = _budget_cover(Instance(g.without({v}), inst.budget - 1))
@@ -250,14 +286,28 @@ class TableEngine:
             )
         return sid, leaf, phi
 
-    def _advance(self, inst: Instance, take: Optional[frozenset[int]], events: list):
+    def _advance(
+        self,
+        inst: Instance,
+        take: Optional[frozenset[int]],
+        events: list,
+        mate: Optional[dict[int, int]] = None,
+    ):
         """Take take (when given), simplify, fall back and apply constant
         leaves until the instance is decided or a rule leaf matches,
         appending every step to the event log; lift_cover turns the log
         into a cover.
 
+        mate, when given, is a matching of the double cover of the graph
+        of inst or an earlier graph of the search ({} at its start): each
+        fixpoint that the fallback does not decide then carries it over,
+        grows it to a maximum matching and answers False where the
+        cycle-cover bound from it exceeds the budget, before anything is
+        classified.
+
         Returns True when the log now holds a cover, False when no cover
-        within budget exists, else the _RuleStep to branch on.
+        within budget exists, else the _RuleStep to branch on, which holds
+        the matching of its instance when mate was given.
         """
         while True:
             inst, steps = simplify_fixpoint(inst, take)
@@ -274,16 +324,20 @@ class TableEngine:
                     return False
                 events.append((cover, None))
                 return True
+            if mate is not None:
+                mate = _matching(inst.graph, mate)
+                if _cover_lower_bound(inst.graph, mate) > inst.budget:
+                    return False
             sid, leaf, phi = self._match_leaf(inst)
             if leaf.leaf.kind != "constant":
-                return _RuleStep(inst, sid, leaf, phi)
+                return _RuleStep(inst, sid, leaf, phi, mate)
             # the cover isolates the rest of its component, which rule 1 drops
             take = _component_cover(inst.graph, frozenset(phi.values()))
 
-    def _first_step(self, inst: Instance) -> tuple:
-        """_advance(inst, None) and the event log it fills."""
+    def _first_step(self, inst: Instance, mate: Optional[dict[int, int]] = None) -> tuple:
+        """_advance(inst, None, mate) and the event log it fills."""
         events: list = []
-        return self._advance(inst, None, events), events
+        return self._advance(inst, None, events, mate), events
 
     # -- deterministic mode --------------------------------------------------
 
@@ -291,31 +345,33 @@ class TableEngine:
         """A cover within budget, trying every branch of each rule leaf,
         or None when there is none.
 
-        A rule step whose graph has a cover lower bound above its budget
-        is a dead end: the bound's matching of the double cover has at
-        most 2 vc edges, so its subtree holds no cover within budget and
-        skipping it leaves the first cover found, and every NO, as they
-        are."""
+        Every fixpoint whose cycle-cover bound exceeds its budget is a dead
+        end, cut before it is classified: the bound is sound, so its
+        subtree holds no cover within budget and skipping it leaves the
+        first cover found, and every NO, as they are.  The bound comes from
+        a maximum matching of the double cover that each rule step keeps
+        on the stack and its children carry over, so a child's augmenting
+        searches start only from the vertices left without a partner."""
         for sid, t in self.tables.items():
             if t.rule_mode != "deterministic":
                 raise ContractError(
                     f"table P{sid} is randomized; deterministic search needs ILP tables"
                 )
-        step, events = self._first_step(inst)
-        # per rule step on the current path: its instance, the log length
+        step, events = self._first_step(inst, {})
+        # per rule step on the current path: the step, the log length
         # before its first take, and its untried takes, in table order
         stack: list = []
         while step is not True:
-            if step is not False and _cover_lower_bound(step.inst.graph) <= step.inst.budget:
+            if step is not False:
                 takes = (take for _, take in _branches(step.leaf, step.phi))
-                stack.append((step.inst, len(events), takes))
+                stack.append((step, len(events), takes))
             while stack and (take := next(stack[-1][2], None)) is None:
                 stack.pop()
             if not stack:
                 return None
             parent, mark, _ = stack[-1]
             del events[mark:]
-            step = self._advance(parent, take, events)
+            step = self._advance(parent.inst, take, events, parent.mate)
         return _checked_cover(inst, events)
 
     # -- randomized mode -----------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -377,10 +378,9 @@ def test_verify_command(tmp_path, capsys, k4_instance):
 def test_verify_fails_a_table_relabelled_to_another_subspace(tmp_path, capsys):
     t = gensa(root_config(1), pure_k(), rule_mode="deterministic",
               assertions=assertions_for(1), subspace_id=1)
-    doc = json.loads(table_to_json(t))
     path = tmp_path / "P1.json"
     for sid, rc in ((1, 0), (19, 2)):
-        path.write_text(json.dumps({**doc, "subspace": sid}))
+        path.write_text(table_to_json(dataclasses.replace(t, subspace_id=sid)))
         assert main(["verify", "--table", str(path)]) == rc
     out = capsys.readouterr().out
     assert "(P19): FAIL" in out and "root configuration is not the root of P19" in out

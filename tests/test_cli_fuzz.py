@@ -115,7 +115,9 @@ def mutate_table(rng: random.Random, text: str) -> str:
             container[key] += rng.choice((-1, 1))
         else:
             container[key] = json.loads(json.dumps(rng.choice(slots)[0]))
-    return json.dumps(doc)
+    # written as vcgen writes tables, so that the commands read past the
+    # canonical-bytes check into the edited fields
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.fixture(scope="module")

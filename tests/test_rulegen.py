@@ -367,6 +367,56 @@ def test_reader_rejects_malformed_nodes(tmp_path, capsys, name):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def _prefix_first_key(obj: dict, prefix: str) -> None:
+    key = next(iter(obj))
+    obj[prefix + key] = obj.pop(key)
+
+
+def _first_d(nodes) -> dict:
+    return next(n["config"]["d"] for n in nodes if n["config"]["d"])
+
+
+def _first_iso(nodes) -> dict:
+    return next(n["alias"]["iso"] for n in nodes if n["kind"] == "alias")
+
+
+def _first_child_with_node(nodes) -> dict:
+    return next(c for n in nodes if n["kind"] == "expanded" for c in n["children"]
+                if c["node"] is not None)
+
+
+# each of these reads as a table that certifies, but is not the file that
+# vcgen writes for that table
+NONCANONICAL_FILES = {
+    "extra key": lambda: _p3_doc_with(lambda nodes: nodes[-1].update(bogus=1)),
+    "d key written +1": lambda: _p3_doc_with(
+        lambda nodes: _prefix_first_key(_first_d(nodes), "+")),
+    "iso key with a space": lambda: _p3_doc_with(
+        lambda nodes: _prefix_first_key(_first_iso(nodes), " ")),
+    "pruned_by next to a node": lambda: _p3_doc_with(
+        lambda nodes: _first_child_with_node(nodes).update(pruned_by=1)),
+    "pretty-printed": lambda: json.dumps(json.loads(_p3_doc_with(lambda nodes: None)),
+                                         indent=2, sort_keys=True),
+    "CRLF line end": lambda: _p3_doc_with(lambda nodes: None).replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("name", NONCANONICAL_FILES)
+def test_commands_read_only_canonical_table_files(tmp_path, capsys, name):
+    text = NONCANONICAL_FILES[name]()
+    table = table_from_json(text)
+    assert verify_table(table).ok and table_to_json(table) != text
+    path = tmp_path / "P3.json"
+    path.write_text(text)
+    instance = tmp_path / "k4.vc"
+    instance.write_text(format_instance(Instance(complete_graph(4), 3)))
+    for argv in (["verify", "--table", str(path)],
+                 ["solve", "--instance", str(instance), "--tables", str(path)]):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not a canonical table file\n", err
+
+
 def test_verify_detects_objective_violation():
     # duplicating the heavy entry pushes the objective above 1
     t = p19_pure_k()

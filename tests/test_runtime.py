@@ -28,8 +28,10 @@ from vcgen.runtime import (
     TrialPlan,
     _component_cover,
     _cover_lower_bound,
+    _matching,
     _trial_seed,
 )
+from vcgen.simplify import simplify_fixpoint
 from vcgen.subspaces import assertions_for, classify, root_config
 from vcgen.tree import find_anchor
 
@@ -107,21 +109,66 @@ def _cover_lp(g):
     return solve_cover_lp([Fraction(1)] * len(vertices), masks, len(edges)).objective
 
 
+def _bound(g):
+    """The cover lower bound of g from a fresh maximum matching."""
+    return _cover_lower_bound(g, _matching(g, {}))
+
+
+def _is_matching(g, mate):
+    """Whether mate pairs each vertex with a neighbour, no two with the same."""
+    return all(g.has_edge(u, v) for u, v in mate.items()) and len(set(mate.values())) == len(mate)
+
+
 def test_cover_lower_bound_is_sound():
     rng = random.Random(21)
     graphs = [random_subcubic(rng, rng.randint(1, 20)) for _ in range(300)]
     graphs += [complete_graph(4), cycle_graph(5), petersen_graph()]
-    stronger = 0
+    stronger = beats_lp = 0
     for g in graphs:
-        bound, old = _cover_lower_bound(g), _matching_or_degree_bound(g)
+        mate = _matching(g, {})
+        bound, old, lp = _cover_lower_bound(g, mate), _matching_or_degree_bound(g), _cover_lp(g)
+        assert _is_matching(g, mate)
         assert old <= bound <= vc_oracle(g)
-        assert bound == math.ceil(_cover_lp(g))
+        assert math.ceil(lp) <= bound
+        # the matching is maximum: half its size is the LP optimum
+        assert (len(mate) + 1) // 2 == math.ceil(lp)
         stronger += bound > old
-    assert stronger > 0
+        beats_lp += bound > math.ceil(lp)
+    assert stronger > 0 and beats_lp > 0
     # C5's LP optimum is 5/2, so the bound is vc(C5) = 3, one above every
     # maximal matching; Petersen's is 15/3 = 5
-    assert _cover_lower_bound(cycle_graph(5)) == 3
-    assert _cover_lower_bound(petersen_graph()) == 5
+    assert _bound(cycle_graph(5)) == 3
+    assert _bound(petersen_graph()) == 5
+
+
+def test_cycle_bound_beats_the_lp_bound():
+    # two disjoint triangles: the LP optimum is 3, but a maximum matching
+    # of the double cover pairs each triangle into a cycle of 3, so the
+    # bound is vc = 4
+    triangles = Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert math.ceil(_cover_lp(triangles)) == 3 and _bound(triangles) == 4
+    # a seeded random graph whose LP optimum is 8 and whose bound is vc = 9
+    g = random_subcubic(random.Random(11), 16)
+    assert (_cover_lp(g), _bound(g), vc_oracle(g)) == (8, 9, 9)
+
+
+def test_carried_matching_is_a_maximum_matching_of_the_child():
+    # a parent fixpoint, a take and the child fixpoint, as in the search:
+    # the parent's matching, carried into the child, is a matching there
+    # and grows to the size of a fresh maximum one
+    rng = random.Random(27)
+    folds = 0
+    for _ in range(120):
+        parent = Instance(random_cubic(rng, 2 * rng.randint(3, 20)), 100)
+        mate = _matching(parent.graph, {})
+        take = frozenset(rng.sample(sorted(parent.graph.vertices), rng.randint(1, 3)))
+        child, steps = simplify_fixpoint(parent, take)
+        folds += any(fold for _, fold in steps)
+        carried = _matching(child.graph, mate)
+        assert _is_matching(child.graph, carried)
+        assert len(carried) == len(_matching(child.graph, {}))
+    # rule 4 adds an edge that the parent's matching cannot hold
+    assert folds > 0
 
 
 def test_pruned_search_returns_the_unpruned_cover(monkeypatch, det_engine):
@@ -131,13 +178,15 @@ def test_pruned_search_returns_the_unpruned_cover(monkeypatch, det_engine):
         g = random_subcubic(rng, rng.randint(4, 18))
         vc = vc_oracle(g)
         cases += [Instance(g, k) for k in range(vc - 2, vc + 2)]
-    for n in range(30, 51, 2):
+    for n in range(30, 61, 2):
         g = random_cubic(rng, n)
-        bound = _cover_lower_bound(g)
-        cases += [Instance(g, k) for k in range(bound - 1, bound + 5)]
+        vc = _bound(g)  # past the oracle's cap: the first k with a cover
+        while det_engine.deterministic_cover(Instance(g, vc)) is None:
+            vc += 1
+        cases += [Instance(g, k) for k in range(vc - 1, vc + 2)]
     pruned = [det_engine.deterministic_cover(inst) for inst in cases]
     # a bound of 0 prunes nothing
-    monkeypatch.setattr("vcgen.runtime._cover_lower_bound", lambda g: 0)
+    monkeypatch.setattr("vcgen.runtime._cover_lower_bound", lambda g, mate: 0)
     assert [det_engine.deterministic_cover(inst) for inst in cases] == pruned
     assert any(c is None for c in pruned) and any(c is not None for c in pruned)
 
@@ -146,7 +195,7 @@ def test_deterministic_search_prunes_below_the_bound(monkeypatch, det_engine):
     # a cubic graph at k = vc - 1: the pruned search classifies fewer
     # residual instances than the full one
     g = random_cubic(random.Random(1), 50)
-    k = _cover_lower_bound(g)
+    k = _bound(g)
     while det_engine.deterministic_cover(Instance(g, k)) is None:
         k += 1
     calls = []
@@ -155,27 +204,32 @@ def test_deterministic_search_prunes_below_the_bound(monkeypatch, det_engine):
     )
     assert det_engine.deterministic_cover(Instance(g, k - 1)) is None
     pruned = len(calls)
-    monkeypatch.setattr("vcgen.runtime._cover_lower_bound", lambda h: 0)
+    monkeypatch.setattr("vcgen.runtime._cover_lower_bound", lambda h, mate: 0)
     assert det_engine.deterministic_cover(Instance(g, k - 1)) is None
     assert 0 < pruned < len(calls) - pruned
 
 
 def test_lp_bound_prunes_more_than_the_matching_bound(monkeypatch, det_engine):
-    # a cubic graph at k = vc - 1: the LP bound classifies fewer residual
-    # instances than the matching-or-degree bound it replaced
+    # a cubic graph at k = vc - 1: the cycle-cover bound classifies fewer
+    # residual instances than the LP bound from the same matchings, and
+    # that fewer than the matching-or-degree bound the LP bound replaced
     g = random_cubic(random.Random(5), 60)
-    k = _cover_lower_bound(g)
+    k = _bound(g)
     while det_engine.deterministic_cover(Instance(g, k)) is None:
         k += 1
-    calls = []
-    monkeypatch.setattr(
-        "vcgen.runtime.classify", lambda h, **kw: calls.append(h) or classify(h, **kw)
-    )
-    assert det_engine.deterministic_cover(Instance(g, k - 1)) is None
-    lp_calls = len(calls)
-    monkeypatch.setattr("vcgen.runtime._cover_lower_bound", _matching_or_degree_bound)
-    assert det_engine.deterministic_cover(Instance(g, k - 1)) is None
-    assert 0 < lp_calls < len(calls) - lp_calls
+    counts = []
+    for bound in (None, lambda h, mate: (len(mate) + 1) // 2,
+                  lambda h, mate: _matching_or_degree_bound(h)):
+        if bound is not None:
+            monkeypatch.setattr("vcgen.runtime._cover_lower_bound", bound)
+        calls = []
+        monkeypatch.setattr(
+            "vcgen.runtime.classify", lambda h, **kw: calls.append(h) or classify(h, **kw)
+        )
+        assert det_engine.deterministic_cover(Instance(g, k - 1)) is None
+        counts.append(len(calls))
+    cycle_calls, lp_calls, old_calls = counts
+    assert 0 < cycle_calls < lp_calls < old_calls - lp_calls, counts
 
 
 def test_randomized_one_sided_error(rand_engine):

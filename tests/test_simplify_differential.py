@@ -146,7 +146,7 @@ def test_engine_fixpoints_match_the_full_scan(monkeypatch, det_engine, rand_engi
     monkeypatch.setattr(runtime, "simplify_fixpoint", checked)
     # with the cover lower bound at 0 the search prunes nothing, so it still
     # reaches every fixpoint below a root that the bound would cut off
-    monkeypatch.setattr(runtime, "_cover_lower_bound", lambda g: 0)
+    monkeypatch.setattr(runtime, "_cover_lower_bound", lambda g, mate: 0)
     rng = random.Random(67)
     # 29 vertices cover at most 87 of the 90 edges: a search of every branch
     assert det_engine.deterministic_cover(Instance(random_cubic(rng, 60), 29)) is None
