@@ -5,17 +5,23 @@ cost bounds the multiplicative measure shrinkage over every host instance;
 the visible part is exact, and a correction term compensates for incomplete
 edges whose removal may keep low-degree vertices alive longer than the
 configuration shows.
+
+Generation scores all candidate branches of a configuration in one call,
+cost_exponents: each cost is an integer exponent over the measure's common
+denominator, from one table of the configuration's degrees and neighbours.
+cost_bound scores one branch by the same formula and also reports the
+terms of its exponent; certification uses it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .configs import LocalConfiguration
 from .errors import CapacityError, InputDomainError
+from .graphs import MAX_DEGREE
 from .measure import Measure, degree_shift
 
 Branch = frozenset[int]
@@ -85,13 +91,20 @@ class CostBound:
     profile: BoundaryProfile
 
 
-def cost_bound(
-    l: LocalConfiguration,
-    b: Iterable[int],
-    m: Measure,
-    assertions: SubspaceAssertions = NO_ASSERTIONS,
-) -> CostBound:
-    """Exponent e with cost(l, b) <= 2^e, by the tightest applicable bound.
+# boundary vertex (true degree, d) -> its BoundaryProfile field: the taken
+# ones by their values before the branch, the survivors by theirs after it
+_TAKEN_SLOT = {(3, 1): 0, (3, 2): 1, (2, 1): 2}
+_KEPT_SLOT = {(2, 1): 3, (2, 2): 4, (1, 1): 5}
+
+
+def _scorer(
+    l: LocalConfiguration, m: Measure, assertions: SubspaceAssertions
+) -> Callable[[Iterable[int]], tuple[int, int, list[int], list[int]]]:
+    """The scoring of l's branches: a function from a branch to D times its
+    cost exponent, for D = m.scaled[0], with the lemma used, the degree
+    shift and the boundary profile (in BoundaryProfile's field order).  Each
+    vertex's true degree and neighbours, and the boundary, are read once
+    here, not once per branch.
 
     Taking b removes its vertices, and each neighbour outside b loses one
     true degree per edge into b.  Survivors keep their incomplete counts
@@ -100,32 +113,69 @@ def cost_bound(
     and its neighbours change degree, so no child configuration is built;
     the exponent is a sum of integers over the measure's common denominator.
     """
-    take = frozenset(b)
     h, d = l.h, l.d
-    if not take <= h.vertices:
-        raise InputDomainError(f"unknown vertices {sorted(take - h.vertices)}")
-    # dn: change in the number of vertices of each true degree;
-    # lost: each neighbour outside b -> its edges into b
-    dn, lost = degree_shift(l.true_degree, h.neighbors, take)
-    # boundary vertices by (true degree, d): taken ones before, survivors after
-    taken = [(h.degree(v) + d[v], d[v]) for v in take if d[v]]
-    kept = [(h.degree(v) + dv - lost.get(v, 0), dv) for v, dv in d.items() if dv and v not in take]
-    p = BoundaryProfile(taken.count((3, 1)), taken.count((3, 2)), taken.count((2, 1)),
-                        kept.count((2, 1)), kept.count((2, 2)), kept.count((1, 1)))
-    r_capacity = p.r21 + 2 * p.r22 + p.r11
-    if assertions.no_degree_2:
-        lemma = 14
-        correction_count = min(p.d31 + 2 * p.d32 + p.d21, r_capacity)
-    elif assertions.no_deg3_with_two_deg2:
-        lemma = 13
-        correction_count = p.d31 + p.d32 + min(p.d32 + p.d21, r_capacity)
-    else:
-        lemma = 12
-        correction_count = p.d31 + 2 * p.d32 + min(p.d21, r_capacity)
-    denominator, _, beta1, beta2, _ = m.scaled
-    correction = max(0, correction_count * max(beta1 - beta2, -beta1))
-    numerator = m.scaled_value(-len(take), dn) + correction
-    return CostBound(Fraction(numerator, denominator), lemma, -len(take), dn[1], dn[2], dn[3], p)
+    vertices = h.vertices
+    nbrs = {v: h.neighbors(v) for v in vertices}
+    tdeg = {v: len(ns) + d[v] for v, ns in nbrs.items()}
+    # each boundary vertex with its profile slot if taken, and if kept, by
+    # the number of its edges into the branch
+    boundary = [(v, _TAKEN_SLOT.get((tdeg[v], dv)),
+                 [_KEPT_SLOT.get((tdeg[v] - k, dv)) for k in range(MAX_DEGREE + 1)])
+                for v, dv in d.items() if dv]
+    _, _, beta1, beta2, _ = m.scaled
+    unit = max(beta1 - beta2, -beta1)  # the correction per unit, times D
+
+    def score(b: Iterable[int]) -> tuple[int, int, list[int], list[int]]:
+        take = frozenset(b)
+        if not take <= vertices:
+            raise InputDomainError(f"unknown vertices {sorted(take - vertices)}")
+        dn, lost = degree_shift(tdeg.__getitem__, nbrs.__getitem__, take)
+        p = [0] * 6
+        for v, taken_slot, kept_slots in boundary:
+            slot = taken_slot if v in take else kept_slots[lost.get(v, 0)]
+            if slot is not None:
+                p[slot] += 1
+        # the tightest lemma the assertions allow, and the correction units it charges
+        d31, d32, d21, r21, r22, r11 = p
+        r_capacity = r21 + 2 * r22 + r11
+        if assertions.no_degree_2:
+            lemma, count = 14, min(d31 + 2 * d32 + d21, r_capacity)
+        elif assertions.no_deg3_with_two_deg2:
+            lemma, count = 13, d31 + d32 + min(d32 + d21, r_capacity)
+        else:
+            lemma, count = 12, d31 + 2 * d32 + min(d21, r_capacity)
+        # count >= 0, so this is count * max(0, unit)
+        numerator = m.scaled_value(-len(take), dn) + max(0, count * unit)
+        return numerator, lemma, dn, p
+
+    return score
+
+
+def cost_exponents(
+    l: LocalConfiguration,
+    branches: Iterable[Iterable[int]],
+    m: Measure,
+    assertions: SubspaceAssertions = NO_ASSERTIONS,
+) -> list[int]:
+    """D * cost_bound(l, b, m, assertions).exponent for each branch b, for
+    D = m.scaled[0], in one pass over l; InputDomainError on a branch with a
+    vertex outside l."""
+    score = _scorer(l, m, assertions)
+    return [score(b)[0] for b in branches]
+
+
+def cost_bound(
+    l: LocalConfiguration,
+    b: Iterable[int],
+    m: Measure,
+    assertions: SubspaceAssertions = NO_ASSERTIONS,
+) -> CostBound:
+    """Exponent e with cost(l, b) <= 2^e, by the tightest applicable bound,
+    with the terms it is made of."""
+    take = frozenset(b)
+    numerator, lemma, dn, p = _scorer(l, m, assertions)(take)
+    return CostBound(Fraction(numerator, m.scaled[0]), lemma, -len(take), dn[1], dn[2], dn[3],
+                     BoundaryProfile(*p))
 
 
 def cost_value(exponent: Fraction) -> Fraction:
@@ -143,17 +193,16 @@ def cost_value(exponent: Fraction) -> Fraction:
 
 def prune_dominated_indexed(
     branches: Sequence[Branch],
-    exponents: Sequence[Fraction],
+    exponents: Sequence[int],
     eb_masks: Sequence[int],
 ) -> list[int]:
-    """Indices of branches surviving dominance pruning.
+    """Indices of branches surviving dominance pruning, given each branch's
+    cost exponent over one common denominator (as cost_exponents gives it).
 
     b is dominated by b' when cost(b) >= cost(b') and eb(b) is a subset of
     eb(b'); exact ties keep the branch with the smaller identifier.
     Domination is a strict partial order, so one sweep reaches the fixpoint.
     """
-    dd = math.lcm(*(e.denominator for e in exponents))  # compare ints, not Fractions
-    exponents = [e.numerator * (dd // e.denominator) for e in exponents]
     keys = [branch_sort_key(b) for b in branches]
     order = sorted(range(len(branches)), key=keys.__getitem__)
     # collapse identical eb sets first: only the cheapest, earliest survives

@@ -33,7 +33,6 @@ class RequirementContext:
             )
         self.solver = VertexCoverSolver(l.h)
         self._full = self.solver.full_mask
-        self._requirements: dict[Requirement, tuple[int, int]] = {}
 
     @cached_property
     def vc_table(self) -> list[int]:
@@ -83,22 +82,29 @@ class RequirementContext:
                 crucial.append(frozenset(d[i] for i in range(n) if r >> i & 1))
         return tuple(crucial)
 
-    def cover_mask(self, b: Iterable[int], reqs: Sequence[Requirement]) -> int:
-        """Bit i set iff b satisfies reqs[i] (the Algorithm-3 test): b extends
-        some minimum cover of H - R, that is vc(H - R) = vc(H - R - b) + |b - R|.
-        Each requirement's mask and vc(H - R), read off vc_table, are looked
-        up once."""
-        solver, full, known = self.solver, self._full, self._requirements
-        b_mask = solver.mask_of(b)
-        out = 0
-        for i, req in enumerate(reqs):
-            if req not in known:
-                r = sum(1 << self.delta.index(v) for v in req)
-                known[req] = (solver.mask_of(req), self.vc_table[r])
-            r_mask, base = known[req]
-            if base == solver.vc(full & ~(r_mask | b_mask)) + (b_mask & ~r_mask).bit_count():
-                out |= 1 << i
+    def cover_masks(self, branches: Iterable[Iterable[int]], reqs: Sequence[Requirement]) -> list[int]:
+        """For each branch b, the mask with bit i set iff b satisfies reqs[i]
+        (the Algorithm-3 test): b extends some minimum cover of H - R, that
+        is vc(H - R) = vc(H - R - b) + |b - R|.  Each requirement's mask and
+        vc(H - R), read off vc_table, are looked up once per call."""
+        solver, full, delta, vc_table = self.solver, self._full, self.delta, self.vc_table
+        vc = solver.vc
+        # each requirement R as the vertices H - R keeps, and vc(H - R)
+        looked_up = [(full & ~solver.mask_of(req), vc_table[sum(1 << delta.index(v) for v in req)])
+                     for req in reqs]
+        out = []
+        for b in branches:
+            b_mask = solver.mask_of(b)
+            mask = 0
+            for i, (kept, base) in enumerate(looked_up):
+                if base == vc(kept & ~b_mask) + (b_mask & kept).bit_count():
+                    mask |= 1 << i
+            out.append(mask)
         return out
+
+    def cover_mask(self, b: Iterable[int], reqs: Sequence[Requirement]) -> int:
+        """Bit i set iff b satisfies reqs[i]."""
+        return self.cover_masks([b], reqs)[0]
 
     def satisfies(self, b: Iterable[int], req: Requirement) -> bool:
         """Algorithm-3 test: b extends some minimum cover of H - req."""

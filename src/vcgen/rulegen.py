@@ -23,6 +23,7 @@ from .branching import (
     SubspaceAssertions,
     branch_sort_key,
     cost_bound,
+    cost_exponents,
     cost_value,
     extend_branches,
     prune_dominated_indexed,
@@ -55,8 +56,15 @@ class GenLimits:
     max_seconds: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_seconds is not None and math.isnan(self.max_seconds):
-            raise InputDomainError("max_seconds is NaN, which no wall time exceeds")
+        if self.max_depth < 0:
+            raise InputDomainError(f"max_depth {self.max_depth} is negative: even the root is too deep")
+        if self.max_nodes < 1:
+            raise InputDomainError(f"max_nodes {self.max_nodes} is below 1: no table has fewer nodes")
+        if self.max_seconds is not None:
+            if math.isnan(self.max_seconds):
+                raise InputDomainError("max_seconds is NaN, which no wall time exceeds")
+            if self.max_seconds < 0:
+                raise InputDomainError(f"max_seconds {self.max_seconds} is negative")
 
 
 @dataclass(frozen=True)
@@ -164,12 +172,12 @@ def gensa(
             raise _LimitHit("boundary width beyond requirement cap", chain)
 
         candidates = sorted((b for b in basis if b), key=branch_sort_key)
-        exponents = [cost_bound(config, b, m, assertions).exponent for b in candidates]
-        masks = [ctx.cover_mask(b, crucial) for b in candidates]
+        exponents = cost_exponents(config, candidates, m, assertions)  # over m.scaled[0]
+        masks = ctx.cover_masks(candidates, crucial)
         keep = prune_dominated_indexed(candidates, exponents, masks)
         pruned = [candidates[i] for i in keep]
         pruned_masks = [masks[i] for i in keep]
-        pruned_costs = [cost_value(exponents[i]) for i in keep]
+        pruned_costs = [cost_value(Fraction(exponents[i], m.scaled[0])) for i in keep]
 
         counters["lp_calls"] += 1
         lp_sol = solve_cover_lp(pruned_costs, pruned_masks, len(crucial))
@@ -391,7 +399,7 @@ def _check_rule_leaf(
         if not _at_least_pow2(cost, exp):
             return [f"cost of branch {take} is below 2^({exp})"], None
         objective += entry.weight * cost
-        covered = ctx.cover_mask(entry.take, crucial)
+    for entry, covered in zip(entries, ctx.cover_masks([e.take for e in entries], crucial)):
         for i in range(len(crucial)):
             if covered >> i & 1:
                 coverage[i] += entry.weight

@@ -144,7 +144,7 @@ def prune_dominated(l, branches, crucial, m):
     """The branches that survive pruning, with costs and satisfier masks as
     the generator computes them."""
     ctx = RequirementContext(l)
-    exponents = [cost_bound(l, b, m).exponent for b in branches]
+    exponents = [cost_bound(l, b, m).exponent * m.scaled[0] for b in branches]
     masks = [
         sum(1 << i for i, r in enumerate(crucial) if ctx.satisfies(b, r))
         for b in branches

@@ -356,6 +356,25 @@ def test_generate_with_a_nan_wall_budget_is_an_input_error(tmp_path, capsys):
     assert not (tmp_path / "P11.json").exists()
 
 
+@pytest.mark.parametrize("limit", [["--depth", "-1"], ["--nodes", "0"], ["--nodes", "-5"],
+                                   ["--seconds", "-1"]])
+def test_generate_with_a_malformed_limit_is_an_input_error(tmp_path, capsys, limit):
+    assert main(["generate", "--measure", "k-mode", "a=1", "--mode", "det",
+                 "--subspace", "P19", *limit, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("limit", [["--depth", "0"], ["--nodes", "1"], ["--seconds", "0"],
+                                   ["--seconds", "inf"]])
+def test_generate_with_the_smallest_limits_runs(tmp_path, capsys, limit):
+    # a budget the search may exhaust ends in a generation failure (exit 2)
+    assert main(["generate", "--measure", "k-mode", "a=1", "--mode", "det",
+                 "--subspace", "P19", *limit, "--out", str(tmp_path)]) in (0, 2)
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_command(tmp_path, capsys, k4_instance):
     out = gen_tables(tmp_path)
     rc = main(["verify", "--table", str(out / "P19.json")])

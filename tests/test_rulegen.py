@@ -190,6 +190,12 @@ def test_limits_reject_a_nan_wall_budget():
     assert GenLimits(max_seconds=float("inf")).max_seconds == float("inf")
 
 
+@pytest.mark.parametrize("limits", [{"max_depth": -1}, {"max_nodes": 0}, {"max_nodes": -5},
+                                    {"max_seconds": -1.0}])
+def test_limits_reject_budgets_no_generation_can_meet(limits):
+    with pytest.raises(InputDomainError):
+        GenLimits(**limits)
+
 def test_gensa_checks_each_rule_as_the_verifier_does(monkeypatch):
     # costs rounded below 2^e by 2^-30 pass the LP, but a rule built on them
     # fails the exact power check, so generation stops rather than return a
