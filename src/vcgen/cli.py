@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -49,13 +50,11 @@ def _read(path: str | Path) -> str:
 
 
 def _load_table(path: str | Path) -> RuleTable:
-    """A table file, which must hold exactly the bytes table_to_json
-    writes for the table it reads as."""
     text = _read(path)
-    table = table_from_json(text)
-    if table_to_json(table) != text:
-        raise InputDomainError(f"{path}: not a canonical table file")
-    return table
+    try:
+        return table_from_json(text)
+    except InputDomainError as exc:
+        raise InputDomainError(f"{path}: {exc}") from None
 
 
 def _load_instance(path: str) -> Instance:
@@ -124,19 +123,20 @@ def cmd_generate(args) -> int:
 
 
 def _load_tables(paths: list[str]) -> dict:
-    files: list[Path] = []
+    named: dict[str, Path] = {}  # a file named twice is read once
     for p in paths:
         path = Path(p)
-        if path.is_dir():
-            files.extend(sorted(path.glob("P*.json")))
-        else:
-            files.append(path)
-    tables = {}
-    for f in files:
+        for f in sorted(path.glob("P*.json")) if path.is_dir() else [path]:
+            named.setdefault(os.path.realpath(f), f)
+    tables, sources = {}, {}
+    for f in named.values():
         table = _load_table(f)
-        if table.subspace_id is None:
+        sid = table.subspace_id
+        if sid is None:
             raise VcgenError(f"{f}: table has no subspace id")
-        tables[table.subspace_id] = table
+        if sid in tables:
+            raise InputDomainError(f"{sources[sid]} and {f} are both tables for {subspace_name(sid)}")
+        tables[sid], sources[sid] = table, f
     return tables
 
 

@@ -190,14 +190,12 @@ def _refined_colors(l: LocalConfiguration) -> dict[int, tuple]:
         colors = refined
 
 
-def _canonical_order(l: LocalConfiguration) -> tuple[list[int], list[list[int]]]:
+def _canonical_order(l: LocalConfiguration) -> list[list[int]]:
     colors = _refined_colors(l)
     blocks: dict[tuple, list[int]] = {}
     for v in sorted(l.h.vertices):
         blocks.setdefault(colors[v], []).append(v)
-    ordered = [blocks[c] for c in sorted(blocks)]
-    flat = [v for blk in ordered for v in blk]
-    return flat, ordered
+    return [blocks[c] for c in sorted(blocks)]
 
 
 def _encode(l: LocalConfiguration, perm: list[int]) -> bytes:
@@ -220,7 +218,7 @@ def _canonical_form(l: LocalConfiguration) -> tuple[bytes, list[int]]:
     (position -> vertex)."""
     if len(l.h) > CANONICAL_CAP:
         raise CapacityError(f"canonicalization capped at {CANONICAL_CAP} vertices")
-    _, blocks = _canonical_order(l)
+    blocks = _canonical_order(l)
     total = 1
     for blk in blocks:
         for i in range(2, len(blk) + 1):

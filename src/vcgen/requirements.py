@@ -102,10 +102,6 @@ class RequirementContext:
             out.append(mask)
         return out
 
-    def cover_mask(self, b: Iterable[int], reqs: Sequence[Requirement]) -> int:
-        """Bit i set iff b satisfies reqs[i]."""
-        return self.cover_masks([b], reqs)[0]
-
     def satisfies(self, b: Iterable[int], req: Requirement) -> bool:
         """Algorithm-3 test: b extends some minimum cover of H - req."""
-        return self.cover_mask(b, (req,)) == 1
+        return self.cover_masks([b], (req,)) == [1]

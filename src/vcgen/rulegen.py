@@ -426,11 +426,8 @@ def _config_obj(l: LocalConfiguration) -> dict:
 
 
 def _config_from_obj(obj: dict) -> LocalConfiguration:
-    g = Graph([_int(v, "vertex") for v in obj["vertices"]],
-              [tuple(_int(x, "edge end") for x in e) for e in obj["edges"]])
-    d = {int(v): _int(c, "d value") for v, c in obj["d"].items()}
-    _degree_bound(obj["delta"])
-    return LocalConfiguration(g, d)
+    return LocalConfiguration(Graph(obj["vertices"], obj["edges"]),
+                              {int(v): c for v, c in obj["d"].items()})
 
 
 def table_to_json(t: RuleTable) -> str:
@@ -493,39 +490,35 @@ def table_to_json(t: RuleTable) -> str:
 
 
 def table_from_json(text: str) -> RuleTable:
-    """Parse a table file; a malformed document raises InputDomainError."""
+    """Parse a table file.  The file must hold exactly the text that
+    table_to_json writes for the table it parses to; any other text raises
+    InputDomainError.  So the reader checks only the values that would
+    write back unchanged, the enum fields, and reads every integer with
+    int(): a true, 3.0, "3" or "+1" writes back differently and is refused."""
     try:
-        return _table_from_doc(json.loads(text))
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        table = _table_from_doc(json.loads(text))
+        canonical = table_to_json(table)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, ZeroDivisionError,
+            OverflowError, RecursionError) as exc:
         raise InputDomainError(f"malformed rule table: {type(exc).__name__}: {exc}") from None
-
-
-def _int(x, field: str) -> int:
-    """x itself when it is a JSON integer; InputDomainError otherwise."""
-    if type(x) is not int:
-        raise InputDomainError(f"malformed rule table: {field} {x!r} is not an integer")
-    return x
-
-
-def _degree_bound(x) -> None:
-    """Tables hold subcubic configurations only: their "delta" key is always 3."""
-    if type(x) is not int or x != MAX_DEGREE:
-        raise InputDomainError(f"malformed rule table: delta {x!r} is not {MAX_DEGREE}")
+    if canonical != text:
+        at = next((i for i, (a, b) in enumerate(zip(text, canonical)) if a != b),
+                  min(len(text), len(canonical)))
+        raise InputDomainError(f"not a canonical table file: it differs from the text vcgen "
+                               f"writes at character {at}, near {text[max(0, at - 24):at + 24]!r}")
+    return table
 
 
 def _label(x) -> tuple[str, int]:
     """x as a child label ("internal", vertex) or ("new", true degree)."""
-    if not (isinstance(x, list) and len(x) == 2 and x[0] in ("internal", "new")):
+    if x[0] not in ("internal", "new"):
         raise InputDomainError(f"malformed rule table: child label {x!r}")
-    return (x[0], _int(x[1], "child label"))
+    return (x[0], int(x[1]))
 
 
 def _table_from_doc(doc) -> RuleTable:
-    if doc.get("format") != FORMAT_NAME or doc.get("version") != FORMAT_VERSION:
-        raise InputDomainError("not a rule-table file")
     if doc["mode"] not in RULE_MODES:
         raise InputDomainError(f"malformed rule table: unknown mode {doc['mode']!r}")
-    _degree_bound(doc["delta"])
     measure = Measure(
         Fraction(doc["measure"]["alpha"]),
         Fraction(doc["measure"]["b1"]),
@@ -534,37 +527,30 @@ def _table_from_doc(doc) -> RuleTable:
         doc["measure"]["mode"],
     )
     nodes = []
-    for obj in doc["nodes"]:
-        node_id = _int(obj["id"], "node id")
-        if node_id != len(nodes):  # the tree finds a node by its position
-            raise InputDomainError(
-                f"malformed rule table: node id {node_id} at position {len(nodes)}"
-            )
+    for node_id, obj in enumerate(doc["nodes"]):  # the tree finds a node by its position
         config = _config_from_obj(obj["config"])
         kind = obj["kind"]
         if kind == "expanded":
             children = tuple(
                 ChildRef(
                     _label(ref["label"]),
-                    None if ref["node"] is None else _int(ref["node"], "child node"),
-                    None if ref.get("pruned_by") is None else _int(ref["pruned_by"], "pruned_by"),
+                    None if ref["node"] is None else int(ref["node"]),
+                    None if ref.get("pruned_by") is None else int(ref["pruned_by"]),
                 )
                 for ref in obj["children"]
             )
-            nodes.append(TreeNode(node_id, config, kind,
-                                  selected=_int(obj["selected"], "selected vertex"),
+            nodes.append(TreeNode(node_id, config, kind, selected=int(obj["selected"]),
                                   children=children))
         elif kind == "leaf":
             lobj = obj["leaf"]
             if lobj["kind"] == "rule":
                 entries = tuple(
-                    RuleEntry(frozenset(_int(v, "branch vertex") for v in e["take"]),
-                              Fraction(e["weight"]))
+                    RuleEntry(frozenset(int(v) for v in e["take"]), Fraction(e["weight"]))
                     for e in lobj["entries"]
                 )
                 leaf = Leaf("rule", entries=entries)
             elif lobj["kind"] == "simplification":
-                leaf = Leaf("simplification", rule_id=_int(lobj["rule"], "simplification rule"))
+                leaf = Leaf("simplification", rule_id=int(lobj["rule"]))
             elif lobj["kind"] == "constant":
                 leaf = Leaf("constant")
             else:
@@ -576,9 +562,8 @@ def _table_from_doc(doc) -> RuleTable:
                     node_id,
                     config,
                     kind,
-                    alias_target=_int(obj["alias"]["target"], "alias target"),
-                    alias_iso={int(k): _int(v, "alias image")
-                               for k, v in obj["alias"]["iso"].items()},
+                    alias_target=int(obj["alias"]["target"]),
+                    alias_iso={int(k): int(v) for k, v in obj["alias"]["iso"].items()},
                 )
             )
         else:
@@ -587,10 +572,10 @@ def _table_from_doc(doc) -> RuleTable:
     if doc["failure"] is not None:
         failure = FailureReport(doc["failure"]["reason"], tuple(doc["failure"]["chain"]))
     return RuleTable(
-        None if doc["subspace"] is None else _int(doc["subspace"], "subspace"),
+        None if doc["subspace"] is None else int(doc["subspace"]),
         measure,
         doc["mode"],
-        ExpansionTree(nodes, _int(doc["root"], "root")),
+        ExpansionTree(nodes, int(doc["root"])),
         doc["meta"],
         failure,
     )

@@ -59,5 +59,5 @@ def crucial_set(ctx: RequirementContext) -> tuple[Requirement, ...]:
 
 def eb(ctx: RequirementContext, b: Iterable[int], reqs: Sequence[Requirement]) -> tuple[Requirement, ...]:
     """The requirements of reqs that b satisfies, in order."""
-    mask = ctx.cover_mask(b, reqs)
+    mask = ctx.cover_masks([b], reqs)[0]
     return tuple(r for i, r in enumerate(reqs) if mask >> i & 1)

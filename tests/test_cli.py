@@ -127,6 +127,23 @@ def test_solve_refuses_tampered_table(tmp_path, capsys, k4_instance):
     assert err.startswith("error: ") and "not certified" in err and err.count("\n") == 1, err
 
 
+def test_solve_refuses_two_tables_for_one_subspace(tmp_path, capsys, k4_instance):
+    # two files for one subspace leave it open which table runs; one file
+    # named twice does not
+    for depth in ("12", "13"):
+        assert main(["generate", "--measure", "k-mode", "a=1", "--mode", "det", "--subspace",
+                     "P3", "--subspace", "P7", "--depth", depth, "--out", str(tmp_path / depth)]) == 0
+    capsys.readouterr()
+    first, second = tmp_path / "12", tmp_path / "13" / "P3.json"
+    assert (first / "P3.json").read_text() != second.read_text()
+    solve = ["solve", "--instance", str(k4_instance), "--mode", "det", "--tables"]
+    assert main([*solve, str(first), str(second)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {first / 'P3.json'} and {second} are both tables for P3\n", err
+    assert main([*solve, str(first), str(first / "P3.json")]) == 0  # K4 is in P7
+    assert capsys.readouterr().out == "YES\n"
+
+
 def _p19_table_doc() -> dict:
     t = gensa(root_config(19), pure_k(), rule_mode="deterministic",
               assertions=assertions_for(19), subspace_id=19)
@@ -181,6 +198,7 @@ MALFORMED_TABLES = {
         doc, "leaf", lambda node: node.update(id=node["id"] + 1))),
     "measure beyond a float": lambda doc: json.dumps(
         {**doc, "measure": {**doc["measure"], "alpha": "1e400"}}),
+    "lists nested deeper than the recursion limit": lambda doc: "[" * 100_000,
 }
 UNREADABLE = {
     "a directory": lambda path: path.mkdir(),

@@ -39,7 +39,8 @@ INSTANCES = [
 TOKENS = ["-1", "0", "1", "2", "3", "7", "25", "x", "1.5", "", "e", "k", "p", "vc"]
 LINES = ["p vc 4 6", "e 0 0", "e 1 2", "e 3 9", "k -1", "k 0", "c note", "q 1", "p vc 2"]
 CHARS = "0123456789 -xepkvc\n"
-JSON_VALUES = [0, -1, 1, 3, 999, "x", "1/0", "", None, True, 1.5, [], {}, [0, "x"], {"a": 1}]
+JSON_VALUES = [0, -1, 1, 3, 999, "x", "1/0", "", None, True, 1.5, float("inf"), [], {}, [0, "x"],
+               {"a": 1}]
 
 
 @contextmanager
@@ -96,6 +97,19 @@ def _slots(doc, out):
         out.append((doc, key))
         if isinstance(value, (dict, list)):
             _slots(value, out)
+    return out
+
+
+def _first_slots(doc, field=(), out=None) -> dict:
+    """The first (container, key) pair of each field of doc, a field being
+    a path of keys with list positions merged."""
+    out = {} if out is None else out
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        sub = field + (None if isinstance(doc, list) else key,)
+        out.setdefault(sub, (doc, key))
+        if isinstance(value, (dict, list)):
+            _first_slots(value, sub, out)
     return out
 
 
@@ -197,3 +211,18 @@ def test_mutated_tables(tmp_path, capsys, tables, seed):
             check_solve(base, rc, out)
             codes.add(rc)
     assert {0, 1, 3} <= codes, codes
+
+
+def test_every_field_meets_every_value(tmp_path, capsys, tables):
+    # each of JSON_VALUES in place of the first slot of each field of a
+    # table, written as vcgen writes tables, so that the reader of every
+    # field (integers, rationals, enums, nested lists) meets every value
+    path = tmp_path / "P6.json"
+    for field in _first_slots(json.loads(tables[6])):
+        for value in JSON_VALUES:
+            doc = json.loads(tables[6])
+            container, key = _first_slots(doc)[field]
+            container[key] = json.loads(json.dumps(value))
+            path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+            rc, _, _ = run(capsys, ["verify", "--table", str(path)])
+            assert rc in (0, 2, 3), (field, value)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -134,9 +136,12 @@ def test_gensa_deterministic_output():
     assert a == b
 
 
-def test_table_roundtrip_byte_identical():
-    t = p19_pure_k()
-    text = table_to_json(t)
+@pytest.mark.parametrize("sid", range(1, 20), ids=lambda sid: f"P{sid}")
+@pytest.mark.parametrize("engine", ["det_engine", "rand_engine"], ids=["deterministic", "randomized"])
+def test_table_roundtrip_byte_identical(request, engine, sid):
+    # every table of both reference generations loads through the reader,
+    # which accepts only the text the writer emits, and writes back unchanged
+    text = table_to_json(request.getfixturevalue(engine).tables[sid])
     assert table_to_json(table_from_json(text)) == text
 
 
@@ -161,10 +166,12 @@ def test_failure_table_roundtrip_and_rejection():
 
 
 def test_from_json_rejects_other_formats():
-    with pytest.raises(InputDomainError):
-        table_from_json('{"format": "something-else", "version": 1}')
-    with pytest.raises(InputDomainError):
-        table_from_json('{"format": "vcgen-rule-table", "version": 99}')
+    text = table_to_json(p1_pure_k())
+    for ours, theirs in (('"format":"vcgen-rule-table"', '"format":"something-else"'),
+                         ('"version":1}', '"version":99}')):
+        assert ours in text
+        with pytest.raises(InputDomainError, match="not a canonical table file"):
+            table_from_json(text.replace(ours, theirs))
 
 
 def test_audit_lp_never_exceeds_ilp():
@@ -309,30 +316,44 @@ DELTA0_P19 = (
 )
 
 
+def _canonical(doc) -> str:
+    """doc written as vcgen writes table files."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def assert_commands_refuse(tmp_path, capsys, text: str) -> str:
+    """The library and both commands that read tables refuse text as a
+    table file, the commands with exit 3 and one line; that line."""
+    with pytest.raises(InputDomainError):
+        table_from_json(text)
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    instance = tmp_path / "k4.vc"
+    instance.write_text(format_instance(Instance(complete_graph(4), 3)))
+    errors = set()
+    for argv in (["verify", "--table", str(path)],
+                 ["solve", "--instance", str(instance), "--tables", str(path)]):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        errors.add(err)
+    (err,) = errors
+    return err
+
+
 def test_reader_accepts_only_delta_3(tmp_path, capsys):
     # the degree bound is fixed: a table or configuration "delta" of
     # anything but the integer 3 is an input error, for the library and
     # for verify and solve
     doc = json.loads(DELTA0_P19)
     doc["delta"] = 3
-    assert table_from_json(json.dumps(doc)).tree.nodes[0].config == root_config(19)
-    instance = tmp_path / "k4.vc"
-    instance.write_text(format_instance(Instance(complete_graph(4), 3)))
-    table = tmp_path / "P19.json"
+    assert table_from_json(_canonical(doc)).tree.nodes[0].config == root_config(19)
     for bad in (0, 300, "3", 3.0, True):
         for where in ("table", "config"):
             doc = json.loads(DELTA0_P19)
             doc["delta"] = 3
             (doc["nodes"][0]["config"] if where == "config" else doc)["delta"] = bad
-            text = json.dumps(doc)
-            with pytest.raises(InputDomainError):
-                table_from_json(text)
-            table.write_text(text)
-            for argv in (["verify", "--table", str(table)],
-                         ["solve", "--instance", str(instance), "--tables", str(table)]):
-                assert main(argv) == 3, (bad, where, argv)
-                err = capsys.readouterr().err
-                assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert_commands_refuse(tmp_path, capsys, _canonical(doc))
 
 
 def _p3_doc_with(edit) -> str:
@@ -340,7 +361,7 @@ def _p3_doc_with(edit) -> str:
     doc = json.loads(table_to_json(
         gensa(root_config(3), MU_N20, assertions=assertions_for(3), subspace_id=3)))
     edit(doc["nodes"])
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return _canonical(doc)
 
 
 def _first_leaf(nodes, kind):
@@ -363,14 +384,25 @@ MALFORMED_NODES = {
 @pytest.mark.parametrize("name", MALFORMED_NODES)
 def test_reader_rejects_malformed_nodes(tmp_path, capsys, name):
     assert verify_table(table_from_json(_p3_doc_with(lambda nodes: None))).ok
-    text = _p3_doc_with(MALFORMED_NODES[name])
-    with pytest.raises(InputDomainError):
-        table_from_json(text)
-    table = tmp_path / "P3.json"
-    table.write_text(text)
-    assert main(["verify", "--table", str(table)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert_commands_refuse(tmp_path, capsys, _p3_doc_with(MALFORMED_NODES[name]))
+
+
+# json reads Infinity as a float, which Fraction() and int() refuse with an
+# OverflowError
+INFINITE_FIELDS = {
+    "b3": lambda doc: doc["measure"].update(b3=math.inf),
+    "weight": lambda doc: _first_leaf(doc["nodes"], "rule")["entries"][0].update(weight=math.inf),
+    "root": lambda doc: doc.update(root=math.inf),
+}
+
+
+@pytest.mark.parametrize("where", INFINITE_FIELDS)
+def test_reader_rejects_infinity(tmp_path, capsys, where):
+    doc = json.loads(_p3_doc_with(lambda nodes: None))
+    INFINITE_FIELDS[where](doc)
+    text = _canonical(doc)
+    assert "Infinity" in text
+    assert "OverflowError" in assert_commands_refuse(tmp_path, capsys, text)
 
 
 def _prefix_first_key(obj: dict, prefix: str) -> None:
@@ -409,18 +441,14 @@ NONCANONICAL_FILES = {
 
 @pytest.mark.parametrize("name", NONCANONICAL_FILES)
 def test_commands_read_only_canonical_table_files(tmp_path, capsys, name):
-    text = NONCANONICAL_FILES[name]()
-    table = table_from_json(text)
-    assert verify_table(table).ok and table_to_json(table) != text
-    path = tmp_path / "P3.json"
-    path.write_text(text)
-    instance = tmp_path / "k4.vc"
-    instance.write_text(format_instance(Instance(complete_graph(4), 3)))
-    for argv in (["verify", "--table", str(path)],
-                 ["solve", "--instance", str(instance), "--tables", str(path)]):
-        assert main(argv) == 3, argv
-        err = capsys.readouterr().err
-        assert err == f"error: {path}: not a canonical table file\n", err
+    # the library and both commands refuse the file, and the one error line
+    # quotes the file where it first differs from the canonical text
+    text, canonical = NONCANONICAL_FILES[name](), _p3_doc_with(lambda nodes: None)
+    err = assert_commands_refuse(tmp_path, capsys, text)
+    assert "not a canonical table file" in err
+    at = int(re.search(r"at character (\d+)", err).group(1))
+    assert text[:at] == canonical[:at] and text[at] != canonical[at]
+    assert repr(text[max(0, at - 24):at + 24]) in err
 
 
 def test_verify_detects_objective_violation():

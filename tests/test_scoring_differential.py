@@ -98,7 +98,7 @@ def test_cost_exponents_match_cost_bound_on_corpus(m):
 
 
 def test_coverage_matches_reference_on_corpus():
-    """cover_mask, satisfies and eb against the per-requirement test, over
+    """cover_masks, satisfies and eb against the per-requirement test, over
     every boundary requirement, crucial or not."""
     for l in config_corpus(seed=31, count=60, max_n=7):
         ctx = RequirementContext(l)
@@ -107,8 +107,8 @@ def test_coverage_matches_reference_on_corpus():
                 for c in itertools.combinations(delta, size)]
         for b in [frozenset()] + branches_of(l):
             want = ref.coverage_mask(ctx, b, reqs)
-            assert ctx.cover_mask(b, reqs) == want
-            assert ctx.cover_mask(b, ctx.crucial_set()) == ref.coverage_mask(ctx, b, ctx.crucial_set())
+            assert ctx.cover_masks([b], reqs)[0] == want
+            assert ctx.cover_masks([b], ctx.crucial_set())[0] == ref.coverage_mask(ctx, b, ctx.crucial_set())
             assert [ctx.satisfies(b, r) for r in reqs] == [bool(want >> i & 1) for i in range(len(reqs))]
             assert eb(ctx, b, reqs) == tuple(r for i, r in enumerate(reqs) if want >> i & 1)
 
