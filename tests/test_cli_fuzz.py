@@ -2,7 +2,7 @@
 
 Each case edits a valid file at random (lines dropped, repeated, swapped
 or inserted, tokens and characters replaced, JSON values replaced or
-removed, text cut short) and runs the commands that read it, in process.
+removed, a rule leaf's entries reversed, text cut short) and runs the commands that read it, in process.
 No run may raise or print a traceback.  Exit 1 must come only from a
 completed solve that answered NO, and the deterministic engine's answer
 must agree with the exact oracle whenever the file parses.
@@ -120,8 +120,13 @@ def mutate_table(rng: random.Random, text: str) -> str:
     for _ in range(rng.randint(1, 2)):
         slots = _slots(doc, [])
         container, key = rng.choice(slots)
-        op = rng.randrange(3)
-        if op == 0:  # a copy, so that no edit reaches JSON_VALUES itself
+        op = rng.randrange(4)
+        if op == 3:  # a rule leaf's entries reversed: a table that still certifies
+            lists = [(c, k) for c, k in slots if k == "entries" and isinstance(c[k], list)]
+            if lists:
+                container, key = rng.choice(lists)
+                container[key].reverse()
+        elif op == 0:  # a copy, so that no edit reaches JSON_VALUES itself
             container[key] = json.loads(json.dumps(rng.choice(JSON_VALUES)))
         elif op == 1:
             del container[key]
@@ -129,9 +134,31 @@ def mutate_table(rng: random.Random, text: str) -> str:
             container[key] += rng.choice((-1, 1))
         else:
             container[key] = json.loads(json.dumps(rng.choice(slots)[0]))
-    # written as vcgen writes tables, so that the commands read past the
-    # canonical-bytes check into the edited fields
+    # with the counts of the edited tree and written as vcgen writes tables,
+    # so that the commands read past the canonical-bytes check into the
+    # edited fields
+    _restate_counts(doc)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _restate_counts(doc) -> None:
+    """Sets meta's counts to those of doc's tree, as generation writes them,
+    where doc still has a tree and a meta to count in."""
+    try:
+        nodes = doc["nodes"]
+        kinds = [n["kind"] for n in nodes]
+        rule_leaves = sum(k == "leaf" and n["leaf"]["kind"] == "rule" for k, n in zip(kinds, nodes))
+        expanded = [n["children"] for k, n in zip(kinds, nodes) if k == "expanded"]
+        counts = {
+            "nodes": len(nodes),
+            "lp_calls": rule_leaves + len(expanded),
+            "rule_leaves": rule_leaves,
+            "aliases": kinds.count("alias"),
+            "pruned_children": sum(ref["node"] is None for refs in expanded for ref in refs),
+        }
+        doc["meta"].update(counts)
+    except (KeyError, IndexError, TypeError, AttributeError):
+        pass  # the reader refuses this doc before its counts matter
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,12 @@
-"""The integer-preserving simplex against the Fraction simplex it replaced,
-and branch and bound against the exhaustive set-cover search.
+"""The revised integer simplex against the two simplexes it replaced, and
+branch and bound against the exhaustive set-cover search.
 
-Both simplexes run Bland's rule on the same tableau up to a positive
-factor, so they must take the same pivots and return the same vertex: equal
-weights, not only an equal objective.  Optimal 0/1 covers can tie, so the
-ILP is held to the oracle's objective and to covering every requirement.
+All three run Bland's rule on the same tableau up to a positive factor: the
+Fraction simplex and the full integer tableau hold it, the revised simplex
+derives each entry it reads from det * B^-1.  So they must take the same
+pivots and return the same vertex: equal weights, not only an equal
+objective.  Optimal 0/1 covers can tie, so the ILP is held to the oracle's
+objective and to covering every requirement.
 """
 
 import random
@@ -12,10 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from reference_lp import _exhaustive_cover
+import vcgen.rulegen as rulegen
+from corpus import MU_N20, build_tables
+from reference_lp import _exhaustive_cover, tableau_cover_lp
 from reference_lp import solve_cover_lp as reference_lp
 from vcgen.branching import cost_value
 from vcgen.lp import solve_cover_ilp, solve_cover_lp
+from vcgen.measure import pure_k
 
 
 def dyadic_costs(rng, n):
@@ -36,6 +41,15 @@ def coverable_masks(rng, n, n_reqs):
 
 def random_case(rng, family):
     """costs, masks, n_reqs for one seeded case of the given family."""
+    if family == "wide":
+        # shaped like generation's largest LPs: sparse masks, and costs 2^e
+        # for e in (-4, 0), whose denominators have ~96 bits
+        n, n_reqs = rng.randint(120, 200), rng.randint(14, 20)
+        costs = [cost_value(Fraction(-rng.randint(1, 400), 100)) for _ in range(n)]
+        masks = [rng.getrandbits(n_reqs) & rng.getrandbits(n_reqs) for _ in range(n)]
+        for r in range(n_reqs):
+            masks[rng.randrange(n)] |= 1 << r
+        return costs, masks, n_reqs
     if family == "large":
         n, n_reqs = rng.randint(30, 60), rng.randint(8, 12)
     else:
@@ -100,6 +114,35 @@ def test_integer_simplex_matches_fraction_simplex(family):
             if w:
                 covered |= m
         assert covered == (1 << n_reqs) - 1
+
+
+def test_revised_simplex_matches_both_oracles_on_wide_lps():
+    """Columns per requirement is where the revised and the full tableau
+    differ most; the Fraction simplex takes seconds per case of this size,
+    so it checks the first two."""
+    rng = random.Random("lp-differential/wide")
+    for case in range(30):
+        costs, masks, n_reqs = random_case(rng, "wide")
+        got = solve_cover_lp(costs, masks, n_reqs)
+        assert got == tableau_cover_lp(costs, masks, n_reqs), (costs, masks, n_reqs)
+        if case < 2:
+            assert got == reference_lp(costs, masks, n_reqs), (costs, masks, n_reqs)
+
+
+def test_generation_lps_match_the_tableau_oracle(monkeypatch):
+    """Every LP that generating the two reference table sets solves."""
+    solved = []
+
+    def checked(costs, masks, n_reqs):
+        got = solve_cover_lp(costs, masks, n_reqs)
+        assert got == tableau_cover_lp(costs, masks, n_reqs), (costs, masks, n_reqs)
+        solved.append(len(costs))
+        return got
+
+    monkeypatch.setattr(rulegen, "solve_cover_lp", checked)
+    for m, mode in ((MU_N20, "randomized"), (pure_k(), "deterministic")):
+        assert all(t.complete for t in build_tables(m, mode).values())
+    assert len(solved) == 133 and max(solved) > 150
 
 
 def test_tie_families_reach_tied_and_fractional_vertices():

@@ -451,6 +451,75 @@ def test_commands_read_only_canonical_table_files(tmp_path, capsys, name):
     assert repr(text[max(0, at - 24):at + 24]) in err
 
 
+def _p3_meta_with(edit) -> str:
+    """The beta3 = 1/5 P3 table's file text, with its meta edited in place."""
+    doc = json.loads(_p3_doc_with(lambda nodes: None))
+    edit(doc["meta"])
+    return _canonical(doc)
+
+
+def _p19_aborted_with(edit) -> str:
+    """A P19 table that ran out of depth, with its file edited in place."""
+    doc = json.loads(table_to_json(gensa(
+        root_config(19), Measure(0, 0, 0, Fraction("0.001"), "n"), assertions=assertions_for(19),
+        subspace_id=19, limits=GenLimits(max_depth=2))))
+    edit(doc)
+    return _canonical(doc)
+
+
+# each of these once read as a table that certifies (or, for the failure
+# edits, that reports its failure): the reader took meta and the failure
+# report as they were and wrote them back verbatim
+MALFORMED_META = {
+    "renamed key": lambda: _p3_meta_with(lambda meta: meta.update({"+aliases": meta.pop("aliases")})),
+    "missing key": lambda: _p3_meta_with(lambda meta: meta.pop("rule_leaves")),
+    "extra key": lambda: _p3_meta_with(lambda meta: meta.update(seconds=1.5)),
+    "count written as a string": lambda: _p3_meta_with(lambda meta: meta.update(nodes="30")),
+    "count written as a float": lambda: _p3_meta_with(lambda meta: meta.update(nodes=30.5)),
+    "count negative": lambda: _p3_meta_with(lambda meta: meta.update(aliases=-3)),
+    "limits without max_seconds": lambda: _p3_meta_with(lambda meta: meta["limits"].pop("max_seconds")),
+    "limits with an extra key": lambda: _p3_meta_with(lambda meta: meta["limits"].update(max_width=3)),
+    "limits as a list": lambda: _p3_meta_with(lambda meta: meta.update(limits=[12, 200000, None])),
+    "max_depth true": lambda: _p3_meta_with(lambda meta: meta["limits"].update(max_depth=True)),
+    "max_nodes a float": lambda: _p3_meta_with(lambda meta: meta["limits"].update(max_nodes=2.5)),
+    "max_seconds a string": lambda: _p3_meta_with(lambda meta: meta["limits"].update(max_seconds="5")),
+    "max_seconds true": lambda: _p3_meta_with(lambda meta: meta["limits"].update(max_seconds=True)),
+    "max_depth negative": lambda: _p3_meta_with(lambda meta: meta["limits"].update(max_depth=-1)),
+    "max_nodes zero": lambda: _p3_meta_with(lambda meta: meta["limits"].update(max_nodes=0)),
+    **{f"{key} changed": (lambda key=key: _p3_meta_with(lambda meta: meta.update({key: meta[key] + 1})))
+       for key in ("nodes", "lp_calls", "rule_leaves", "aliases", "pruned_children")},
+    "aborted table's count as a string": lambda: _p19_aborted_with(
+        lambda doc: doc["meta"].update(lp_calls=str(doc["meta"]["lp_calls"]))),
+    "failure reason an integer": lambda: _p19_aborted_with(lambda doc: doc["failure"].update(reason=3)),
+    "failure chain holding a list": lambda: _p19_aborted_with(lambda doc: doc["failure"]["chain"].append(["x"])),
+    "failure chain with a number": lambda: _p19_aborted_with(lambda doc: doc["failure"]["chain"].append(7)),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_META)
+def test_reader_takes_meta_only_as_generation_writes_it(tmp_path, capsys, name):
+    for seconds in (None, 30, 30.5):  # as gensa writes a table made under each limit
+        assert verify_table(table_from_json(
+            _p3_meta_with(lambda meta: meta["limits"].update(max_seconds=seconds)))).ok
+    assert table_from_json(_p19_aborted_with(lambda doc: None)).failure.reason == "depth limit exceeded"
+    assert_commands_refuse(tmp_path, capsys, MALFORMED_META[name]())
+
+
+def test_a_tree_edit_fails_as_a_file_or_as_a_certificate(tmp_path, capsys):
+    # node 1 of the P19 table keeps its last child; marked pruned instead,
+    # the tree no longer has the pruned_children count its meta states, so
+    # the file is not what vcgen writes (exit 3, quoting the count) ...
+    doc = json.loads(table_to_json(p19_pure_k()))
+    doc["nodes"][1]["children"][2].update(node=None, pruned_by=None)
+    assert "pruned_children" in assert_commands_refuse(tmp_path, capsys, _canonical(doc))
+    # ... and with the count restated it reads, and verify names the defect
+    doc["meta"]["pruned_children"] += 1
+    path = tmp_path / "P19.json"
+    path.write_text(_canonical(doc))
+    assert main(["verify", "--table", str(path)]) == 2
+    assert "node 1: child ('new', 3) pruned without justification" in capsys.readouterr().out
+
+
 def test_verify_detects_objective_violation():
     # duplicating the heavy entry pushes the objective above 1
     t = p19_pure_k()
