@@ -3,7 +3,9 @@
 children, boundary requirements, branch costs, and the rule the generator
 attaches for the 3-regular subspace."""
 
-from vcgen.branching import cost_bound, seed_branches
+from itertools import combinations
+
+from vcgen.branching import cost_bound
 from vcgen.configs import LocalConfiguration, expand, format_config
 from vcgen.graphs import Graph
 from vcgen.measure import pure_k
@@ -29,7 +31,8 @@ print("crucial requirements:", [sorted(r) for r in ctx.crucial_set()])
 
 print("=== branch costs under the pure budget measure (cost = 2^-|b|)")
 m = pure_k()
-for b in seed_branches(path3):
+# every nonempty vertex subset, smallest first, as gensa seeds a root
+for b in (frozenset(c) for size in (1, 2, 3) for c in combinations(sorted(path3.h.vertices), size)):
     cb = cost_bound(path3, b, m)
     sats = [sorted(r) for r in ctx.crucial_set() if ctx.satisfies(b, r)]
     print(f"branch {sorted(b)}: exponent {cb.exponent}, satisfies {sats}")

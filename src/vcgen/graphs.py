@@ -279,6 +279,30 @@ class VertexCoverSolver:
         self._memo[mask] = result
         return result
 
+    def minimum_covers(self, mask: int) -> list[int]:
+        """Every minimum vertex cover of the subgraph induced by mask, as
+        masks.  The lowest vertex v with an edge is either in the cover, when
+        vc drops by one without it, or not, and then its neighbourhood is,
+        when that is optimal; the two cases are disjoint, so no cover comes
+        out twice."""
+        m = mask
+        while m:
+            low = m & -m
+            nbrs = self._nbr[low.bit_length() - 1] & mask
+            if nbrs:
+                break
+            m ^= low
+        else:
+            return [0]
+        target = self.vc(mask)
+        covers = []
+        if self.vc(mask ^ low) == target - 1:
+            covers += [c | low for c in self.minimum_covers(mask ^ low)]
+        rest = mask & ~nbrs & ~low
+        if nbrs.bit_count() + self.vc(rest) == target:
+            covers += [c | nbrs for c in self.minimum_covers(rest)]
+        return covers
+
     def cover(self) -> frozenset[int]:
         """A deterministic minimum vertex cover of the graph."""
         mask = self.full_mask

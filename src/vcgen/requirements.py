@@ -102,6 +102,31 @@ class RequirementContext:
             out.append(mask)
         return out
 
+    def subset_cover_masks(self, reqs: Sequence[Requirement]) -> list[int]:
+        """cover_masks of every vertex subset of H at once, indexed by the
+        subset's mask over H's sorted vertices (the solver's bits).
+
+        b satisfies R iff b - R lies inside some minimum cover C of H - R,
+        that is iff b is a subset of C | R.  So the subsets satisfying R are
+        the union, over R's minimum covers, of all subsets of C | R.  Here
+        every subset b has one field of `width` bits in one integer, and all
+        subsets of a set s, each with R's bit in its field, take one doubling
+        shift per vertex of s."""
+        solver, full = self.solver, self._full
+        nbytes = (len(reqs) + 7) // 8 or 1
+        width = 8 * nbytes
+        table = 0
+        for i, req in enumerate(reqs):
+            r = solver.mask_of(req)
+            for cover in solver.minimum_covers(full & ~r):
+                s, subsets = cover | r, 1 << i
+                for j in range(s.bit_length()):
+                    if s >> j & 1:
+                        subsets |= subsets << (width << j)
+                table |= subsets
+        data = table.to_bytes(nbytes << full.bit_length(), "little")
+        return [int.from_bytes(data[k:k + nbytes], "little") for k in range(0, len(data), nbytes)]
+
     def satisfies(self, b: Iterable[int], req: Requirement) -> bool:
         """Algorithm-3 test: b extends some minimum cover of H - req."""
         return self.cover_masks([b], (req,)) == [1]

@@ -27,7 +27,8 @@ from .branching import (
     cost_value,
     extend_branches,
     prune_dominated_indexed,
-    seed_branches,
+    seed_masks,
+    subset_exponents,
 )
 from .configs import (
     LocalConfiguration,
@@ -65,6 +66,8 @@ class GenLimits:
                 raise InputDomainError("max_seconds is NaN, which no wall time exceeds")
             if self.max_seconds < 0:
                 raise InputDomainError(f"max_seconds {self.max_seconds} is negative")
+            if math.isinf(self.max_seconds):  # no wall budget, which a table file writes as null
+                object.__setattr__(self, "max_seconds", None)
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,10 @@ def gensa(
         nodes.append(node)
         return node.node_id
 
-    def build(config: LocalConfiguration, basis: list[Branch], depth: int,
+    def build(config: LocalConfiguration, basis: Optional[list[Branch]], depth: int,
               chain: list[LocalConfiguration]) -> int:
+        """The node of config, whose candidates are the nonempty branches of
+        basis, or at the root (basis None) every nonempty vertex subset."""
         chain = chain + [config]
         reason = out_of_budget()
         if reason is not None:
@@ -171,11 +176,18 @@ def gensa(
         except CapacityError:
             raise _LimitHit("boundary width beyond requirement cap", chain)
 
-        candidates = sorted((b for b in basis if b), key=branch_sort_key)
-        exponents = cost_exponents(config, candidates, m, assertions)  # over m.scaled[0]
-        masks = ctx.cover_masks(candidates, crucial)
-        keep = prune_dominated_indexed(candidates, exponents, masks)
-        pruned = [candidates[i] for i in keep]
+        if basis is None:  # the root: score every subset at once, as masks
+            exps, covered = subset_exponents(config, m, assertions), ctx.subset_cover_masks(crucial)
+            exponents, masks = [exps[b] for b in seeds], [covered[b] for b in seeds]
+            keep = prune_dominated_indexed(seeds, exponents, masks)
+            vs = sorted(config.h.vertices)
+            pruned = [frozenset(v for j, v in enumerate(vs) if seeds[i] >> j & 1) for i in keep]
+        else:
+            candidates = sorted((b for b in basis if b), key=branch_sort_key)
+            exponents = cost_exponents(config, candidates, m, assertions)  # over m.scaled[0]
+            masks = ctx.cover_masks(candidates, crucial)
+            keep = prune_dominated_indexed(candidates, exponents, masks)
+            pruned = [candidates[i] for i in keep]
         pruned_masks = [masks[i] for i in keep]
         pruned_costs = [cost_value(Fraction(exponents[i], m.scaled[0])) for i in keep]
 
@@ -221,9 +233,9 @@ def gensa(
         (edge,) = set(child.h.edges()) - set(parent.h.edges())
         return edge
 
-    basis0 = [frozenset()] + seed_branches(root)
+    seeds = seed_masks(root)
     try:
-        root_id = build(root, basis0, 0, [])
+        root_id = build(root, None, 0, [])
         failure = None
     except _LimitHit as hit:
         root_id = -1
@@ -257,6 +269,21 @@ def _tree_counts(nodes: list[TreeNode]) -> dict[str, int]:
         "aliases": sum(n.kind == "alias" for n in nodes),
         "pruned_children": sum(ref.node is None for n in expanded for ref in n.children),
     }
+
+
+def _tree_depth(nodes: list[TreeNode], root: int) -> int:
+    """The depth of the deepest node reached from root through child
+    references, root at depth 0, each node counted once; references out of
+    range are left to the certificate."""
+    depth, level = 0, {root} if 0 <= root < len(nodes) else set()
+    seen = set(level)
+    while True:
+        level = {ref.node for i in level for ref in nodes[i].children
+                 if ref.node is not None and 0 <= ref.node < len(nodes)} - seen
+        if not level:
+            return depth
+        seen |= level
+        depth += 1
 
 
 # -- certification -----------------------------------------------------------
@@ -597,6 +624,10 @@ def _table_from_doc(doc) -> RuleTable:
                        None if seconds is None else seconds + 0)
     if failure is None:
         counts = _tree_counts(nodes)
+        depth = _tree_depth(nodes, int(doc["root"]))
+        if depth > limits.max_depth:
+            raise InputDomainError(f"malformed rule table: its tree is {depth} deep, "
+                                   f"beyond its max_depth of {limits.max_depth}")
     else:  # an aborted generation also counted nodes it never emitted
         counts = {key: int(meta[key]) for key in ("lp_calls", "rule_leaves", "aliases", "pruned_children")}
     return RuleTable(

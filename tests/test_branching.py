@@ -10,9 +10,10 @@ from vcgen.branching import (
     SubspaceAssertions,
     cost_bound,
     cost_value,
+    branch_sort_key,
     extend_branches,
     prune_dominated_indexed,
-    seed_branches,
+    seed_masks,
 )
 from vcgen.configs import LocalConfiguration, instance_as_config
 from vcgen.errors import CapacityError
@@ -33,10 +34,19 @@ def fs(*xs):
     return frozenset(xs)
 
 
+def seed_branches(l):
+    """All nonempty vertex subsets of l, as gensa seeds its root with them."""
+    vs = sorted(l.h.vertices)
+    return [frozenset(v for j, v in enumerate(vs) if b >> j & 1) for b in seed_masks(l)]
+
+
 def test_seed_branches():
     assert seed_branches(lone(3)) == [fs(0)]
-    assert set(seed_branches(edge22())) == {fs(0), fs(1), fs(0, 1)}
+    assert seed_branches(edge22()) == [fs(0), fs(1), fs(0, 1)]
     assert len(seed_branches(instance_as_config(cycle_graph(3)))) == 7
+    l = LocalConfiguration(Graph([4, 7, 9, 12], [(4, 7), (7, 9), (9, 12)]), {4: 2, 7: 1, 9: 1, 12: 2})
+    assert seed_branches(l) == sorted(seed_branches(l), key=branch_sort_key)
+    assert len(set(seed_branches(l))) == 15
     with pytest.raises(CapacityError):
         seed_branches(LocalConfiguration(Graph(range(17)), {}))
 

@@ -194,7 +194,23 @@ def test_limits_reject_a_nan_wall_budget():
     # elapsed > nan is never true: the budget would never run out
     with pytest.raises(InputDomainError):
         GenLimits(max_seconds=float("nan"))
-    assert GenLimits(max_seconds=float("inf")).max_seconds == float("inf")
+    # an infinite one is no wall budget, which a table file writes as null
+    assert GenLimits(max_seconds=float("inf")).max_seconds is None
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_generate_without_a_wall_budget_writes_strict_json(tmp_path, capsys):
+    # --seconds inf once wrote "max_seconds":Infinity, which strict JSON
+    # readers refuse; it is the file that no --seconds writes
+    for seconds, out in ((["--seconds", "inf"], tmp_path / "inf"), ([], tmp_path / "none")):
+        assert main(["generate", "--measure", "k-mode", "a=1", "--mode", "det",
+                     "--subspace", "P19", *seconds, "--out", str(out)]) == 0
+    text = (tmp_path / "inf" / "P19.json").read_text()
+    assert json.loads(text, parse_constant=_refuse_constant)["meta"]["limits"]["max_seconds"] is None
+    assert text == (tmp_path / "none" / "P19.json").read_text()
 
 
 @pytest.mark.parametrize("limits", [{"max_depth": -1}, {"max_nodes": 0}, {"max_nodes": -5},
@@ -484,6 +500,7 @@ MALFORMED_META = {
     "max_nodes a float": lambda: _p3_meta_with(lambda meta: meta["limits"].update(max_nodes=2.5)),
     "max_seconds a string": lambda: _p3_meta_with(lambda meta: meta["limits"].update(max_seconds="5")),
     "max_seconds true": lambda: _p3_meta_with(lambda meta: meta["limits"].update(max_seconds=True)),
+    "max_seconds Infinity": lambda: _p3_meta_with(lambda meta: meta["limits"].update(max_seconds=math.inf)),
     "max_depth negative": lambda: _p3_meta_with(lambda meta: meta["limits"].update(max_depth=-1)),
     "max_nodes zero": lambda: _p3_meta_with(lambda meta: meta["limits"].update(max_nodes=0)),
     **{f"{key} changed": (lambda key=key: _p3_meta_with(lambda meta: meta.update({key: meta[key] + 1})))
@@ -503,6 +520,17 @@ def test_reader_takes_meta_only_as_generation_writes_it(tmp_path, capsys, name):
             _p3_meta_with(lambda meta: meta["limits"].update(max_seconds=seconds)))).ok
     assert table_from_json(_p19_aborted_with(lambda doc: None)).failure.reason == "depth limit exceeded"
     assert_commands_refuse(tmp_path, capsys, MALFORMED_META[name]())
+
+
+def test_reader_refuses_a_tree_deeper_than_its_max_depth(tmp_path, capsys):
+    # gensa never emits a node below max_depth, so a complete table whose
+    # tree is deeper is not one that gensa wrote
+    doc = json.loads(table_to_json(p19_pure_k()))
+    doc["meta"]["limits"]["max_depth"] = 2
+    assert verify_table(table_from_json(_canonical(doc))).ok
+    doc["meta"]["limits"]["max_depth"] = 1
+    err = assert_commands_refuse(tmp_path, capsys, _canonical(doc))
+    assert "2 deep, beyond its max_depth of 1" in err
 
 
 def test_a_tree_edit_fails_as_a_file_or_as_a_certificate(tmp_path, capsys):
