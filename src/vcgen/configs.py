@@ -54,7 +54,8 @@ class LocalConfiguration:
         return _canonical_form(self)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LocalConfiguration) and self._key == other._key
+        # the same test as comparing _key, without sorting the edges
+        return isinstance(other, LocalConfiguration) and self.h == other.h and self.d == other.d
 
     def __hash__(self) -> int:
         return hash(self._key)

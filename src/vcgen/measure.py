@@ -111,28 +111,28 @@ class FeasibilityReport:
 
 def check_feasibility(m: Measure) -> FeasibilityReport:
     """Evaluate the mode's inequality chain exactly; equality passes."""
-    bad: list[str] = []
-
-    def need(cond: bool, text: str):
-        if not cond:
-            bad.append(text)
-
     a, b1, b2, b3 = m.alpha, m.beta1, m.beta2, m.beta3
     if m.mode == "n":
-        need(a == 0, f"alpha = 0 required in n-mode (alpha = {a})")
-        need(b3 >= 0, f"beta3 >= 0 required in n-mode (beta3 = {b3})")
-        need(0 <= 3 * b1 / 4, f"0 <= 3*beta1/4 violated (beta1 = {b1})")
-        need(3 * b1 / 4 <= 3 * b2 / 4, f"3*beta1/4 <= 3*beta2/4 violated ({b1} > {b2})")
-        need(3 * b2 / 4 <= b3, f"3*beta2/4 <= beta3 violated (3*{b2}/4 > {b3})")
+        chain = [
+            (a == 0, "alpha = 0 required in n-mode (alpha = {a})"),
+            (b3 >= 0, "beta3 >= 0 required in n-mode (beta3 = {b3})"),
+            (0 <= 3 * b1 / 4, "0 <= 3*beta1/4 violated (beta1 = {b1})"),
+            (3 * b1 / 4 <= 3 * b2 / 4, "3*beta1/4 <= 3*beta2/4 violated ({b1} > {b2})"),
+            (3 * b2 / 4 <= b3, "3*beta2/4 <= beta3 violated (3*{b2}/4 > {b3})"),
+        ]
     else:
-        need(b1 <= 0, f"beta1 <= 0 required in k-mode (beta1 = {b1})")
-        need(b2 <= 0, f"beta2 <= 0 required in k-mode (beta2 = {b2})")
-        need(b3 == 0, f"beta3 = 0 required in k-mode (beta3 = {b3})")
-        need(-a / 2 <= b2, f"-alpha/2 <= beta2 violated (-{a}/2 > {b2})")
-        need(b2 <= -a / 3, f"beta2 <= -alpha/3 violated ({b2} > -{a}/3)")
-        need(-a / 2 - b2 / 2 <= b1, f"-alpha/2 - beta2/2 <= beta1 violated (bound > {b1})")
-        need(b1 <= a / 2 + 3 * b2 / 2, f"beta1 <= alpha/2 + 3*beta2/2 violated ({b1} > bound)")
-    return FeasibilityReport(not bad, tuple(bad))
+        chain = [
+            (b1 <= 0, "beta1 <= 0 required in k-mode (beta1 = {b1})"),
+            (b2 <= 0, "beta2 <= 0 required in k-mode (beta2 = {b2})"),
+            (b3 == 0, "beta3 = 0 required in k-mode (beta3 = {b3})"),
+            (-a / 2 <= b2, "-alpha/2 <= beta2 violated (-{a}/2 > {b2})"),
+            (b2 <= -a / 3, "beta2 <= -alpha/3 violated ({b2} > -{a}/3)"),
+            (-a / 2 - b2 / 2 <= b1, "-alpha/2 - beta2/2 <= beta1 violated (bound > {b1})"),
+            (b1 <= a / 2 + 3 * b2 / 2, "beta1 <= alpha/2 + 3*beta2/2 violated ({b1} > bound)"),
+        ]
+    # a message is formatted only when its inequality fails
+    bad = tuple(text.format(a=a, b1=b1, b2=b2, b3=b3) for holds, text in chain if not holds)
+    return FeasibilityReport(not bad, bad)
 
 
 def generation_admissible(m: Measure) -> FeasibilityReport:

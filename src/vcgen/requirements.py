@@ -8,16 +8,51 @@ to certify every branch; those sources are the crucial set.
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cache, cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 from .configs import LocalConfiguration
 from .errors import CapacityError
-from .graphs import VertexCoverSolver
+from .graphs import ORACLE_CAP, VertexCoverSolver
 
 BOUNDARY_CAP = 12
 
+# vc_table packs values of at most ORACLE_CAP + 1 into byte-wide fields whose
+# top bit guards the carry-free compares
+assert ORACLE_CAP + 1 < 0x80
+
 Requirement = frozenset[int]
+
+
+class _FieldMasks(NamedTuple):
+    """Constants over 2^n byte-wide fields, field S for boundary subset S:
+    `ones` holds 1 and `guards` 0x80 in every field, `sizes` holds |S|, and
+    clears[i] holds 0xFF in each field without bit i."""
+    ones: int
+    guards: int
+    sizes: int
+    clears: tuple[int, ...]
+
+
+@cache
+def _field_masks(n: int) -> _FieldMasks:
+    everything = (1 << (8 << n)) - 1
+    ones = everything // 0xFF
+    sizes, clears = 0, []
+    for i in range(n):
+        w = 8 << i
+        block = (1 << w) - 1  # 2^i fields of 0xFF, repeated every 2^(i+1) fields
+        clears.append(everything // ((1 << 2 * w) - 1) * block)
+        sizes |= (sizes + block // 0xFF) << w
+    return _FieldMasks(ones, ones << 7, sizes, tuple(clears))
+
+
+def _field_max(a: int, b: int, guards: int) -> int:
+    """The field-wise maximum of two packed tables with fields below 0x80:
+    a field's guard bit survives (a | guard) - b iff a >= b there, and
+    spreads over the field as the select mask."""
+    ge = ((a | guards) - b) & guards
+    return b ^ ((a ^ b) & (ge | (ge - (ge >> 7))))
 
 
 class RequirementContext:
@@ -41,45 +76,60 @@ class RequirementContext:
         independent J within delta - S plus one of I - N(J), I the interior;
         so with f(J) = |J| + alpha(I - N(J)), and f = -1 (below every f >= 0)
         on dependent J, alpha(H - S) is the maximum of f over the subsets of
-        delta - S, which one subset-maximum transform gives for every S."""
+        delta - S.  f + 1 sits in one byte-wide field per subset J of one
+        integer, and the subset-maximum transform is one shift and one
+        field-wise maximum per boundary bit."""
         solver, n = self.solver, len(self.delta)
         bits = [solver.mask_of((v,)) for v in self.delta]
         nbrs = [solver.mask_of(self.config.h.neighbors(v)) for v in self.delta]
         interior = self._full & ~solver.mask_of(self.delta)
         size = 1 << n
-        f = [-1] * size
+        f = bytearray(size)  # f(J) + 1, 0 on dependent J
         reach = [0] * size  # N(J), over the solver's bits
-        f[0] = interior.bit_count() - solver.vc(interior)
+        f[0] = 1 + interior.bit_count() - solver.vc(interior)
         for j in range(1, size):
             low = j & -j
             rest, i = j ^ low, low.bit_length() - 1
-            if f[rest] < 0 or reach[rest] & bits[i]:
+            if not f[rest] or reach[rest] & bits[i]:
                 continue
             reach[j] = reach[rest] | nbrs[i]
             free = interior & ~reach[j]
-            f[j] = j.bit_count() + free.bit_count() - solver.vc(free)
-        for i in range(n):
-            bit = 1 << i
-            for j in range(size):
-                if j & bit and f[j ^ bit] > f[j]:
-                    f[j] = f[j ^ bit]
-        total = self._full.bit_count()
-        return [total - s.bit_count() - f[(size - 1) ^ s] for s in range(size)]
+            f[j] = 1 + j.bit_count() + free.bit_count() - solver.vc(free)
+        masks = _field_masks(n)
+        table = int.from_bytes(f, "little")
+        for i, clear in enumerate(masks.clears):
+            table = _field_max(table, (table & clear) << (8 << i), masks.guards)
+        # field S of the reversed table holds f + 1 at delta - S
+        reversed_table = int.from_bytes(table.to_bytes(size, "little"), "big")
+        vc = (self._full.bit_count() + 1) * masks.ones - masks.sizes - reversed_table
+        return list(vc.to_bytes(size, "little"))
 
     def crucial_set(self) -> tuple[Requirement, ...]:
         """The sources of the exact-cover DAG.  Removing one vertex from a
         requirement changes vc(H - R) by 0 or 1, and R has no incoming edge
         iff dropping any v of R raises it by one (v is forced at R - v) and
         adding any other boundary v leaves it as it is (v is not forced at
-        R)."""
-        vc, d, n = self.vc_table, self.delta, len(self.delta)
+        R).  With vc_table packed one byte-wide field per R, each boundary
+        bit is one field-wise equality test over every R at once; the
+        crucial R are the fields whose guard bit no test set, in increasing
+        mask order."""
+        d, n = self.delta, len(self.delta)
+        masks = _field_masks(n)
+        vc = int.from_bytes(bytes(self.vc_table), "little")
+        failed = 0
+        for i, clear in enumerate(masks.clears):
+            w = 8 << i
+            with_v = clear << w
+            # vc(H - (R ^ v)) in field R, against vc(H - R) + [v in R]
+            flipped = (vc >> w & clear) | (vc << w & with_v)
+            failed |= ((flipped ^ (vc + (with_v & masks.ones))) | masks.guards) - masks.ones
         crucial: list[Requirement] = []
-        for r in range(1 << n):
-            for i in range(n):
-                if vc[r ^ 1 << i] - vc[r] != r >> i & 1:
-                    break
-            else:
-                crucial.append(frozenset(d[i] for i in range(n) if r >> i & 1))
+        sources = masks.guards & ~failed
+        while sources:
+            low = sources & -sources
+            sources ^= low
+            r = (low.bit_length() >> 3) - 1
+            crucial.append(frozenset(d[i] for i in range(n) if r >> i & 1))
         return tuple(crucial)
 
     def cover_masks(self, branches: Iterable[Iterable[int]], reqs: Sequence[Requirement]) -> list[int]:

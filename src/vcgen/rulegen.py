@@ -426,9 +426,10 @@ def _check_rule_leaf(
     assertions: SubspaceAssertions,
 ) -> tuple[list[str], Optional[Fraction]]:
     """Everything a rule leaf claims, recomputed by exact substitution: the
-    failures found and the objective (None when an entry is malformed)."""
+    failures found and the objective (None when an entry is malformed).
+    Coverage is summed as integer numerators over the lcm of the weights'
+    denominators."""
     objective = Fraction(0)
-    coverage = [Fraction(0)] * len(crucial)
     for entry in entries:
         take = sorted(entry.take)
         if not entry.take or not entry.take <= config.h.vertices:
@@ -444,12 +445,14 @@ def _check_rule_leaf(
         if not _at_least_pow2(cost, exp):
             return [f"cost of branch {take} is below 2^({exp})"], None
         objective += entry.weight * cost
-    for entry, covered in zip(entries, ctx.cover_masks([e.take for e in entries], crucial)):
-        for i in range(len(crucial)):
-            if covered >> i & 1:
-                coverage[i] += entry.weight
-    failures = [f"requirement {sorted(r)} covered with weight {w} < 1"
-                for r, w in zip(crucial, coverage) if w < 1]
+    den = math.lcm(*(e.weight.denominator for e in entries))
+    nums = [e.weight.numerator * (den // e.weight.denominator) for e in entries]
+    masks = ctx.cover_masks([e.take for e in entries], crucial)
+    failures = []
+    for i, r in enumerate(crucial):
+        covered = sum(num for num, mask in zip(nums, masks) if mask >> i & 1)
+        if covered < den:
+            failures.append(f"requirement {sorted(r)} covered with weight {Fraction(covered, den)} < 1")
     if objective > 1:
         failures.append(f"objective {objective} exceeds 1")
     return failures, objective

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import vcgen.configs as configs
-from corpus import random_config, random_subcubic, relabel
+from corpus import config_corpus, random_config, random_subcubic, relabel
 from vcgen.configs import (
     LocalConfiguration,
     canonical_key,
@@ -15,7 +15,7 @@ from vcgen.configs import (
     isomorphism,
 )
 from vcgen.errors import CapacityError, ContractError, InputDomainError
-from vcgen.graphs import Graph, complete_graph, cycle_graph, path_graph
+from vcgen.graphs import MAX_DEGREE, Graph, complete_graph, cycle_graph, path_graph
 
 
 def lone(d: int) -> LocalConfiguration:
@@ -240,6 +240,44 @@ def test_isomorphism_reuses_the_canonical_forms(monkeypatch):
     assert canonical_key(a) == key_a and encoded == []
     assert all(b.h.has_edge(phi[u], phi[v]) for u, v in a.h.edges())
     assert all(a.d[v] == b.d[phi[v]] for v in a.h.vertices)
+
+
+def near_misses(l: LocalConfiguration):
+    """l rebuilt from scratch, and the configurations that differ from l
+    only in one d value or only in one edge."""
+    yield LocalConfiguration(Graph(sorted(l.h.vertices), list(l.h.edges())), dict(l.d))
+    for v in sorted(l.h.vertices):
+        for dv in (l.d[v] - 1, l.d[v] + 1):
+            if 0 <= dv <= MAX_DEGREE - l.h.degree(v):
+                yield LocalConfiguration(l.h, {**l.d, v: dv})
+    edges = list(l.h.edges())
+    for e in edges[:3]:
+        yield LocalConfiguration(Graph(l.h.vertices, [f for f in edges if f != e]), l.d)
+    for u, v in itertools.combinations(sorted(l.h.vertices), 2):
+        if not l.h.has_edge(u, v) and l.true_degree(u) < MAX_DEGREE and l.true_degree(v) < MAX_DEGREE:
+            yield LocalConfiguration(Graph(l.h.vertices, edges + [(u, v)]), l.d)
+            break
+
+
+def test_equality_agrees_with_the_key(det_engine, rand_engine):
+    # __eq__ compares h and d; __hash__ still hashes _key, so equal
+    # configurations must have equal keys and equal hashes
+    configs_ = config_corpus(seed=7, count=120, max_n=9) + [
+        node.config for engine in (det_engine, rand_engine)
+        for table in engine.tables.values() for node in table.tree.nodes
+    ]
+    configs_.append(instance_as_config(complete_graph(4)))
+    configs_.append(LocalConfiguration(complete_graph(4), {}))
+    pairs = list(itertools.combinations(configs_, 2))
+    pairs += [(l, other) for l in configs_ for other in near_misses(l)]
+    equal = 0
+    for a, b in pairs:
+        assert (a == b) == (a._key == b._key) == (b == a), (a, b)
+        if a == b:
+            assert hash(a) == hash(b)
+            equal += 1
+    assert 0 < equal < len(pairs)
+    assert configs_[0] != configs_[0].h
 
 
 def test_config_text_roundtrip():

@@ -91,6 +91,29 @@ def test_feasibility_n_mode_chain_violation():
     assert not r.ok  # beta1 > beta2 breaks the chain
 
 
+def test_violation_messages_are_pinned():
+    # measures that break every inequality of their mode's chain
+    n_mode = Measure(Fraction(1, 3), Fraction(-1, 7), Fraction(-2, 7), Fraction(-3, 5), "n")
+    assert check_feasibility(n_mode).violations == (
+        "alpha = 0 required in n-mode (alpha = 1/3)",
+        "beta3 >= 0 required in n-mode (beta3 = -3/5)",
+        "0 <= 3*beta1/4 violated (beta1 = -1/7)",
+        "3*beta1/4 <= 3*beta2/4 violated (-1/7 > -2/7)",
+        "3*beta2/4 <= beta3 violated (3*-2/7/4 > -3/5)",
+    )
+    k_mode = Measure(Fraction(-6), Fraction(1), Fraction(5, 2), Fraction(1, 9), "k")
+    assert check_feasibility(k_mode).violations == (
+        "beta1 <= 0 required in k-mode (beta1 = 1)",
+        "beta2 <= 0 required in k-mode (beta2 = 5/2)",
+        "beta3 = 0 required in k-mode (beta3 = 1/9)",
+        "-alpha/2 <= beta2 violated (--6/2 > 5/2)",
+        "beta2 <= -alpha/3 violated (5/2 > --6/3)",
+        "-alpha/2 - beta2/2 <= beta1 violated (bound > 1)",
+        "beta1 <= alpha/2 + 3*beta2/2 violated (1 > bound)",
+    )
+    assert not check_feasibility(n_mode).ok and not check_feasibility(k_mode).ok
+
+
 def test_pure_k_admissible_for_generation_but_not_chain():
     m = pure_k()
     assert not check_feasibility(m).ok

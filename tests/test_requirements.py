@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from corpus import config_corpus
+import reference_requirements as ref
+from corpus import config_corpus, random_subcubic
 from reference_requirements import eb, vc_minus
 from vcgen.configs import LocalConfiguration
 from vcgen.errors import CapacityError
-from vcgen.graphs import Graph
-from vcgen.requirements import RequirementContext
+from vcgen.graphs import MAX_DEGREE, ORACLE_CAP, Graph
+from vcgen.requirements import BOUNDARY_CAP, RequirementContext
 
 
 def lone(d: int) -> LocalConfiguration:
@@ -42,6 +43,24 @@ def test_crucial_boundary_cap():
     big = LocalConfiguration(Graph(range(13)), {v: 1 for v in range(13)})
     with pytest.raises(CapacityError):
         RequirementContext(big).crucial_set()
+
+
+@pytest.mark.parametrize("edges", [0, ORACLE_CAP], ids=["edgeless", "subcubic"])
+def test_crucial_sets_match_reference_at_both_caps(edges):
+    # |H| = ORACLE_CAP and |delta| = BOUNDARY_CAP; the edgeless H puts the
+    # largest value, ORACLE_CAP + 1, into the packed table's fields
+    rng = random.Random(edges)
+    while True:
+        g = random_subcubic(rng, ORACLE_CAP, edges)
+        slack = [v for v in sorted(g.vertices) if g.degree(v) < MAX_DEGREE]
+        if len(slack) >= BOUNDARY_CAP:
+            break
+    boundary = rng.sample(slack, BOUNDARY_CAP)
+    l = LocalConfiguration(g, {v: MAX_DEGREE - g.degree(v) for v in boundary})
+    ctx = RequirementContext(l)
+    assert len(l.h) == ORACLE_CAP and len(ctx.delta) == BOUNDARY_CAP
+    assert ctx.vc_table == ref.vc_table(RequirementContext(l))
+    assert ctx.crucial_set() == ref.crucial_set(RequirementContext(l))
 
 
 def test_eb_examples():
