@@ -6,21 +6,25 @@ the visible part is exact, and a correction term compensates for incomplete
 edges whose removal may keep low-degree vertices alive longer than the
 configuration shows.
 
-Generation scores all candidate branches of a configuration in one call,
-cost_exponents: each cost is an integer exponent over the measure's common
-denominator, from one table of the configuration's degrees and neighbours.
-A root's candidates are all its nonempty vertex subsets (seed_masks), so
-there subset_exponents scores every subset at once, as masks over the
-sorted vertices, by a lowest-bit recurrence; gensa turns into branches
-only the ones that survive pruning.  cost_bound scores one branch by the
-same formula and also reports the terms of its exponent; certification
-uses it.
+Generation works on masks over a configuration's sorted vertices at every
+depth.  A root's candidates are all its nonempty vertex subsets
+(seed_masks), and a child's are its parent's surviving masks extended by
+the new edge's endpoints (extend_masks): expand gives a fresh vertex the
+largest label, so a parent's mask names the same vertices in each child.
+A branch's cost exponent, an integer over the measure's common
+denominator, is a sum of one term per vertex (_exponents):
+subset_exponents sums them for every subset of a root at once by a
+lowest-bit recurrence, and mask_exponents for each candidate below it.
+Only the entries of a rule leaf become vertex sets.  cost_bound scores one
+such set by a second formula, through measure.degree_shift, and also
+reports the terms of its exponent; certification uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -28,8 +32,6 @@ from .configs import LocalConfiguration
 from .errors import CapacityError, InputDomainError
 from .graphs import MAX_DEGREE
 from .measure import Measure, degree_shift
-
-Branch = frozenset[int]
 
 SEED_CAP = 16
 COST_ROUNDING_MARGIN = Fraction(1, 2**40)
@@ -47,13 +49,15 @@ class SubspaceAssertions:
 NO_ASSERTIONS = SubspaceAssertions()
 
 
-def branch_sort_key(b: Branch) -> tuple:
-    return (len(b), tuple(sorted(b)))
+def mask_key(b: int) -> tuple[int, list[int]]:
+    """The order of candidate masks: that of the vertex sets they name, by
+    size, then by their sorted vertices, lexicographically."""
+    return b.bit_count(), [i for i in range(b.bit_length()) if b >> i & 1]
 
 
 def seed_masks(l: LocalConfiguration) -> list[int]:
     """All nonempty vertex subsets of l as masks over its sorted vertices,
-    in branch_sort_key order: by size, then lexicographically."""
+    in mask_key order."""
     n = len(l.h.vertices)
     if n > SEED_CAP:
         raise CapacityError(f"seeding capped at {SEED_CAP} vertices")
@@ -61,19 +65,12 @@ def seed_masks(l: LocalConfiguration) -> list[int]:
     return [sum(c) for size in range(1, n + 1) for c in combinations(bits, size)]
 
 
-def extend_branches(prev: Sequence[Branch], u: int, v: int) -> list[Branch]:
-    """Candidates for the child configuration reached by adding edge {u, v}:
-    each previous branch, plus it with u, with v, and with both; deduplicated
-    preserving first appearance."""
-    seen: set[Branch] = set()
-    out: list[Branch] = []
-    for b in prev:
-        for extra in ((), (u,), (v,), (u, v)):
-            nb = b | frozenset(extra)
-            if nb not in seen:
-                seen.add(nb)
-                out.append(nb)
-    return out
+def extend_masks(prev: Iterable[int], u_bit: int, v_bit: int) -> list[int]:
+    """Candidates for the child configuration reached by adding the edge
+    between the vertices of u_bit and v_bit: each previous mask, it with u,
+    with v, and with both, each once, in mask_key order."""
+    return sorted({b | extra for b in prev for extra in (0, u_bit, v_bit, u_bit | v_bit)},
+                  key=mask_key)
 
 
 @dataclass(frozen=True)
@@ -121,94 +118,34 @@ def _correction(assertions: SubspaceAssertions, d31: int, d32: int, d21: int,
     return 12, d31 + 2 * d32 + min(d21, r_capacity)
 
 
-def _scorer(
-    l: LocalConfiguration, m: Measure, assertions: SubspaceAssertions
-) -> Callable[[Iterable[int]], tuple[int, int, list[int], list[int]]]:
-    """The scoring of l's branches: a function from a branch to D times its
-    cost exponent, for D = m.scaled[0], with the lemma used, the degree
-    shift and the boundary profile (in BoundaryProfile's field order).  Each
-    vertex's true degree and neighbours, and the boundary, are read once
-    here, not once per branch.
-
-    Taking b removes its vertices, and each neighbour outside b loses one
-    true degree per edge into b.  Survivors keep their incomplete counts
-    (the deleted incomplete edges' endpoints are unknown, so the counts are
-    left as an upper approximation that the correction pays for).  Only b
-    and its neighbours change degree, so no child configuration is built;
-    the exponent is a sum of integers over the measure's common denominator.
-    """
-    h, d = l.h, l.d
-    vertices = h.vertices
-    nbrs = {v: h.neighbors(v) for v in vertices}
-    tdeg = {v: len(ns) + d[v] for v, ns in nbrs.items()}
-    # each boundary vertex with its profile slot if taken, and if kept, by
-    # the number of its edges into the branch
-    boundary = [(v, _TAKEN_SLOT.get((tdeg[v], dv)),
-                 [_KEPT_SLOT.get((tdeg[v] - k, dv)) for k in range(MAX_DEGREE + 1)])
-                for v, dv in d.items() if dv]
-    unit = _correction_unit(m)
-
-    def score(b: Iterable[int]) -> tuple[int, int, list[int], list[int]]:
-        take = frozenset(b)
-        if not take <= vertices:
-            raise InputDomainError(f"unknown vertices {sorted(take - vertices)}")
-        dn, lost = degree_shift(tdeg.__getitem__, nbrs.__getitem__, take)
-        p = [0] * 6
-        for v, taken_slot, kept_slots in boundary:
-            slot = taken_slot if v in take else kept_slots[lost.get(v, 0)]
-            if slot is not None:
-                p[slot] += 1
-        lemma, count = _correction(assertions, *p)
-        # count >= 0, so this is count * max(0, unit)
-        numerator = m.scaled_value(-len(take), dn) + max(0, count * unit)
-        return numerator, lemma, dn, p
-
-    return score
-
-
-def cost_exponents(
-    l: LocalConfiguration,
-    branches: Iterable[Iterable[int]],
-    m: Measure,
-    assertions: SubspaceAssertions = NO_ASSERTIONS,
-) -> list[int]:
-    """D * cost_bound(l, b, m, assertions).exponent for each branch b, for
-    D = m.scaled[0], in one pass over l; InputDomainError on a branch with a
-    vertex outside l."""
-    score = _scorer(l, m, assertions)
-    return [score(b)[0] for b in branches]
-
-
-def subset_exponents(
+def _exponents(
     l: LocalConfiguration,
     m: Measure,
-    assertions: SubspaceAssertions = NO_ASSERTIONS,
+    assertions: SubspaceAssertions,
+    sums: Callable[..., list[int]],
 ) -> list[int]:
-    """cost_exponents of every vertex subset of l at once, indexed by the
-    subset's mask over l's sorted vertices (2^n of them: gensa calls this on
-    a root, whose size seed_masks caps); the empty set scores 0.
-
-    A branch's exponent before its correction is a sum of one term per
-    taken vertex and one per vertex left, by its number of edges into the
-    branch (Measure.scaled_value of each vertex's own degree change), and so
-    is its boundary profile, packed one 8-bit field per BoundaryProfile
-    field; _subset_sums adds both up for every subset.  The profile is
-    summed only when the measure charges a correction.
-    """
+    """D times the cost exponent, for D = m.scaled[0], of each branch that
+    sums(nbrs, taken, left) adds up per-vertex terms for: taken[v] for each
+    v in the branch and left[u][k] for each u outside it, k its number of
+    edges into it, with nbrs the neighbours by index over l's sorted
+    vertices.  The terms are each vertex's own change to the measure
+    (Measure.scaled_value of its degree change).  When m charges a
+    correction, the boundary profile is summed the same way, one 8-bit
+    field per BoundaryProfile field, and its correction added."""
     vs = sorted(l.h.vertices)
     index = {v: i for i, v in enumerate(vs)}
     nbrs = [[index[u] for u in l.h.neighbors(v)] for v in vs]
     degrees = [(len(ns) + l.d[v], l.d[v]) for v, ns in zip(vs, nbrs)]  # (true degree, d)
 
-    def term(i: int, budget: int, k: int) -> int:
-        """D times the change to the measure when vertex i loses k of its true degree."""
+    def term(t: int, budget: int, k: int) -> int:
+        """D times the change to the measure when a vertex of true degree t loses k of it."""
         dn = [0] * (MAX_DEGREE + 1)
-        dn[degrees[i][0]] -= 1
-        dn[degrees[i][0] - k] += 1
+        dn[t] -= 1
+        dn[t - k] += 1
         return m.scaled_value(budget, dn)
 
-    exponents = _subset_sums(nbrs, [term(i, -1, t) for i, (t, _) in enumerate(degrees)],
-                             [[term(i, 0, k) for k in range(len(ns) + 1)] for i, ns in enumerate(nbrs)])
+    exponents = sums(nbrs, [term(t, -1, t) for t, _ in degrees],
+                     [[term(t, 0, k) for k in range(len(ns) + 1)] for (t, _), ns in zip(degrees, nbrs)])
     unit = _correction_unit(m)
     if unit <= 0:  # count >= 0, so no correction is charged
         return exponents
@@ -216,15 +153,45 @@ def subset_exponents(
     def field(slot: Optional[int]) -> int:
         return 0 if slot is None else 1 << 8 * slot
 
-    profiles = _subset_sums(
-        nbrs,
-        [field(_TAKEN_SLOT.get(td)) for td in degrees],
-        [[field(_KEPT_SLOT.get((t - k, dv))) for k in range(len(ns) + 1)]
-         for (t, dv), ns in zip(degrees, nbrs)],
-    )
+    profiles = sums(nbrs, [field(_TAKEN_SLOT.get(td)) for td in degrees],
+                    [[field(_KEPT_SLOT.get((t - k, dv))) for k in range(len(ns) + 1)]
+                     for (t, dv), ns in zip(degrees, nbrs)])
     counts = {p: _correction(assertions, *(p >> s & 255 for s in range(0, 48, 8)))[1]
               for p in set(profiles)}
     return [e + unit * counts[p] for e, p in zip(exponents, profiles)]
+
+
+def mask_exponents(
+    l: LocalConfiguration,
+    masks: Iterable[int],
+    m: Measure,
+    assertions: SubspaceAssertions = NO_ASSERTIONS,
+) -> list[int]:
+    """D * cost_bound(l, b, m, assertions).exponent for the branch b of each
+    mask over l's sorted vertices, for D = m.scaled[0]: the terms that
+    subset_exponents sums by its recurrence, summed vertex by vertex."""
+    return _exponents(l, m, assertions, partial(_mask_sums, list(masks)))
+
+
+def subset_exponents(
+    l: LocalConfiguration,
+    m: Measure,
+    assertions: SubspaceAssertions = NO_ASSERTIONS,
+) -> list[int]:
+    """mask_exponents of every vertex subset of l at once, indexed by its
+    mask (2^n of them: gensa calls this on a root, whose size seed_masks
+    caps); the empty set scores 0.  _subset_sums adds the terms up for
+    every subset by a lowest-bit recurrence."""
+    return _exponents(l, m, assertions, _subset_sums)
+
+
+def _mask_sums(masks: Sequence[int], nbrs: Sequence[Sequence[int]], taken: Sequence[int],
+               left: Sequence[Sequence[int]]) -> list[int]:
+    """_subset_sums at each of masks, one vertex at a time."""
+    rows = [(own, row, sum(1 << u for u in ns)) for own, row, ns in zip(taken, left, nbrs)]
+    return [sum(own if b >> i & 1 else row[(nbr & b).bit_count()]
+                for i, (own, row, nbr) in enumerate(rows))
+            for b in masks]
 
 
 def _subset_sums(nbrs: Sequence[Sequence[int]], taken: Sequence[int],
@@ -261,9 +228,30 @@ def cost_bound(
     assertions: SubspaceAssertions = NO_ASSERTIONS,
 ) -> CostBound:
     """Exponent e with cost(l, b) <= 2^e, by the tightest applicable bound,
-    with the terms it is made of."""
+    with the terms it is made of; InputDomainError on a vertex outside l.
+
+    Taking b removes its vertices, and each neighbour outside b loses one
+    true degree per edge into b.  Survivors keep their incomplete counts
+    (the deleted incomplete edges' endpoints are unknown, so the counts are
+    left as an upper approximation that the correction pays for).  Only b
+    and its neighbours change degree, so no child configuration is built.
+    The degree shift comes from measure.degree_shift, not from the
+    per-vertex terms that generation sums, so a fault in either formula
+    fails certification.
+    """
     take = frozenset(b)
-    numerator, lemma, dn, p = _scorer(l, m, assertions)(take)
+    if not take <= l.h.vertices:
+        raise InputDomainError(f"unknown vertices {sorted(take - l.h.vertices)}")
+    dn, lost = degree_shift(l.true_degree, l.h.neighbors, take)
+    p = [0] * 6
+    for v, dv in l.d.items():
+        if dv:
+            t = l.true_degree(v)
+            slot = _TAKEN_SLOT.get((t, dv)) if v in take else _KEPT_SLOT.get((t - lost.get(v, 0), dv))
+            if slot is not None:
+                p[slot] += 1
+    lemma, count = _correction(assertions, *p)
+    numerator = m.scaled_value(-len(take), dn) + max(0, count * _correction_unit(m))
     return CostBound(Fraction(numerator, m.scaled[0]), lemma, -len(take), dn[1], dn[2], dn[3],
                      BoundaryProfile(*p))
 
@@ -287,9 +275,9 @@ def prune_dominated_indexed(
     eb_masks: Sequence[int],
 ) -> list[int]:
     """Indices of candidates surviving dominance pruning, in increasing
-    order, given the candidates in branch_sort_key order (only their number
-    and order are read: they may be branches or masks) with each one's cost
-    exponent over one common denominator (as cost_exponents gives it).
+    order, given the candidate masks in mask_key order (only their number
+    and order are read) with each one's cost exponent over one common
+    denominator (as mask_exponents gives it).
 
     b is dominated by b' when cost(b) >= cost(b') and eb(b) is a subset of
     eb(b'); exact ties keep the branch with the smaller identifier.

@@ -132,10 +132,11 @@ class RequirementContext:
             crucial.append(frozenset(d[i] for i in range(n) if r >> i & 1))
         return tuple(crucial)
 
-    def cover_masks(self, branches: Iterable[Iterable[int]], reqs: Sequence[Requirement]) -> list[int]:
-        """For each branch b, the mask with bit i set iff b satisfies reqs[i]
-        (the Algorithm-3 test): b extends some minimum cover of H - R, that
-        is vc(H - R) = vc(H - R - b) + |b - R|.  Each requirement's mask and
+    def cover_masks(self, branches: Iterable[int], reqs: Sequence[Requirement]) -> list[int]:
+        """For each branch b, given as a mask over H's sorted vertices (the
+        solver's bits), the mask with bit i set iff b satisfies reqs[i] (the
+        Algorithm-3 test): b extends some minimum cover of H - R, that is
+        vc(H - R) = vc(H - R - b) + |b - R|.  Each requirement's mask and
         vc(H - R), read off vc_table, are looked up once per call."""
         solver, full, delta, vc_table = self.solver, self._full, self.delta, self.vc_table
         vc = solver.vc
@@ -144,10 +145,9 @@ class RequirementContext:
                      for req in reqs]
         out = []
         for b in branches:
-            b_mask = solver.mask_of(b)
             mask = 0
             for i, (kept, base) in enumerate(looked_up):
-                if base == vc(kept & ~b_mask) + (b_mask & kept).bit_count():
+                if base == vc(kept & ~b) + (b & kept).bit_count():
                     mask |= 1 << i
             out.append(mask)
         return out
@@ -179,4 +179,4 @@ class RequirementContext:
 
     def satisfies(self, b: Iterable[int], req: Requirement) -> bool:
         """Algorithm-3 test: b extends some minimum cover of H - req."""
-        return self.cover_masks([b], (req,)) == [1]
+        return self.cover_masks([self.solver.mask_of(b)], (req,)) == [1]

@@ -18,14 +18,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .branching import (
-    Branch,
     NO_ASSERTIONS,
     SubspaceAssertions,
-    branch_sort_key,
     cost_bound,
-    cost_exponents,
     cost_value,
-    extend_branches,
+    extend_masks,
+    mask_exponents,
     prune_dominated_indexed,
     seed_masks,
     subset_exponents,
@@ -138,10 +136,12 @@ def gensa(
         nodes.append(node)
         return node.node_id
 
-    def build(config: LocalConfiguration, basis: Optional[list[Branch]], depth: int,
+    def build(config: LocalConfiguration, candidates: list[int], depth: int,
               chain: list[LocalConfiguration]) -> int:
-        """The node of config, whose candidates are the nonempty branches of
-        basis, or at the root (basis None) every nonempty vertex subset."""
+        """The node of config, whose candidate branches are the nonempty
+        masks candidates over its sorted vertices, in mask_key order: at the
+        root all its vertex subsets, below it the extensions of its
+        parent's survivors."""
         chain = chain + [config]
         reason = out_of_budget()
         if reason is not None:
@@ -176,18 +176,15 @@ def gensa(
         except CapacityError:
             raise _LimitHit("boundary width beyond requirement cap", chain)
 
-        if basis is None:  # the root: score every subset at once, as masks
-            exps, covered = subset_exponents(config, m, assertions), ctx.subset_cover_masks(crucial)
-            exponents, masks = [exps[b] for b in seeds], [covered[b] for b in seeds]
-            keep = prune_dominated_indexed(seeds, exponents, masks)
-            vs = sorted(config.h.vertices)
-            pruned = [frozenset(v for j, v in enumerate(vs) if seeds[i] >> j & 1) for i in keep]
-        else:
-            candidates = sorted((b for b in basis if b), key=branch_sort_key)
-            exponents = cost_exponents(config, candidates, m, assertions)  # over m.scaled[0]
+        vs = sorted(config.h.vertices)
+        if depth:
+            exponents = mask_exponents(config, candidates, m, assertions)  # over m.scaled[0]
             masks = ctx.cover_masks(candidates, crucial)
-            keep = prune_dominated_indexed(candidates, exponents, masks)
-            pruned = [candidates[i] for i in keep]
+        else:  # the root: score every subset at once
+            exps, covered = subset_exponents(config, m, assertions), ctx.subset_cover_masks(crucial)
+            exponents, masks = [exps[b] for b in candidates], [covered[b] for b in candidates]
+        keep = prune_dominated_indexed(candidates, exponents, masks)
+        survivors = [candidates[i] for i in keep]
         pruned_masks = [masks[i] for i in keep]
         pruned_costs = [cost_value(Fraction(exponents[i], m.scaled[0])) for i in keep]
 
@@ -199,7 +196,8 @@ def gensa(
             sol = lp_sol
 
         if sol is not None and sol.objective <= 1:
-            entries = tuple(RuleEntry(b, w) for b, w in zip(pruned, sol.weights) if w > 0)
+            entries = tuple(RuleEntry(frozenset(v for j, v in enumerate(vs) if b >> j & 1), w)
+                            for b, w in zip(survivors, sol.weights) if w > 0)
             wrong, _ = _check_rule_leaf(config, entries, ctx, crucial, m, rule_mode, assertions)
             if wrong:
                 raise ContractError(f"solver returned a rule failing its check: {wrong[0]}")
@@ -210,8 +208,11 @@ def gensa(
                 memo[key] = node_id
             return node_id
 
-        # no efficient rule: expand and recurse
+        # no efficient rule: expand and recurse.  Each child adds one edge at
+        # the selected vertex, to an internal vertex or to a fresh one, which
+        # has the largest label and so the child's last index
         selected = select_expansion_vertex(config)
+        selected_bit = 1 << vs.index(selected)
         refs: list[ChildRef] = []
         for label, child in expand(config):
             forbidden = forbidden_by(child, assertions)
@@ -219,9 +220,10 @@ def gensa(
                 counters["pruned_children"] += 1
                 refs.append(ChildRef(label, None, pruned_by=forbidden))
                 continue
-            new_edge = _expansion_edge(config, child)
-            basis_for_child = extend_branches([frozenset()] + pruned, *new_edge)
-            child_id = build(child, basis_for_child, depth + 1, chain)
+            other_bit = 1 << (vs.index(label[1]) if label[0] == "internal" else len(vs))
+            # the empty mask extends to the bare endpoints, and sorts first
+            child_candidates = extend_masks([0] + survivors, selected_bit, other_bit)[1:]
+            child_id = build(child, child_candidates, depth + 1, chain)
             refs.append(ChildRef(label, child_id))
         node_id = emit(TreeNode(len(nodes), config, "expanded",
                                 selected=selected, children=tuple(refs)))
@@ -229,13 +231,9 @@ def gensa(
             memo[key] = node_id
         return node_id
 
-    def _expansion_edge(parent: LocalConfiguration, child: LocalConfiguration) -> tuple[int, int]:
-        (edge,) = set(child.h.edges()) - set(parent.h.edges())
-        return edge
-
     seeds = seed_masks(root)
     try:
-        root_id = build(root, None, 0, [])
+        root_id = build(root, seeds, 0, [])
         failure = None
     except _LimitHit as hit:
         root_id = -1
@@ -447,7 +445,7 @@ def _check_rule_leaf(
         objective += entry.weight * cost
     den = math.lcm(*(e.weight.denominator for e in entries))
     nums = [e.weight.numerator * (den // e.weight.denominator) for e in entries]
-    masks = ctx.cover_masks([e.take for e in entries], crucial)
+    masks = ctx.cover_masks([ctx.solver.mask_of(e.take) for e in entries], crucial)
     failures = []
     for i, r in enumerate(crucial):
         covered = sum(num for num, mask in zip(nums, masks) if mask >> i & 1)

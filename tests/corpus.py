@@ -16,6 +16,12 @@ from vcgen.measure import Measure
 
 # n-mode beta3 = 1/5: the randomized reference measure
 MU_N20 = Measure(0, 0, 0, Fraction("0.2"), "n")
+# n-mode beta3 = 1/8 at depth 20: the randomized tables of P3-P8 are up to 16
+# deep, where the reference tables are at most 9, so they reach far more
+# child configurations; `vcgen generate --measure n-mode b3=1/8 --mode rand
+# --depth 20` writes the same files
+MU_N8 = Measure(0, 0, 0, Fraction(1, 8), "n")
+DEEP_SUBSPACES = range(3, 9)
 
 
 def brute_force_vc(g: Graph) -> int:
@@ -120,6 +126,16 @@ def build_tables(m, mode: str) -> dict:
                    assertions=assertions_for(sid), subspace_id=sid)
         for sid in range(1, 20)
     }
+
+
+def deep_tables() -> dict:
+    """The randomized tables of DEEP_SUBSPACES under MU_N8, at depth 20."""
+    from vcgen.rulegen import GenLimits, gensa
+    from vcgen.subspaces import assertions_for, root_config
+
+    return {sid: gensa(root_config(sid), MU_N8, rule_mode="randomized", assertions=assertions_for(sid),
+                       limits=GenLimits(max_depth=20), subspace_id=sid)
+            for sid in DEEP_SUBSPACES}
 
 
 @contextlib.contextmanager

@@ -49,7 +49,8 @@ def check_rule_leaf(
         if not rulegen._at_least_pow2(cost, exp):
             return [f"cost of branch {take} is below 2^({exp})"], None
         objective += entry.weight * cost
-    for entry, covered in zip(entries, ctx.cover_masks([e.take for e in entries], crucial)):
+    masks = ctx.cover_masks([ctx.solver.mask_of(e.take) for e in entries], crucial)
+    for entry, covered in zip(entries, masks):
         for i in range(len(crucial)):
             if covered >> i & 1:
                 coverage[i] += entry.weight

@@ -1,5 +1,6 @@
-"""Reference branch scoring: the cost bound and requirement coverage as
-first written, kept as the oracle of tests/test_scoring_differential.py.
+"""Reference branch scoring: the cost bound, requirement coverage and
+child candidates as first written, on vertex sets, kept as the oracle of
+tests/test_scoring_differential.py.
 
 `cost_bound` here builds the child configuration with `apply_branch`,
 counts true degrees before and after over the whole graph, and reads the
@@ -7,7 +8,10 @@ boundary profile off both configurations, all in `Fraction` arithmetic.
 `coverage_mask` runs the Algorithm-3 test once per requirement through
 `reference_requirements.vc_minus`.  The package scores a branch from its vertices and their
 neighbours in integers, and tests coverage on vertex masks; both must agree
-with this module on every input.
+with this module on every input.  `extend_branches` and `branch_sort_key`
+give a child's candidates as generation first built them, as vertex sets
+sorted by size and then lexicographically; the package builds the same
+candidates as masks.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from typing import Iterable, Sequence
 
 from vcgen.branching import (
     NO_ASSERTIONS,
-    Branch,
     BoundaryProfile,
     CostBound,
     SubspaceAssertions,
@@ -26,6 +29,27 @@ from vcgen.configs import LocalConfiguration
 from vcgen.measure import Measure
 from reference_requirements import vc_minus
 from vcgen.requirements import Requirement, RequirementContext
+
+Branch = frozenset[int]
+
+
+def branch_sort_key(b: Branch) -> tuple:
+    return (len(b), tuple(sorted(b)))
+
+
+def extend_branches(prev: Sequence[Branch], u: int, v: int) -> list[Branch]:
+    """Candidates for the child configuration reached by adding edge {u, v}:
+    each previous branch, plus it with u, with v, and with both; deduplicated
+    preserving first appearance."""
+    seen: set[Branch] = set()
+    out: list[Branch] = []
+    for b in prev:
+        for extra in ((), (u,), (v,), (u, v)):
+            nb = b | frozenset(extra)
+            if nb not in seen:
+                seen.add(nb)
+                out.append(nb)
+    return out
 
 
 def apply_branch(l: LocalConfiguration, b: Iterable[int]) -> LocalConfiguration:

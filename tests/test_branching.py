@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from corpus import config_corpus
-from reference_scoring import apply_branch
+from reference_scoring import apply_branch, branch_sort_key
 from vcgen.branching import (
     SubspaceAssertions,
     cost_bound,
     cost_value,
-    branch_sort_key,
-    extend_branches,
+    extend_masks,
+    mask_key,
     prune_dominated_indexed,
     seed_masks,
 )
@@ -46,26 +46,36 @@ def test_seed_branches():
     assert len(seed_branches(instance_as_config(cycle_graph(3)))) == 7
     l = LocalConfiguration(Graph([4, 7, 9, 12], [(4, 7), (7, 9), (9, 12)]), {4: 2, 7: 1, 9: 1, 12: 2})
     assert seed_branches(l) == sorted(seed_branches(l), key=branch_sort_key)
+    assert seed_masks(l) == sorted(seed_masks(l), key=mask_key)
     assert len(set(seed_branches(l))) == 15
     with pytest.raises(CapacityError):
         seed_branches(LocalConfiguration(Graph(range(17)), {}))
 
 
+def test_mask_key_orders_as_branch_sort_key():
+    # every subset of six vertices whose labels are not their indices
+    vs = [2, 3, 5, 8, 13, 21]
+    as_set = {b: frozenset(v for j, v in enumerate(vs) if b >> j & 1) for b in range(1 << len(vs))}
+    by_mask = [as_set[b] for b in sorted(as_set, key=mask_key)]
+    assert by_mask == sorted(as_set.values(), key=branch_sort_key)
+
+
 def test_extend_branches_formula():
-    assert extend_branches([fs("a")], "a", "u") == [fs("a"), fs("a", "u")]
-    assert extend_branches([], 0, 1) == []
-    assert extend_branches([fs("a"), fs("b")], "a", "b") == [
-        fs("a"),
-        fs("a", "b"),
-        fs("b"),
-    ]
+    a, b, u = 1, 2, 4
+    assert extend_masks([a], a, u) == [a, a | u]
+    assert extend_masks([], 1, 2) == []
+    assert extend_masks([a, b], a, b) == [a, b, a | b]
+    # {0, 3} sorts before {1, 2}, although its mask is the larger
+    assert extend_masks([0b110, 0b1], 0b1000, 0b10000) == [
+        0b1, 0b1001, 0b10001, 0b110, 0b11001, 0b1110, 0b10110, 0b11110]
 
 
 def test_extend_branches_with_empty_basis_entry():
     # keeping the empty branch in the basis regenerates the bare singletons
-    out = extend_branches([frozenset(), fs("a")], "a", "u")
-    assert fs("u") in out and fs("a") in out and fs("a", "u") in out
-    assert frozenset() in out
+    a, u = 1, 2
+    out = extend_masks([0, a], a, u)
+    assert u in out and a in out and a | u in out
+    assert 0 in out
 
 
 def test_apply_branch_examples():

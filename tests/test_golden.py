@@ -1,7 +1,8 @@
 """Fixed outputs of the reference tables and of both engines.
 
 The files under tests/golden/ hold the canonical-JSON digests of the 38
-reference tables, the deterministic covers of a seeded deck, and seeded
+reference tables and of the deep tables (randomized P3-P8 at n-mode
+beta3 = 1/8, depth 20), the deterministic covers of a seeded deck, and seeded
 randomized walks with their traces.  A refactor of generation or of the
 engines must leave every line unchanged; a deliberate change of behaviour
 rewrites the files and says why in CHANGES.md.
@@ -19,7 +20,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from corpus import MU_N20, build_tables, random_subcubic
+from corpus import MU_N20, build_tables, deep_tables, random_subcubic
 from vcgen.cli import main as cli_main
 from vcgen.errors import VcgenError
 from vcgen.graphs import Instance, format_instance, petersen_graph, vc_oracle
@@ -31,12 +32,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def table_digests(det_engine, rand_engine) -> str:
-    lines = []
-    for mode, engine in (("det", det_engine), ("rand", rand_engine)):
-        for sid in sorted(engine.tables):
-            text = table_to_json(engine.tables[sid])
-            lines.append(f"{mode} P{sid} {hashlib.sha256(text.encode()).hexdigest()}")
-    return "\n".join(lines) + "\n"
+    return digest_lines("det", det_engine.tables) + digest_lines("rand", rand_engine.tables)
+
+
+def digest_lines(mode: str, tables: dict) -> str:
+    return "".join(f"{mode} P{sid} {hashlib.sha256(table_to_json(tables[sid]).encode()).hexdigest()}\n"
+                   for sid in sorted(tables))
 
 
 def deck(seed: int, count: int, low: int, high: int):
@@ -98,6 +99,10 @@ def test_table_digests(det_engine, rand_engine):
     assert_golden("table_digests.txt", table_digests(det_engine, rand_engine))
 
 
+def test_deep_table_digests():
+    assert_golden("table_digests_b3_eighth.txt", digest_lines("rand", deep_tables()))
+
+
 def test_deterministic_covers(det_engine):
     assert_golden("deterministic_covers.txt", deterministic_results(det_engine))
 
@@ -128,6 +133,7 @@ if __name__ == "__main__":
     det = TableEngine(build_tables(pure_k(), "deterministic"), pure_k())
     rand = TableEngine(build_tables(MU_N20, "randomized"), MU_N20)
     (GOLDEN / "table_digests.txt").write_text(table_digests(det, rand))
+    (GOLDEN / "table_digests_b3_eighth.txt").write_text(digest_lines("rand", deep_tables()))
     (GOLDEN / "deterministic_covers.txt").write_text(deterministic_results(det))
     (GOLDEN / "randomized_walks.txt").write_text(randomized_walks(rand))
     (GOLDEN / "solve_trace.txt").write_text(solve_trace())

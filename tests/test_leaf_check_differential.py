@@ -57,7 +57,7 @@ def lowered(config, entries, excess):
     1/m - excess; an entry that covers r alone is split in two first."""
     ctx = RequirementContext(config)
     crucial = ctx.crucial_set()
-    masks = ctx.cover_masks([e.take for e in entries], crucial)
+    masks = ctx.cover_masks([ctx.solver.mask_of(e.take) for e in entries], crucial)
     for i, r in enumerate(crucial):
         covering = [j for j, mask in enumerate(masks) if mask >> i & 1]
         if len(covering) == 1:

@@ -1,36 +1,50 @@
 """Branch scoring against the reference in tests/reference_scoring.py.
 
-The package scores all branches of a configuration in one pass, from each
-branch's vertices and their neighbours in integer arithmetic, and tests
-requirement coverage once per branch on vertex masks.  At a root, whose
-candidates are all its vertex subsets, it scores every subset at once by a
-recurrence over masks and reads coverage off each requirement's minimum
-covers.  The reference builds the child configuration and runs the
-Algorithm-3 test once per requirement.  Every cost exponent, every
-`CostBound` field and every coverage mask must agree: on every
-(configuration, candidate branch) pair that generating the two reference
-table sets scores, and on seeded configuration corpora under every measure
-and lemma assertion.  The subset scoring must also agree with the
-per-branch scoring on every root and on seeded configurations of up to 12
-vertices, and `minimum_covers` with brute force.
+Generation names every candidate branch by its mask over the
+configuration's sorted vertices.  A root's candidates are all its vertex
+subsets, scored at once by a recurrence over masks, with coverage read off
+each requirement's minimum covers; below the root, each candidate is
+scored by the same per-vertex terms and tested for coverage on its mask,
+and a child's candidates are its parent's survivors extended by the new
+edge.  The reference works on vertex sets: it builds the child
+configuration, runs the Algorithm-3 test once per requirement, and extends
+and sorts the candidates as sets.  Every cost exponent, every `CostBound`
+field, every coverage mask and every child's candidate list must agree:
+on every (configuration, candidate branch) pair and every expanded node
+that generating the two reference table sets scores (and, for the
+candidate lists, the deep tables too), and on seeded configuration corpora
+under every measure and lemma assertion.  The subset scoring must also
+agree with the per-branch scoring on every root and on seeded
+configurations of up to 12 vertices, and `minimum_covers` with brute
+force.
 """
 
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import reference_scoring as ref
 import vcgen.rulegen as rulegen
-from corpus import MU_N20, build_tables, config_corpus, random_config, random_cubic, random_subcubic
+from corpus import (
+    MU_N20,
+    build_tables,
+    config_corpus,
+    deep_tables,
+    random_config,
+    random_cubic,
+    random_subcubic,
+)
 from reference_requirements import eb
 from vcgen.branching import (
     NO_ASSERTIONS,
     SubspaceAssertions,
     cost_bound,
-    cost_exponents,
+    mask_exponents,
+    prune_dominated_indexed,
     subset_exponents,
 )
 from vcgen.configs import LocalConfiguration
@@ -60,22 +74,26 @@ def branches_of(l):
     return [frozenset(c) for size in range(1, len(vs) + 1) for c in itertools.combinations(vs, size)]
 
 
+def set_of(l, b):
+    """The vertex set of l that mask b names over l's sorted vertices."""
+    return frozenset(v for j, v in enumerate(sorted(l.h.vertices)) if b >> j & 1)
+
+
 def subsets_of(l):
     """Every vertex subset of l, the empty one first, indexed by its mask
     over l's sorted vertices."""
-    vs = sorted(l.h.vertices)
-    return [frozenset(v for j, v in enumerate(vs) if b >> j & 1) for b in range(1 << len(vs))]
+    return [set_of(l, b) for b in range(1 << len(l.h.vertices))]
 
 
 def test_generation_scores_match_reference(monkeypatch):
-    """Each branch that the cost_exponents, cost_bound and cover_masks calls
+    """Each branch that the mask_exponents, cost_bound and cover_masks calls
     of both reference generations score is checked against the reference as
     it is scored."""
     scored = {"cost": 0, "cover": 0}
 
-    def checked_cost_exponents(l, branches, m, assertions=NO_ASSERTIONS):
-        got = cost_exponents(l, branches, m, assertions)
-        for b, e in zip(branches, got, strict=True):
+    def checked_mask_exponents(l, masks, m, assertions=NO_ASSERTIONS):
+        got = mask_exponents(l, masks, m, assertions)
+        for b, e in zip([set_of(l, b) for b in masks], got, strict=True):
             assert e == ref.cost_bound(l, b, m, assertions).exponent * m.scaled[0], (l, sorted(b))
         scored["cost"] += len(got)
         return got
@@ -90,6 +108,7 @@ def test_generation_scores_match_reference(monkeypatch):
     def checked_cover_masks(ctx, branches, reqs):
         got = cover_masks(ctx, branches, reqs)
         for b, mask in zip(branches, got, strict=True):
+            b = set_of(ctx.config, b)
             assert mask == ref.coverage_mask(ctx, b, reqs), (ctx.config, sorted(b), reqs)
         scored["cover"] += len(got)
         return got
@@ -110,7 +129,7 @@ def test_generation_scores_match_reference(monkeypatch):
         scored["cover"] += len(got) - 1
         return got
 
-    monkeypatch.setattr(rulegen, "cost_exponents", checked_cost_exponents)
+    monkeypatch.setattr(rulegen, "mask_exponents", checked_mask_exponents)
     monkeypatch.setattr(rulegen, "cost_bound", checked_cost_bound)
     monkeypatch.setattr(RequirementContext, "cover_masks", checked_cover_masks)
     monkeypatch.setattr(rulegen, "subset_exponents", checked_subset_exponents)
@@ -119,8 +138,60 @@ def test_generation_scores_match_reference(monkeypatch):
         tables = build_tables(m, mode)
         assert all(t.complete for t in tables.values())
     # every candidate of every rule search (at a root, every nonempty vertex
-    # subset), and every entry of every rule leaf, is scored and tested once
-    assert scored["cost"] == scored["cover"] > 10_000
+    # subset), and every entry of every rule leaf, is scored and tested once:
+    # 1,364 candidates below the roots, 20,164 root subsets, 171 leaf entries
+    assert scored["cost"] == scored["cover"] == 1_364 + 20_164 + 171
+
+
+def test_child_candidates_match_reference_extension(monkeypatch):
+    """At every expanded node of both reference generations and of the deep
+    tables, each child that generation scores gets as candidates, read as
+    vertex sets, the reference extension of the node's surviving branches
+    and the empty one by the child's new edge, nonempty, in branch_sort_key
+    order."""
+    scored = {}  # id(config) -> (config, its candidates, its survivors)
+    current = []
+
+    def recording(score):
+        def recorded(l, *args):
+            current[:] = [l]
+            return score(l, *args)
+        return recorded
+
+    def recorded_prune(candidates, exponents, masks):
+        keep = prune_dominated_indexed(candidates, exponents, masks)
+        (l,) = current
+        scored[id(l)] = (l, list(candidates), [candidates[i] for i in keep])
+        return keep
+
+    monkeypatch.setattr(rulegen, "mask_exponents", recording(mask_exponents))
+    monkeypatch.setattr(rulegen, "subset_exponents", recording(subset_exponents))
+    monkeypatch.setattr(rulegen, "prune_dominated_indexed", recorded_prune)
+    tables = [*build_tables(MU_N20, "randomized").values(),
+              *build_tables(pure_k(), "deterministic").values(), *deep_tables().values()]
+    checked = Counter()
+    for t in tables:
+        assert t.complete
+        nodes = t.tree.nodes
+        for node in nodes:
+            if node.kind != "expanded":
+                continue
+            config, _, survivors = scored[id(node.config)]
+            assert config is node.config
+            basis = [frozenset()] + [set_of(config, b) for b in survivors]
+            for child_ref in node.children:
+                if child_ref.node is None:
+                    continue
+                child = nodes[child_ref.node]
+                if not (child.kind == "expanded" or child.kind == "leaf" and child.leaf.kind == "rule"):
+                    assert id(child.config) not in scored
+                    continue
+                ((u, v),) = set(child.config.h.edges()) - set(config.h.edges())
+                want = sorted(set(ref.extend_branches(basis, u, v)) - {frozenset()}, key=ref.branch_sort_key)
+                _, candidates, _ = scored[id(child.config)]
+                assert [set_of(child.config, b) for b in candidates] == want, (config, child_ref.label)
+                checked[child_ref.label[0]] += 1
+    assert checked["internal"] > 0 and checked["new"] > 0, checked
 
 
 @pytest.mark.parametrize("m", [MU1, MU2, MU_N20, pure_k()], ids=["MU1", "MU2", "n20", "k"])
@@ -134,12 +205,15 @@ def test_cost_bound_matches_reference_on_corpus(m):
 @pytest.mark.parametrize("m", [MU1, MU2, MU_N20, pure_k(), Measure(0, 0, 0, Fraction("0.2000001"), "n")],
                          ids=["MU1", "MU2", "n20", "k", "b3=0.2000001"])
 def test_cost_exponents_match_cost_bound_on_corpus(m):
-    """The batched exponents are the per-branch ones over m.scaled[0]."""
+    """mask_exponents are the per-branch exponents of cost_bound over
+    m.scaled[0]."""
     for l in config_corpus(seed=29, count=60, max_n=7):
         branches = branches_of(l)
+        vs = sorted(l.h.vertices)
+        masks = [sum(1 << vs.index(v) for v in b) for b in branches]
         for assertions in (NO_ASSERTIONS, L13, L14):
             want = [cost_bound(l, b, m, assertions).exponent * m.scaled[0] for b in branches]
-            assert cost_exponents(l, branches, m, assertions) == want, (l, m, assertions)
+            assert mask_exponents(l, masks, m, assertions) == want, (l, m, assertions)
 
 
 def test_coverage_matches_reference_on_corpus():
@@ -152,8 +226,9 @@ def test_coverage_matches_reference_on_corpus():
                 for c in itertools.combinations(delta, size)]
         for b in [frozenset()] + branches_of(l):
             want = ref.coverage_mask(ctx, b, reqs)
-            assert ctx.cover_masks([b], reqs)[0] == want
-            assert ctx.cover_masks([b], ctx.crucial_set())[0] == ref.coverage_mask(ctx, b, ctx.crucial_set())
+            b_mask, crucial = ctx.solver.mask_of(b), ctx.crucial_set()
+            assert ctx.cover_masks([b_mask], reqs)[0] == want
+            assert ctx.cover_masks([b_mask], crucial)[0] == ref.coverage_mask(ctx, b, crucial)
             assert [ctx.satisfies(b, r) for r in reqs] == [bool(want >> i & 1) for i in range(len(reqs))]
             assert eb(ctx, b, reqs) == tuple(r for i, r in enumerate(reqs) if want >> i & 1)
 
@@ -164,19 +239,17 @@ def test_cost_bound_rejects_unknown_vertices_like_reference():
     for score in (cost_bound, ref.cost_bound):
         with pytest.raises(InputDomainError):
             score(l, {stranger}, MU1)
-    with pytest.raises(InputDomainError):
-        cost_exponents(l, [frozenset(l.h.vertices), frozenset({stranger})], MU1)
 
 
 def assert_subset_scores_match(l, reqs, measures, assertion_sets):
     """subset_exponents and subset_cover_masks, read at every subset's mask,
-    against cost_exponents and cover_masks of the subset as a branch."""
+    against cost_bound and cover_masks of the subset as a branch."""
     subsets = subsets_of(l)
     ctx = RequirementContext(l)
-    assert ctx.subset_cover_masks(reqs) == ctx.cover_masks(subsets, reqs), (l, reqs)
+    assert ctx.subset_cover_masks(reqs) == ctx.cover_masks(range(len(subsets)), reqs), (l, reqs)
     for m in measures:
         for assertions in assertion_sets:
-            want = [0] + cost_exponents(l, subsets[1:], m, assertions)
+            want = [0] + [cost_bound(l, b, m, assertions).exponent * m.scaled[0] for b in subsets[1:]]
             assert subset_exponents(l, m, assertions) == want, (l, m, assertions)
 
 
