@@ -137,7 +137,8 @@ class RequirementContext:
         solver's bits), the mask with bit i set iff b satisfies reqs[i] (the
         Algorithm-3 test): b extends some minimum cover of H - R, that is
         vc(H - R) = vc(H - R - b) + |b - R|.  Each requirement's mask and
-        vc(H - R), read off vc_table, are looked up once per call."""
+        vc(H - R), read off vc_table, are looked up once per call.  Only
+        certification uses this test; generation reads cover_sets."""
         solver, full, delta, vc_table = self.solver, self._full, self.delta, self.vc_table
         vc = solver.vc
         # each requirement R as the vertices H - R keeps, and vc(H - R)
@@ -152,29 +153,42 @@ class RequirementContext:
             out.append(mask)
         return out
 
+    def cover_sets(self, reqs: Sequence[Requirement]) -> list[list[int]]:
+        """For each requirement R, the masks s = C | R over the minimum covers
+        C of H - R (at most 3^(ORACLE_CAP / 3) of them, by Moon and Moser):
+        b satisfies R iff b - R lies inside some C, that is iff b & ~s == 0
+        for one of R's masks s."""
+        solver, full = self.solver, self._full
+        return [[c | r for c in solver.minimum_covers(full & ~r)] for r in map(solver.mask_of, reqs)]
+
+    def listed_cover_masks(self, branches: Sequence[int], reqs: Sequence[Requirement]) -> list[int]:
+        """cover_masks, read off cover_sets: generation's coverage below a
+        root, which leaves the vc equation to certification."""
+        out = [0] * len(branches)
+        for i, ss in enumerate(self.cover_sets(reqs)):
+            for s in ss:
+                out = [mask | (b & ~s == 0) << i for mask, b in zip(out, branches)]
+        return out
+
     def subset_cover_masks(self, reqs: Sequence[Requirement]) -> list[int]:
         """cover_masks of every vertex subset of H at once, indexed by the
         subset's mask over H's sorted vertices (the solver's bits).
 
-        b satisfies R iff b - R lies inside some minimum cover C of H - R,
-        that is iff b is a subset of C | R.  So the subsets satisfying R are
-        the union, over R's minimum covers, of all subsets of C | R.  Here
-        every subset b has one field of `width` bits in one integer, and all
-        subsets of a set s, each with R's bit in its field, take one doubling
-        shift per vertex of s."""
-        solver, full = self.solver, self._full
+        The subsets satisfying R are the union, over R's cover_sets, of all
+        subsets of s.  Here every subset b has one field of `width` bits in
+        one integer, and all subsets of s, each with R's bit in its field,
+        take one doubling shift per vertex of s."""
         nbytes = (len(reqs) + 7) // 8 or 1
         width = 8 * nbytes
         table = 0
-        for i, req in enumerate(reqs):
-            r = solver.mask_of(req)
-            for cover in solver.minimum_covers(full & ~r):
-                s, subsets = cover | r, 1 << i
+        for i, sets in enumerate(self.cover_sets(reqs)):
+            for s in sets:
+                subsets = 1 << i
                 for j in range(s.bit_length()):
                     if s >> j & 1:
                         subsets |= subsets << (width << j)
                 table |= subsets
-        data = table.to_bytes(nbytes << full.bit_length(), "little")
+        data = table.to_bytes(nbytes << self._full.bit_length(), "little")
         return [int.from_bytes(data[k:k + nbytes], "little") for k in range(0, len(data), nbytes)]
 
     def satisfies(self, b: Iterable[int], req: Requirement) -> bool:

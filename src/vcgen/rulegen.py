@@ -173,13 +173,13 @@ def gensa(
         try:
             ctx = RequirementContext(config)
             crucial = ctx.crucial_set()
-        except CapacityError:
-            raise _LimitHit("boundary width beyond requirement cap", chain)
+        except CapacityError as exc:  # the boundary cap or the oracle's
+            raise _LimitHit(str(exc), chain)
 
         vs = sorted(config.h.vertices)
         if depth:
             exponents = mask_exponents(config, candidates, m, assertions)  # over m.scaled[0]
-            masks = ctx.cover_masks(candidates, crucial)
+            masks = ctx.listed_cover_masks(candidates, crucial)
         else:  # the root: score every subset at once
             exps, covered = subset_exponents(config, m, assertions), ctx.subset_cover_masks(crucial)
             exponents, masks = [exps[b] for b in candidates], [covered[b] for b in candidates]
@@ -231,8 +231,11 @@ def gensa(
             memo[key] = node_id
         return node_id
 
-    seeds = seed_masks(root)
     try:
+        try:
+            seeds = seed_masks(root)
+        except CapacityError as exc:
+            raise _LimitHit(str(exc), [root])
         root_id = build(root, seeds, 0, [])
         failure = None
     except _LimitHit as hit:
@@ -347,8 +350,8 @@ def verify_table(t: RuleTable) -> Certificate:
                 try:
                     ctx = RequirementContext(node.config)
                     crucial = ctx.crucial_set()
-                except CapacityError:
-                    fail(f"node {nid}: boundary beyond requirement cap")
+                except CapacityError as exc:
+                    fail(f"node {nid}: {exc}")
                     continue
                 wrong, objective = _check_rule_leaf(node.config, leaf.entries, ctx, crucial,
                                                     t.measure, t.rule_mode, assertions)

@@ -128,14 +128,14 @@ def build_tables(m, mode: str) -> dict:
     }
 
 
-def deep_tables() -> dict:
-    """The randomized tables of DEEP_SUBSPACES under MU_N8, at depth 20."""
+def deep_tables(subspaces=DEEP_SUBSPACES) -> dict:
+    """The randomized tables of subspaces under MU_N8, at depth 20."""
     from vcgen.rulegen import GenLimits, gensa
     from vcgen.subspaces import assertions_for, root_config
 
     return {sid: gensa(root_config(sid), MU_N8, rule_mode="randomized", assertions=assertions_for(sid),
                        limits=GenLimits(max_depth=20), subspace_id=sid)
-            for sid in DEEP_SUBSPACES}
+            for sid in subspaces}
 
 
 @contextlib.contextmanager

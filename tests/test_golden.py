@@ -3,7 +3,10 @@
 The files under tests/golden/ hold the canonical-JSON digests of the 38
 reference tables and of the deep tables (randomized P3-P8 at n-mode
 beta3 = 1/8, depth 20), the deterministic covers of a seeded deck, and seeded
-randomized walks with their traces.  A refactor of generation or of the
+randomized walks with their traces.  table_digests_b3_eighth_all.txt holds
+the digests of all 19 tables at beta3 = 1/8, depth 20, which the CI
+workflow diffs; tier-1 checks only that its P3-P8 lines are the deep
+tables' file.  A refactor of generation or of the
 engines must leave every line unchanged; a deliberate change of behaviour
 rewrites the files and says why in CHANGES.md.
 
@@ -103,6 +106,12 @@ def test_deep_table_digests():
     assert_golden("table_digests_b3_eighth.txt", digest_lines("rand", deep_tables()))
 
 
+def test_all_deep_digests_extend_the_deep_digests():
+    lines = (GOLDEN / "table_digests_b3_eighth_all.txt").read_text().splitlines(keepends=True)
+    assert [line.split()[1] for line in lines] == [f"P{sid}" for sid in range(1, 20)]
+    assert "".join(lines[2:8]) == (GOLDEN / "table_digests_b3_eighth.txt").read_text()
+
+
 def test_deterministic_covers(det_engine):
     assert_golden("deterministic_covers.txt", deterministic_results(det_engine))
 
@@ -134,6 +143,7 @@ if __name__ == "__main__":
     rand = TableEngine(build_tables(MU_N20, "randomized"), MU_N20)
     (GOLDEN / "table_digests.txt").write_text(table_digests(det, rand))
     (GOLDEN / "table_digests_b3_eighth.txt").write_text(digest_lines("rand", deep_tables()))
+    (GOLDEN / "table_digests_b3_eighth_all.txt").write_text(digest_lines("rand", deep_tables(range(1, 20))))
     (GOLDEN / "deterministic_covers.txt").write_text(deterministic_results(det))
     (GOLDEN / "randomized_walks.txt").write_text(randomized_walks(rand))
     (GOLDEN / "solve_trace.txt").write_text(solve_trace())

@@ -10,10 +10,10 @@ import pytest
 
 import vcgen.rulegen as rulegen
 from corpus import MU_N20, lp_ilp_pairs, random_subcubic, relabel
-from vcgen.configs import instance_as_config
+from vcgen.configs import LocalConfiguration, format_config, instance_as_config
 from vcgen.cli import main
 from vcgen.errors import ContractError, InputDomainError
-from vcgen.graphs import Graph, Instance, complete_graph, format_instance
+from vcgen.graphs import Graph, Instance, complete_graph, format_instance, path_graph
 from vcgen.lp import solve_cover_ilp, solve_cover_lp
 from vcgen.measure import Measure, pure_k
 from vcgen.rulegen import (
@@ -128,6 +128,38 @@ def test_gensa_failure_report_on_tight_limits():
     assert len(t.failure.chain) >= 2
     cert = verify_table(t)
     assert not cert.ok
+
+
+@pytest.mark.parametrize("sid, reason", [
+    (17, "boundary of size 13 exceeds cap 12"),
+    (18, "oracle limited to 24 vertices, got 25"),
+])
+def test_gensa_names_the_cap_that_stops_it(sid, reason):
+    # at beta3 = 0.12 P17 meets a boundary of 13 and P18 a configuration of
+    # 25 vertices (boundary 12): each report names the cap it hit
+    t = gensa(root_config(sid), Measure(0, 0, 0, Fraction("0.12"), "n"), assertions=assertions_for(sid),
+              limits=GenLimits(max_depth=20), subspace_id=sid)
+    assert t.failure.reason == reason
+
+
+def test_gensa_reports_a_root_beyond_the_seed_cap():
+    root = LocalConfiguration(path_graph(17), {0: 1, 16: 1})
+    t = gensa(root, MU_N20)
+    assert not t.complete and t.tree.root == -1
+    assert t.failure.reason == "seeding capped at 16 vertices"
+    assert t.failure.chain == (format_config(root),)
+    assert table_from_json(table_to_json(t)).failure == t.failure
+
+
+@pytest.mark.parametrize("config, reason", [
+    (LocalConfiguration(path_graph(13), dict.fromkeys(range(13), 1)), "boundary of size 13 exceeds cap 12"),
+    (LocalConfiguration(path_graph(25), {0: 1, 24: 1}), "oracle limited to 24 vertices, got 25"),
+], ids=["boundary", "oracle"])
+def test_verify_names_the_cap_a_rule_leaf_exceeds(config, reason):
+    t = p19_pure_k()
+    assert t.tree.node(0).leaf.kind == "rule"
+    t.tree.nodes[0] = dataclasses.replace(t.tree.node(0), config=config)
+    assert f"node 0: {reason}" in verify_table(t).failures
 
 
 def test_gensa_deterministic_output():

@@ -2,21 +2,23 @@
 
 Generation names every candidate branch by its mask over the
 configuration's sorted vertices.  A root's candidates are all its vertex
-subsets, scored at once by a recurrence over masks, with coverage read off
-each requirement's minimum covers; below the root, each candidate is
-scored by the same per-vertex terms and tested for coverage on its mask,
-and a child's candidates are its parent's survivors extended by the new
-edge.  The reference works on vertex sets: it builds the child
-configuration, runs the Algorithm-3 test once per requirement, and extends
-and sorts the candidates as sets.  Every cost exponent, every `CostBound`
-field, every coverage mask and every child's candidate list must agree:
-on every (configuration, candidate branch) pair and every expanded node
+subsets, scored at once by a recurrence over masks; below the root, each
+candidate is scored by the same per-vertex terms, and a child's
+candidates are its parent's survivors extended by the new edge.  At every
+depth coverage is read off each requirement's minimum covers; only
+certification tests the vc equation.  The reference works on vertex sets:
+it builds the child configuration, runs the Algorithm-3 test once per
+requirement, and extends and sorts the candidates as sets.  Every cost
+exponent, every `CostBound` field, every coverage mask and every child's
+candidate list must agree: on every (configuration, candidate branch) pair and every expanded node
 that generating the two reference table sets scores (and, for the
 candidate lists, the deep tables too), and on seeded configuration corpora
 under every measure and lemma assertion.  The subset scoring must also
 agree with the per-branch scoring on every root and on seeded
 configurations of up to 12 vertices, and `minimum_covers` with brute
-force.
+force.  Generation's coverage must agree with certification's on every
+pair generation tests, and at ORACLE_CAP, where a requirement has the
+most minimum covers.
 """
 
 import dataclasses
@@ -49,7 +51,7 @@ from vcgen.branching import (
 )
 from vcgen.configs import LocalConfiguration
 from vcgen.errors import InputDomainError
-from vcgen.graphs import Graph, VertexCoverSolver, cycle_graph
+from vcgen.graphs import ORACLE_CAP, Graph, VertexCoverSolver, cycle_graph
 from vcgen.measure import MU1, MU2, Measure, pure_k
 from vcgen.requirements import RequirementContext
 from vcgen.subspaces import assertions_for, root_config
@@ -86,9 +88,9 @@ def subsets_of(l):
 
 
 def test_generation_scores_match_reference(monkeypatch):
-    """Each branch that the mask_exponents, cost_bound and cover_masks calls
-    of both reference generations score is checked against the reference as
-    it is scored."""
+    """Each branch that the mask_exponents, cost_bound, listed_cover_masks
+    and cover_masks calls of both reference generations score is checked
+    against the reference as it is scored."""
     scored = {"cost": 0, "cover": 0}
 
     def checked_mask_exponents(l, masks, m, assertions=NO_ASSERTIONS):
@@ -103,15 +105,15 @@ def test_generation_scores_match_reference(monkeypatch):
         scored["cost"] += 1
         return cost_bound(l, b, m, assertions)
 
-    cover_masks = RequirementContext.cover_masks
-
-    def checked_cover_masks(ctx, branches, reqs):
-        got = cover_masks(ctx, branches, reqs)
-        for b, mask in zip(branches, got, strict=True):
-            b = set_of(ctx.config, b)
-            assert mask == ref.coverage_mask(ctx, b, reqs), (ctx.config, sorted(b), reqs)
-        scored["cover"] += len(got)
-        return got
+    def checked(cover_masks):
+        def checked_cover_masks(ctx, branches, reqs):
+            got = cover_masks(ctx, branches, reqs)
+            for b, mask in zip(branches, got, strict=True):
+                b = set_of(ctx.config, b)
+                assert mask == ref.coverage_mask(ctx, b, reqs), (ctx.config, sorted(b), reqs)
+            scored["cover"] += len(got)
+            return got
+        return checked_cover_masks
 
     def checked_subset_exponents(l, m, assertions=NO_ASSERTIONS):
         got = subset_exponents(l, m, assertions)
@@ -131,7 +133,8 @@ def test_generation_scores_match_reference(monkeypatch):
 
     monkeypatch.setattr(rulegen, "mask_exponents", checked_mask_exponents)
     monkeypatch.setattr(rulegen, "cost_bound", checked_cost_bound)
-    monkeypatch.setattr(RequirementContext, "cover_masks", checked_cover_masks)
+    for name in ("listed_cover_masks", "cover_masks"):
+        monkeypatch.setattr(RequirementContext, name, checked(getattr(RequirementContext, name)))
     monkeypatch.setattr(rulegen, "subset_exponents", checked_subset_exponents)
     monkeypatch.setattr(RequirementContext, "subset_cover_masks", checked_subset_cover_masks)
     for m, mode in ((MU_N20, "randomized"), (pure_k(), "deterministic")):
@@ -139,8 +142,31 @@ def test_generation_scores_match_reference(monkeypatch):
         assert all(t.complete for t in tables.values())
     # every candidate of every rule search (at a root, every nonempty vertex
     # subset), and every entry of every rule leaf, is scored and tested once:
-    # 1,364 candidates below the roots, 20,164 root subsets, 171 leaf entries
+    # 1,364 candidates below the roots (listed_cover_masks), 20,164 root
+    # subsets (subset_cover_masks), 171 leaf entries (cover_masks)
     assert scored["cost"] == scored["cover"] == 1_364 + 20_164 + 171
+
+
+def test_generation_coverage_matches_the_vc_equation(monkeypatch):
+    """Below the roots, generation reads coverage off minimum covers
+    (listed_cover_masks) and certification tests the vc equation
+    (cover_masks): the two agree on every (candidate, crucial requirement)
+    pair of both reference generations and of the deep tables."""
+    listed_cover_masks, pairs = RequirementContext.listed_cover_masks, []
+
+    def compared(ctx, branches, reqs):
+        got = listed_cover_masks(ctx, branches, reqs)
+        assert got == ctx.cover_masks(branches, reqs), (ctx.config, reqs)
+        pairs[-1] += len(got) * len(reqs)
+        return got
+
+    monkeypatch.setattr(RequirementContext, "listed_cover_masks", compared)
+    for generate in (lambda: build_tables(MU_N20, "randomized"),
+                     lambda: build_tables(pure_k(), "deterministic"), deep_tables):
+        pairs.append(0)
+        assert all(t.complete for t in generate().values())
+    # (candidate, crucial requirement) pairs below the roots, per table set
+    assert pairs == [6_030, 40, 86_027]
 
 
 def test_child_candidates_match_reference_extension(monkeypatch):
@@ -217,8 +243,8 @@ def test_cost_exponents_match_cost_bound_on_corpus(m):
 
 
 def test_coverage_matches_reference_on_corpus():
-    """cover_masks, satisfies and eb against the per-requirement test, over
-    every boundary requirement, crucial or not."""
+    """cover_masks, listed_cover_masks, satisfies and eb against the
+    per-requirement test, over every boundary requirement, crucial or not."""
     for l in config_corpus(seed=31, count=60, max_n=7):
         ctx = RequirementContext(l)
         delta = sorted(l.boundary())
@@ -228,6 +254,7 @@ def test_coverage_matches_reference_on_corpus():
             want = ref.coverage_mask(ctx, b, reqs)
             b_mask, crucial = ctx.solver.mask_of(b), ctx.crucial_set()
             assert ctx.cover_masks([b_mask], reqs)[0] == want
+            assert ctx.listed_cover_masks([b_mask], reqs)[0] == want
             assert ctx.cover_masks([b_mask], crucial)[0] == ref.coverage_mask(ctx, b, crucial)
             assert [ctx.satisfies(b, r) for r in reqs] == [bool(want >> i & 1) for i in range(len(reqs))]
             assert eb(ctx, b, reqs) == tuple(r for i, r in enumerate(reqs) if want >> i & 1)
@@ -313,3 +340,25 @@ def test_minimum_covers_match_brute_force():
             assert len(set(got)) == len(got), (g, mask)
             assert sorted(got) == brute_force_minimum_covers(mask, edges), (g, mask)
             assert all(c.bit_count() == solver.vc(mask) for c in got)
+
+
+def test_coverage_at_oracle_cap_lists_every_minimum_cover():
+    """Eight disjoint triangles fill ORACLE_CAP with the most minimum covers
+    any graph of that size has, 3^8 (Moon and Moser): the listing for the
+    empty requirement holds them all, and coverage read off the listings
+    agrees with the vc equation on seeded branches."""
+    triangles = [(3 * t + i, 3 * t + (i + 1) % 3) for t in range(8) for i in range(3)]
+    # one vertex of each triangle keeps an incomplete edge: 8 boundary vertices
+    l = LocalConfiguration(Graph(range(ORACLE_CAP), triangles), {3 * t: 1 for t in range(8)})
+    ctx = RequirementContext(l)
+    (empty,) = ctx.cover_sets([frozenset()])
+    assert len(empty) == len(set(empty)) == 3 ** 8
+    assert all(s.bit_count() == 16 for s in empty)
+    rng = random.Random(53)
+    reqs = [frozenset(), *ctx.crucial_set(),
+            *(frozenset(rng.sample(sorted(l.boundary()), k)) for k in (1, 3, 8))]
+    branches = [rng.getrandbits(ORACLE_CAP) & rng.getrandbits(ORACLE_CAP) for _ in range(40)]
+    branches += empty[:10]  # each satisfies the empty requirement
+    got = ctx.listed_cover_masks(branches, reqs)
+    assert got == ctx.cover_masks(branches, reqs)
+    assert all(mask & 1 for mask in got[-10:])
