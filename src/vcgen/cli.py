@@ -217,8 +217,12 @@ def cmd_bound(args) -> int:
             raise InputDomainError(f"base_n must be positive, got {values['base_n']}")
         c = math.log(values["base_n"])
         d = combine_bound(values["a"], values["b"], c)
+        try:
+            base = math.exp(d)
+        except OverflowError:
+            raise InputDomainError(f"base e^d overflows a float at d = {d:.6f}") from None
         print(f"d = {d:.6f}")
-        print(f"base = e^d = {math.exp(d):.6f}")
+        print(f"base = e^d = {base:.6f}")
         return EXIT_OK
     if args.vector:
         entries = []

@@ -9,7 +9,8 @@ conserved by the expansion relation.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+import math
+from functools import cached_property, partial
 from typing import Iterable, Mapping, Optional
 
 from .errors import CapacityError, ContractError, InputDomainError
@@ -191,50 +192,37 @@ def _refined_colors(l: LocalConfiguration) -> dict[int, tuple]:
         colors = refined
 
 
-def _canonical_order(l: LocalConfiguration) -> list[list[int]]:
-    colors = _refined_colors(l)
-    blocks: dict[tuple, list[int]] = {}
-    for v in sorted(l.h.vertices):
-        blocks.setdefault(colors[v], []).append(v)
-    return [blocks[c] for c in sorted(blocks)]
-
-
 def _encode(l: LocalConfiguration, perm: list[int]) -> bytes:
-    """Encoding of l under the vertex order perm (position -> old vertex)."""
-    pos = {v: i for i, v in enumerate(perm)}
+    """Encoding of l under the vertex order perm (position -> old vertex):
+    n, the d values in order, then the upper triangle of the adjacency
+    matrix row by row, one bit per pair, LSB first within each byte."""
+    bit = {v: 1 << i for i, v in enumerate(perm)}
     n = len(perm)
-    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if l.h.has_edge(perm[i], perm[j]):
-                bits[idx >> 3] |= 1 << (idx & 7)
-            idx += 1
-    header = bytes([n]) + bytes(l.d[v] for v in perm)
-    return header + bytes(bits)
+    tri = offset = 0
+    for i, v in enumerate(perm):
+        row = sum(map(bit.__getitem__, l.h.neighbors(v)))
+        tri |= row >> (i + 1) << offset
+        offset += n - 1 - i
+    return bytes([n, *map(l.d.__getitem__, perm)]) + tri.to_bytes((offset + 7) // 8, "little")
 
 
 def _canonical_form(l: LocalConfiguration) -> tuple[bytes, list[int]]:
-    """canonical_key(l) and the first vertex order found that realizes it
-    (position -> vertex)."""
+    """canonical_key(l) and the first vertex order, in the product order of
+    the refined colour blocks' permutations, that realizes it (position ->
+    vertex)."""
     if len(l.h) > CANONICAL_CAP:
         raise CapacityError(f"canonicalization capped at {CANONICAL_CAP} vertices")
-    blocks = _canonical_order(l)
-    total = 1
-    for blk in blocks:
-        for i in range(2, len(blk) + 1):
-            total *= i
-        if total > _PERM_BUDGET:
-            raise CapacityError("too many candidate orderings for canonicalization")
-    best: bytes | None = None
-    best_perm: list[int] | None = None
-    for parts in itertools.product(*[itertools.permutations(blk) for blk in blocks]):
-        perm = [v for part in parts for v in part]
-        enc = _encode(l, perm)
-        if best is None or enc < best:
-            best, best_perm = enc, perm
-    assert best is not None and best_perm is not None
-    return best, best_perm
+    colors = _refined_colors(l)
+    by_color: dict[tuple, list[int]] = {}
+    for v in sorted(l.h.vertices):
+        by_color.setdefault(colors[v], []).append(v)
+    blocks = [by_color[c] for c in sorted(by_color)]
+    if math.prod(math.factorial(len(blk)) for blk in blocks) > _PERM_BUDGET:
+        raise CapacityError("too many candidate orderings for canonicalization")
+    orders = itertools.product(*map(itertools.permutations, blocks))
+    encode = partial(_encode, l)
+    best = min((list(itertools.chain.from_iterable(parts)) for parts in orders), key=encode)
+    return encode(best), best
 
 
 def canonical_key(l: LocalConfiguration) -> bytes:

@@ -279,12 +279,13 @@ class VertexCoverSolver:
         self._memo[mask] = result
         return result
 
-    def minimum_covers(self, mask: int) -> list[int]:
+    def _covers(self, mask: int) -> Iterator[int]:
         """Every minimum vertex cover of the subgraph induced by mask, as
         masks.  The lowest vertex v with an edge is either in the cover, when
         vc drops by one without it, or not, and then its neighbourhood is,
         when that is optimal; the two cases are disjoint, so no cover comes
-        out twice."""
+        out twice.  Covers holding v come first, so the first cover is the
+        lexicographically first minimum cover."""
         m = mask
         while m:
             low = m & -m
@@ -293,36 +294,26 @@ class VertexCoverSolver:
                 break
             m ^= low
         else:
-            return [0]
+            yield 0
+            return
         target = self.vc(mask)
-        covers = []
         if self.vc(mask ^ low) == target - 1:
-            covers += [c | low for c in self.minimum_covers(mask ^ low)]
+            for c in self._covers(mask ^ low):
+                yield c | low
         rest = mask & ~nbrs & ~low
         if nbrs.bit_count() + self.vc(rest) == target:
-            covers += [c | nbrs for c in self.minimum_covers(rest)]
-        return covers
+            for c in self._covers(rest):
+                yield c | nbrs
+
+    def minimum_covers(self, mask: int) -> list[int]:
+        """Every minimum vertex cover of the subgraph induced by mask, as
+        masks, in the order _covers yields them."""
+        return list(self._covers(mask))
 
     def cover(self) -> frozenset[int]:
-        """A deterministic minimum vertex cover of the graph."""
-        mask = self.full_mask
-        chosen: set[int] = set()
-        while True:
-            target = self.vc(mask)
-            if target == 0:
-                break
-            # pick the smallest vertex that belongs to some optimal cover
-            for i in range(len(self._order)):
-                bit = 1 << i
-                if not (mask & bit) or not (self._nbr[i] & mask):
-                    continue
-                if self.vc(mask & ~bit) == target - 1:
-                    chosen.add(self._order[i])
-                    mask &= ~bit
-                    break
-            else:  # pragma: no cover - unreachable on consistent memo
-                raise AssertionError("no vertex extends an optimal cover")
-        return frozenset(chosen)
+        """The lexicographically first minimum vertex cover of the graph."""
+        first = next(self._covers(self.full_mask))
+        return frozenset(v for i, v in enumerate(self._order) if first >> i & 1)
 
 
 def vc_oracle(g: Graph) -> int:

@@ -198,12 +198,16 @@ def branching_number(v: BranchVector) -> float:
 
 def combine_bound(a: float, b: float, c: float) -> float:
     """d = 2c(a+b)/(a+2c); combines O*(e^(a*mu+b*k)) and O*(e^(c*n)) runtimes
-    into O*(e^(d*k)) for vertex-deletion-closed graph classes."""
+    into O*(e^(d*k)) for vertex-deletion-closed graph classes.
+    InputDomainError when d is not a finite float."""
     if a < 0 or b < 0 or c < 0:
         raise InputDomainError("combine_bound needs non-negative arguments")
     if a + 2 * c == 0:
         raise InputDomainError("a + 2c must be positive")
-    return 2 * c * (a + b) / (a + 2 * c)
+    d = 2 * c * (a + b) / (a + 2 * c)
+    if not math.isfinite(d):
+        raise InputDomainError("combined exponent d is not a finite float")
+    return d
 
 
 # -- text form ---------------------------------------------------------------

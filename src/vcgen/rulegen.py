@@ -74,8 +74,9 @@ class FailureReport:
     chain: tuple[str, ...]  # config text forms, root first
 
     def describe(self) -> str:
+        """The reason, then each configuration of the chain on one line."""
         parts = [f"generation aborted: {self.reason}; blocking chain:"]
-        parts.extend(self.chain)
+        parts.extend("; ".join(text.splitlines()) for text in self.chain)
         return "\n".join(parts)
 
 

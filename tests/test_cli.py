@@ -217,6 +217,8 @@ MALFORMED_ARGUMENTS = {
     "combine field unknown": ["bound", "--combine", "a=1", "b=2", "base_n=1.1", "bogus=7"],
     "combine field repeated": ["bound", "--combine", "a=1", "b=2", "base_n=1.1", "a=3"],
     "bound with neither option": ["bound"],
+    "combined base beyond a float": ["bound", "--combine", "a=1e300", "b=1e300", "base_n=1e300"],
+    "combined exponent beyond a float": ["bound", "--combine", "a=1e308", "b=1e308", "base_n=3"],
 }
 
 
@@ -254,8 +256,9 @@ def test_malformed_input_exits_3_with_one_line(tmp_path, capsys, case):
         "verify": ["verify", "--table", str(table)],
     }[cmd]
     assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == "", captured.out
 
 
 def test_solve_without_tables_exits_3_with_one_line(tmp_path, capsys, k4_instance):

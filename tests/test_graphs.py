@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -151,6 +152,33 @@ def test_cover_witness_is_optimal_cover():
         cover = VertexCoverSolver(g).cover()
         assert len(cover) == vc_oracle(g)
         assert all(u in cover or v in cover for u, v in g.edges())
+
+
+def lexicographically_first_cover(g: Graph) -> frozenset[int]:
+    """The first minimum cover among all vertex subsets listed by size,
+    then in lexicographic order of their sorted vertices."""
+    vs, edges = sorted(g.vertices), list(g.edges())
+    for size in range(len(vs) + 1):
+        for cand in itertools.combinations(vs, size):
+            if all(u in cand or v in cand for u, v in edges):
+                return frozenset(cand)
+    raise AssertionError("unreachable")
+
+
+def test_cover_is_the_first_minimum_cover():
+    """cover() is the first cover of the enumeration minimum_covers lists,
+    and that is the lexicographically first minimum cover, on seeded
+    subcubic graphs with shuffled, gapped labels."""
+    rng = random.Random(61)
+    for _ in range(200):
+        n = rng.randint(1, 13)
+        h = random_subcubic(rng, n)
+        names = rng.sample(range(3 * n), n)
+        g = Graph(names, [(names[u], names[v]) for u, v in h.edges()])
+        solver = VertexCoverSolver(g)
+        cover = solver.cover()
+        assert solver.mask_of(cover) == solver.minimum_covers(solver.full_mask)[0]
+        assert cover == lexicographically_first_cover(g), g
 
 
 def test_solver_masks_reusable():

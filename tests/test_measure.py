@@ -178,6 +178,10 @@ def test_combine_bound_zero_c():
 def test_combine_bound_domain_error():
     with pytest.raises(InputDomainError):
         combine_bound(0.0, 1.0, 0.0)
+    with pytest.raises(InputDomainError, match="not a finite float"):
+        combine_bound(1e308, 1e308, math.log(3))  # a + b overflows
+    with pytest.raises(InputDomainError, match="not a finite float"):
+        combine_bound(1e308, 1e308, 0.0)  # 0 * inf
 
 
 def test_combine_bound_sanity_inequalities():

@@ -142,6 +142,17 @@ def test_gensa_names_the_cap_that_stops_it(sid, reason):
     assert t.failure.reason == reason
 
 
+def test_failure_report_prints_one_line_per_configuration():
+    t = gensa(root_config(17), Measure(0, 0, 0, Fraction("0.12"), "n"), assertions=assertions_for(17),
+              limits=GenLimits(max_depth=20), subspace_id=17)
+    chain = t.failure.chain
+    lines = t.failure.describe().splitlines()
+    assert len(chain) == 19 and len(lines) == 1 + len(chain)
+    assert lines[0] == "generation aborted: boundary of size 13 exceeds cap 12; blocking chain:"
+    assert [line.split("; ") for line in lines[1:]] == [text.splitlines() for text in chain]
+    assert all(text.count("\n") > 1 for text in chain)  # the JSON keeps the text forms
+
+
 def test_gensa_reports_a_root_beyond_the_seed_cap():
     root = LocalConfiguration(path_graph(17), {0: 1, 16: 1})
     t = gensa(root, MU_N20)
